@@ -101,7 +101,13 @@ class _WorkState:
 
 
 class _PeerLink:
-    """One outgoing connection with request/response framing."""
+    """One outgoing connection with request/response framing.
+
+    Only the link's first connect waits out CONNECT_RETRY_SECONDS, for a peer
+    that is still starting. After that, every request to a dead peer makes one
+    connect attempt and fails at once, so a restarted peer is reached again on
+    the next request.
+    """
 
     def __init__(self, my_id: int, peer_id: int, addr: tuple[str, int]):
         self.my_id = my_id
@@ -109,46 +115,51 @@ class _PeerLink:
         self.addr = addr
         self.sock: socket.socket | None = None
         self.lock = threading.Lock()
+        self.settled = False  # connected once, or spent the startup window
 
     def _connect(self) -> socket.socket:
-        deadline = time.monotonic() + CONNECT_RETRY_SECONDS
-        last_err: Exception | None = None
-        while time.monotonic() < deadline:
+        deadline = time.monotonic() + (0.0 if self.settled else CONNECT_RETRY_SECONDS)
+        self.settled = True
+        while True:
             try:
                 sock = socket.create_connection(self.addr, timeout=SOCKET_TIMEOUT)
                 sock.settimeout(SOCKET_TIMEOUT)
                 sock.sendall(HELLO.pack(self.my_id))
                 return sock
-            except OSError as exc:
-                last_err = exc
+            except OSError:
+                if time.monotonic() >= deadline:
+                    raise
                 time.sleep(0.05)
-        raise ConnectionError(f"cannot reach node {self.peer_id}: {last_err}")
+
+    def _exchange(self, frame: bytes) -> tuple[int, int]:
+        self.sock.sendall(frame)
+        return RESPONSE.unpack(_recv_exact(self.sock, 4))
 
     def request(self, frame: bytes) -> tuple[int, int]:
         with self.lock:
-            if self.sock is None:
-                self.sock = self._connect()
-            try:
-                self.sock.sendall(frame)
-                return RESPONSE.unpack(_recv_exact(self.sock, 4))
-            except (OSError, EOFError):
-                # one reconnect attempt, then report the edge as broken
+            if self.sock is not None:
                 try:
-                    self.sock.close()
-                except OSError:
-                    pass
+                    return self._exchange(frame)
+                except (OSError, EOFError):
+                    self._drop()  # stale: the peer died or restarted; reconnect once
+            try:
                 self.sock = self._connect()
-                self.sock.sendall(frame)
-                return RESPONSE.unpack(_recv_exact(self.sock, 4))
+                return self._exchange(frame)
+            except (OSError, EOFError) as exc:
+                self._drop()
+                raise ConnectionError(f"cannot reach node {self.peer_id}: {exc}") from None
+
+    def _drop(self) -> None:
+        if self.sock is not None:
+            try:
+                self.sock.close()
+            except OSError:
+                pass
+            self.sock = None
 
     def close(self) -> None:
         with self.lock:
-            if self.sock is not None:
-                try:
-                    self.sock.close()
-                except OSError:
-                    pass
-                self.sock = None
+            self._drop()
 
 
 class Agent:
@@ -170,7 +181,6 @@ class Agent:
         self.tags: dict[str, str] = {}
         self.stopping = threading.Event()
         self._accepted: set[socket.socket] = set()
-        self._dead_peers: set[int] = set()
 
         self.frame_server = socket.create_server((bind_host, frame_port))
         self.control_server = socket.create_server((bind_host, control_port))
@@ -209,14 +219,17 @@ class Agent:
             self._deliver(self.node_id, 0, payload, from_peer=self.node_id)
             return 0
         nxt = self._next_hop(dst)
-        frame = pack_frame(self.node_id, dst, 1, payload)
-        try:
-            status, detail = self._link_to(nxt).request(frame)
-        except ConnectionError:
-            raise DeliveryError(nxt if nxt != HUB_ID else dst) from None
+        status, detail = self._forward(nxt, pack_frame(self.node_id, dst, 1, payload))
         if status != STATUS_OK:
-            raise DeliveryError(detail)
+            raise DeliveryError(dst if detail == HUB_ID else detail)
         return detail
+
+    def _forward(self, nxt: int, frame: bytes) -> tuple[int, int]:
+        """Pass a frame to neighbour nxt; a broken link is answered as a relay failure."""
+        try:
+            return self._link_to(nxt).request(frame)
+        except ConnectionError:
+            return STATUS_RELAY_FAILED, nxt
 
     def _deliver(self, src: int, hop: int, payload: bytes, from_peer: int) -> None:
         with self.counts_lock:
@@ -270,12 +283,7 @@ class Agent:
         if self.topo.kind is NetworkSolution.MULTICAST:
             # every node sees every frame; only the addressee keeps it
             return STATUS_OK, hop
-        nxt = self._next_hop(dst)
-        frame = pack_frame(src, dst, hop + 1, payload)
-        try:
-            return self._link_to(nxt).request(frame)
-        except ConnectionError:
-            return STATUS_RELAY_FAILED, nxt
+        return self._forward(self._next_hop(dst), pack_frame(src, dst, hop + 1, payload))
 
     def _hub_fanout(self, src: int, dst: int, hop: int, payload: bytes) -> tuple[int, int]:
         frame = pack_frame(src, dst, hop, payload)
@@ -283,15 +291,8 @@ class Agent:
         for node in sorted(self.addrs):
             if node == src:
                 continue
-            if node in self._dead_peers:
-                status, detail = STATUS_RELAY_FAILED, node
-            else:
-                try:
-                    status, detail = self._link_to(node).request(frame)
-                except ConnectionError:
-                    # a dead subscriber never breaks delivery between the others
-                    self._dead_peers.add(node)
-                    status, detail = STATUS_RELAY_FAILED, node
+            # a dead subscriber never breaks delivery between the others
+            status, detail = self._forward(node, frame)
             if node == dst:
                 dst_status = (status, detail)
         if dst_status is None:
@@ -454,15 +455,6 @@ class AgentClient:
             self.sock.close()
         except OSError:
             pass
-
-
-def agent_send(control_addr: tuple[str, int], dst: int, payload: bytes) -> int:
-    """One-shot send through an agent; returns the arrival hop count."""
-    client = AgentClient(control_addr)
-    try:
-        return client.send(dst, payload)
-    finally:
-        client.close()
 
 
 # ---------------------------------------------------------------------------

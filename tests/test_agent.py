@@ -162,6 +162,31 @@ class TestFaults:
         with pytest.raises(DeliveryError):
             o.client(1).send(2, b"m")
 
+    def test_repeat_send_through_dead_relay_fails_fast(self, overlay):
+        o = overlay(TREE, 7)
+        o.agents[1].close()
+        time.sleep(0.05)
+        with pytest.raises(DeliveryError):
+            o.client(5).send(3, b"m")  # 5-2-0-1-3: relay 0 finds 1 dead
+        t0 = time.monotonic()
+        with pytest.raises(DeliveryError) as err:
+            o.client(5).send(3, b"m")
+        assert time.monotonic() - t0 < 0.2
+        assert err.value.relay == 1
+
+    def test_restarted_peer_reachable_on_next_send(self, overlay):
+        o = overlay(TREE, 7)
+        old = o.agents[1]
+        addrs = {a.node_id: ("127.0.0.1", a.frame_port) for a in o.agents}
+        old.close()
+        time.sleep(0.05)
+        with pytest.raises(DeliveryError):
+            o.client(3).send(4, b"m")
+        o.agents[1] = Agent(1, old.topo, frame_port=old.frame_port)
+        o.agents[1].configure(addrs, None)
+        o.agents[1].start()
+        assert o.client(3).send(4, b"m") == 2
+
 
 class TestWireModelEquivalence:
     @pytest.mark.parametrize("kind", [STAR, TREE, MCAST])
@@ -196,7 +221,6 @@ class TestAgentCli:
         import subprocess
         import sys
 
-        from bee.netvirt.agent import agent_send
         from bee.netvirt.fleet import _package_pythonpath
         import os
 
@@ -227,7 +251,11 @@ class TestAgentCli:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 try:
-                    hops = agent_send(("127.0.0.1", ports[1][1]), 2, b"cli")
+                    client = AgentClient(("127.0.0.1", ports[1][1]))
+                    try:
+                        hops = client.send(2, b"cli")
+                    finally:
+                        client.close()
                     break
                 except OSError:
                     time.sleep(0.05)

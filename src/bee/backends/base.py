@@ -8,6 +8,7 @@ through this interface, so they run unchanged on any implementation.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -286,6 +287,11 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def progress(self, ref: NodeRef) -> float: ...
+
+    def quiet_until(self, ref: NodeRef) -> float:
+        """Clock reading before which progress(ref) can neither reach the app's
+        work total nor raise NodeFailure.  -inf means: poll every tick."""
+        return -math.inf
 
     @abc.abstractmethod
     def pause(self, ref: NodeRef) -> None: ...

@@ -7,10 +7,11 @@ event logs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from bee.model import MB, AppSpec, ComputeSystem, HardwareConfig, StorageSolution
+from bee.model import MB, WORK_QUANTUM, AppSpec, ComputeSystem, HardwareConfig, StorageSolution
 from bee.storage import StoragePlan, model_io
 from bee.workload import append_output, compute_rate, progress_at
 from bee.backends.base import (
@@ -239,6 +240,28 @@ class SimHpcBackend(Backend):
         gained = progress_at(run.rate, self._active_seconds(),
                              max(0.0, run.work_total - self.progress_base))
         return min(run.work_total, self.progress_base + gained)
+
+    def quiet_until(self, ref: NodeRef) -> float:
+        """Strict lower bound on the next clock reading where progress() changes outcome.
+
+        That is the pending `run` fault that progress() would check, or the
+        completion time.  quantize_work rounds to nearest, so completion can come
+        half a quantum early: one quantum comes off the remaining work, and a
+        relative margin absorbs the round-off of the clock arithmetic.
+        """
+        rule = self._pending_timed_fault("run", ref.host_id)
+        fault_at = rule.at_time if rule is not None else math.inf
+        run = self._app
+        remaining = run.work_total - self.progress_base - WORK_QUANTUM
+        if remaining <= 0:
+            return -math.inf
+        if run.started_at is None or run.rate <= 0:
+            return fault_at
+        done = run.started_at + run.paused_total + run.io_duration + remaining / run.rate
+        done -= 1e-9 * abs(done)
+        if run.paused_at is not None and run.paused_at < done:
+            done = math.inf  # frozen short of the target until resumed
+        return min(fault_at, done)
 
     def pause(self, ref: NodeRef) -> None:
         run = self._app

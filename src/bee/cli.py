@@ -22,6 +22,7 @@ from bee.model import (
     hardware_from_dict,
     load_json_file,
     pool_from_dict,
+    run_state_from_dict,
     validate,
 )
 from bee.storage import DEFAULT_NFS_CAP, VolumeStore, iobench_table, sha256_hex
@@ -264,21 +265,37 @@ def cmd_resume(args) -> int:
                            resume_content=content)
 
 
+def _load_run_file(path: Path, parse) -> tuple[dict, object]:
+    """A JSON file a run writes into the store, as written and as parsed.
+
+    Torn or malformed content, as a reader can see mid-write, raises
+    ParseError naming the file.
+    """
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        return doc, parse(doc)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def cmd_status(args) -> int:
     run_dir = Path(args.store) / args.run_id
     state_path = run_dir / "state.json"
     if not state_path.exists():
         print(f"no such run: {args.run_id}", file=sys.stderr)
         return EXIT_CONFIG
-    state = json.loads(state_path.read_text(encoding="utf-8"))
-    doc = {"run_id": args.run_id, "state": state}
     result_path = run_dir / "result.json"
-    if result_path.exists():
-        doc["result"] = json.loads(result_path.read_text(encoding="utf-8"))
-    lines = [f"run {args.run_id}: phase {state['phase']}, "
-             f"progress {state['progress']:g}, slots {state['slots_consumed']}"]
-    if "result" in doc:
-        lines.append(f"  result: {doc['result']['outcome']}")
+    try:
+        written, state = _load_run_file(state_path, run_state_from_dict)
+        doc = {"run_id": args.run_id, "state": written}
+        lines = [f"run {args.run_id}: phase {state.phase.value}, "
+                 f"progress {state.progress:g}, slots {state.slots_consumed}"]
+        if result_path.exists():
+            doc["result"], outcome = _load_run_file(result_path, lambda d: d["outcome"])
+            lines.append(f"  result: {outcome}")
+    except ParseError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     _emit(args, doc, lines)
     return EXIT_OK
 

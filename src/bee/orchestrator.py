@@ -159,22 +159,37 @@ class CheckpointStore:
                                          encoding="utf-8")
         return d
 
+    def _manifest(self, d: Path) -> Checkpoint:
+        return checkpoint_from_manifest(
+            json.loads((d / "manifest.json").read_text(encoding="utf-8")))
+
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
         d = Path(path)
-        manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
-        return checkpoint_from_manifest(manifest), (d / "volume.bin").read_bytes()
+        return self._manifest(d), (d / "volume.bin").read_bytes()
 
     def verify(self, path: str | Path) -> bool:
         ckpt, content = self.load(path)
         return sha256_hex(content) == ckpt.digest
 
     def latest(self, run_id: str) -> Path | None:
+        """The newest committed checkpoint of the run.
+
+        save() writes the manifest last, so a sequence whose manifest is
+        missing or does not parse was cut off mid-save and is skipped.
+        """
         run_dir = self.root / run_id
         if not run_dir.exists():
             return None
         seqs = sorted((int(p.name) for p in run_dir.iterdir()
                        if p.is_dir() and p.name.isdigit()), reverse=True)
-        return self._dir(run_id, seqs[0]) if seqs else None
+        for seq in seqs:
+            d = self._dir(run_id, seq)
+            try:
+                self._manifest(d)
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            return d
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +217,32 @@ class MonitorOutcome:
 
 def monitor(cluster: Cluster, budget: float, guard: float,
             poll_interval: float = 1.0) -> MonitorOutcome:
-    """Poll the running cluster until completion or the guard deadline.
+    """Watch the running cluster until completion, failure or the guard deadline.
 
-    The final poll lands exactly on budget - guard, never past it, so the
-    caller always has the full guard window left inside the slot.
+    The clock advances one poll_interval per tick.  The cluster is polled only
+    on ticks at or after the backend's quiet_until(), where the outcome can
+    change, and always on the final tick.  Skipped ticks could only have
+    reported "still running", so the result and the clock match polling every
+    tick.  The final tick lands exactly on budget - guard, never past it, so
+    the caller always has the full guard window left inside the slot.
     """
     backend = cluster.backend
     target = quantize_work(cluster.app.work_total)
     deadline = budget - guard
     t0 = backend.now()
+    quiet = backend.quiet_until(cluster.master_ref)
     while True:
-        elapsed = backend.now() - t0
-        try:
-            progress = cluster.progress()
-        except NodeFailure:
-            return MonitorOutcome(MonitorResult.FAILED, elapsed)
-        if progress >= target:
-            return MonitorOutcome(MonitorResult.COMPLETED, elapsed)
-        if elapsed >= deadline - 1e-9:  # slack absorbs clock round-off
+        now = backend.now()
+        elapsed = now - t0
+        final = elapsed >= deadline - 1e-9  # slack absorbs clock round-off
+        if final or now >= quiet:
+            try:
+                progress = cluster.progress()
+            except NodeFailure:
+                return MonitorOutcome(MonitorResult.FAILED, elapsed)
+            if progress >= target:
+                return MonitorOutcome(MonitorResult.COMPLETED, elapsed)
+        if final:
             return MonitorOutcome(MonitorResult.GUARD_FIRED, elapsed)
         backend.wait(min(poll_interval, deadline - elapsed))
 

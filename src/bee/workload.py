@@ -14,8 +14,18 @@ from bee.model import AppSpec, ComputeSystem, HardwareConfig, quantize_work
 BLOCK_BYTES = 32
 
 
-def output_block(app_name: str, unit_index: int) -> bytes:
-    return hashlib.sha256(f"{app_name}:{unit_index}".encode()).digest()
+def _output_blocks(app_name: str, start: int, end: int):
+    """sha256(f"{app_name}:{i}") for i = start..end.
+
+    Each block resumes a copy of the hash state that has already absorbed the
+    prefix.  A generator, so join() frees the block list before the caller
+    concatenates its result.
+    """
+    prefix = hashlib.sha256(f"{app_name}:".encode())
+    for i in range(start, end + 1):
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        yield h.digest()
 
 
 def completed_units(progress: float) -> int:
@@ -28,7 +38,7 @@ def append_output(app_name: str, base_bytes: bytes, base_progress: float,
     """Volume content once the app has advanced from base_progress to progress."""
     start = completed_units(base_progress) + 1
     end = completed_units(progress)
-    return base_bytes + b"".join(output_block(app_name, i) for i in range(start, end + 1))
+    return base_bytes + b"".join(_output_blocks(app_name, start, end))
 
 
 def volume_content(app_name: str, initial: bytes, progress: float) -> bytes:

@@ -3,7 +3,14 @@ import json
 import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
-from bee.model import app_to_dict, hardware_to_dict, pool_to_dict
+from bee.model import (
+    RunState,
+    app_to_dict,
+    canonical_json,
+    hardware_to_dict,
+    pool_to_dict,
+    run_state_to_dict,
+)
 from conftest import make_app, make_hardware, make_pool, make_system
 
 
@@ -177,6 +184,20 @@ class TestStatusCommand:
 
     def test_unknown_run_exits_config(self, tmp_path):
         assert main(["status", "nope", "--store", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("torn", ["state.json", "result.json"])
+    def test_torn_run_file_exits_config(self, tmp_path, capsys, torn):
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "state.json").write_text(canonical_json(run_state_to_dict(RunState())),
+                                            encoding="utf-8")
+        (run_dir / torn).write_text('{"phase":', encoding="utf-8")
+        assert main(["status", "r", "--store", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and torn in err[0]
+        assert "Traceback" not in captured.err
 
 
 class TestTopoCommand:

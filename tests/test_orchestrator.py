@@ -1,18 +1,22 @@
+import hashlib
 import json
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bee.model import MB
+from bee.model import MB, WORK_QUANTUM, quantize_work
 from bee.storage import VolumeStore, sha256_hex
-from bee.workload import make_input_bytes, volume_content
-from bee.cluster import deploy_cluster
+from bee.workload import append_output, make_input_bytes, volume_content
+from bee.cluster import Cluster, deploy_cluster
+from bee.backends.base import NodeFailure
 from bee.orchestrator import (
     Checkpoint,
     CheckpointStore,
     CheckpointUnsupported,
     MigrationError,
+    MonitorOutcome,
     MonitorResult,
     Outcome,
     SlotEnd,
@@ -313,6 +317,33 @@ class TestRunWorkflow:
                 assert rec.progress_delta >= 0.0
 
 
+def polling_monitor(cluster, budget, guard, poll_interval=1.0):
+    """Oracle: the monitor before quiet_until, polling progress on every tick."""
+    backend = cluster.backend
+    target = quantize_work(cluster.app.work_total)
+    deadline = budget - guard
+    t0 = backend.now()
+    while True:
+        elapsed = backend.now() - t0
+        try:
+            progress = cluster.progress()
+        except NodeFailure:
+            return MonitorOutcome(MonitorResult.FAILED, elapsed)
+        if progress >= target:
+            return MonitorOutcome(MonitorResult.COMPLETED, elapsed)
+        if elapsed >= deadline - 1e-9:
+            return MonitorOutcome(MonitorResult.GUARD_FIRED, elapsed)
+        backend.wait(min(poll_interval, deadline - elapsed))
+
+
+def tick_times(t0, deadline, poll_interval):
+    """Clock readings of the monitor's ticks, built by the same float steps."""
+    ticks = [t0]
+    while ticks[-1] - t0 < deadline - 1e-9:
+        ticks.append(ticks[-1] + min(poll_interval, deadline - (ticks[-1] - t0)))
+    return ticks
+
+
 class TestMonitor:
     def _running_cluster(self, work_total, time_slot=100.0, fault_at=None):
         system = make_system("alpha", time_slot=time_slot)
@@ -341,6 +372,141 @@ class TestMonitor:
         outcome = monitor(cluster, budget=100.0, guard=10.0)
         assert outcome.result is MonitorResult.FAILED
         assert outcome.elapsed == pytest.approx(50.0, abs=1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_skipping_quiet_ticks_matches_polling_every_tick(self, data):
+        cpu_rate = data.draw(st.floats(0.05, 20.0), label="cpu_rate")
+        base_fraction = data.draw(st.floats(0.0, 1.0), label="base_fraction")
+        io_read = data.draw(st.integers(1, 64 << 20), label="io_read")
+        io_write = data.draw(st.integers(0, 64 << 20), label="io_write")
+        poll = data.draw(st.sampled_from([0.25, 0.3, 1.0]), label="poll_interval")
+        budget = data.draw(st.floats(1.0, 400.0), label="budget")
+        guard = budget * data.draw(st.floats(0.0, 0.9), label="guard_fraction")
+        lead = data.draw(st.floats(0.0, 30.0), label="lead")
+        pause = data.draw(st.sampled_from(["none", "paused", "resumed"]), label="pause")
+        pause_len = data.draw(st.floats(0.0, 30.0), label="pause_len")
+
+        def twin(work_total):
+            system = make_system("alpha", time_slot=1000.0, cpu_rate=cpu_rate)
+            backend = make_backend(system, SimConfig(seed=3, **EXACT_CFG))
+            app = make_app(work_total=work_total, process_count=1,
+                           io_read=io_read, io_write=io_write)
+            backend.stage_volume(b"seed")
+            backend.set_progress_base(quantize_work(base_fraction * work_total))
+            cluster = deploy_cluster(system.hosts, app, "c1", make_hardware(), backend)
+            backend.wait(lead)
+            if pause != "none":
+                cluster.pause()
+            if pause == "resumed":
+                backend.wait(pause_len)
+                cluster.resume()
+            return cluster
+
+        # Deploy timing does not depend on the work total, so a probe twin
+        # gives the tick times and the app's run parameters.
+        probe = twin(1.0)
+        run_state = probe.backend._app
+        assert run_state.io_duration > 0
+        t0 = probe.backend.now()
+        ticks = tick_times(t0, budget - guard, poll)
+        if data.draw(st.booleans(), label="complete_near_tick"):
+            # work that is done within a quantum of one tick: the edge where
+            # quantize_work's rounding to nearest finishes the app early
+            assume(base_fraction <= 0.9)
+            tick = data.draw(st.sampled_from(ticks), label="tick")
+            active = tick - run_state.started_at - run_state.paused_total - \
+                run_state.io_duration
+            nudge = data.draw(st.floats(-1.0, 1.0), label="nudge") * WORK_QUANTUM
+            work_total = run_state.rate * active / (1.0 - base_fraction) + nudge
+            assume(work_total >= 1.0)
+        else:
+            work_total = data.draw(st.floats(1.0, 2000.0), label="work_total")
+
+        new, old = twin(work_total), twin(work_total)
+        faults = data.draw(st.lists(st.sampled_from(["before_start", "on_tick", "between",
+                                                     "past_deadline"]),
+                                    max_size=2), label="faults")
+        for kind in faults:
+            if kind == "before_start":
+                at = data.draw(st.floats(0.0, t0), label="fault_at")
+            elif kind == "on_tick":
+                at = data.draw(st.sampled_from(ticks), label="fault_at")
+            elif kind == "between":
+                at = data.draw(st.floats(t0, ticks[-1]), label="fault_at")
+            else:
+                at = ticks[-1] + data.draw(st.floats(1e-6, 100.0), label="fault_after")
+            for cluster in (new, old):
+                cluster.backend.inject_fault("run", host=cluster.master_ref.host_id,
+                                             at_time=at)
+
+        got = monitor(new, budget, guard, poll)
+        want = polling_monitor(old, budget, guard, poll)
+        assert got.result is want.result
+        assert got.elapsed.hex() == want.elapsed.hex()
+        assert new.backend.now().hex() == old.backend.now().hex()
+        assert [(e.t.hex(), e.kind, e.node, e.detail) for e in new.backend.log.events] == \
+            [(e.t.hex(), e.kind, e.node, e.detail) for e in old.backend.log.events]
+
+    def test_polls_per_slot_not_per_simulated_second(self, tmp_path, monkeypatch):
+        calls = []
+        real_progress = Cluster.progress
+
+        def counting_progress(cluster):
+            calls.append(cluster.backend.now())
+            return real_progress(cluster)
+
+        monkeypatch.setattr(Cluster, "progress", counting_progress)
+        pool = make_pool(make_system("alpha", time_slot=86_400.0),
+                         make_system("beta", time_slot=86_400.0))
+        app = make_app(work_total=100_000.0, process_count=1)
+        result = run(pool, app, tmp_path, run_id="long")
+        assert [r.ended_by for r in result.history] == \
+            [SlotEnd.TIMESLOT_CHECKPOINT, SlotEnd.COMPLETION]
+        # the final guard tick, the checkpoint's reading, and the ticks
+        # around completion; polling every second would make ~86 400 per slot
+        assert len(calls) <= 3 * len(result.history)
+
+
+class TestCheckpointStore:
+    def test_latest_skips_sequence_without_committed_manifest(self, tmp_path):
+        app = make_app(work_total=300.0, process_count=1)
+        stalled = run(make_pool(make_system("alpha", time_slot=100.0)), app, tmp_path,
+                      run_id="torn")
+        assert stalled.outcome is Outcome.STALLED_WITH_CHECKPOINT
+        store = CheckpointStore(tmp_path)
+        committed = store.latest("torn")
+        assert committed == tmp_path / "torn" / "1"
+
+        # a save cut off between volume.bin and manifest.json
+        cut = tmp_path / "torn" / "2"
+        cut.mkdir()
+        (cut / "volume.bin").write_bytes(b"partial volume")
+        assert store.latest("torn") == committed
+        (cut / "manifest.json").write_text('{"run_id":', encoding="utf-8")
+        assert store.latest("torn") == committed
+
+        ckpt, content = store.load(store.latest("torn"))
+        resumed = run(make_pool(make_system("omega", time_slot=400.0)), app, tmp_path,
+                      run_id="torn", resume_from=ckpt, resume_content=content)
+        assert resumed.outcome is Outcome.COMPLETED
+        assert resumed.output_volume.content_digest == sha256_hex(
+            volume_content(app.name, make_input_bytes(7, app.name, 4096), 300.0))
+
+    def test_latest_none_when_nothing_committed(self, tmp_path):
+        cut = tmp_path / "r" / "1"
+        cut.mkdir(parents=True)
+        (cut / "volume.bin").write_bytes(b"partial volume")
+        assert CheckpointStore(tmp_path).latest("r") is None
+
+
+class TestOutputVolume:
+    @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+           base=st.integers(0, 2000), units=st.integers(0, 300))
+    def test_one_sha256_block_per_unit(self, name, base, units):
+        expected = b"seed" + b"".join(hashlib.sha256(f"{name}:{i}".encode()).digest()
+                                      for i in range(base + 1, base + units + 1))
+        assert append_output(name, b"seed", float(base), float(base + units)) == expected
 
 
 class TestCheckpointOps:

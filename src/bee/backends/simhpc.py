@@ -53,7 +53,6 @@ class SimHpcBackend(Backend):
         self._nodes: dict[int, NodeRef] = {}
         self._started: set[int] = set()
         self._app = _AppRun()
-        self._volume: bytes = b""
         self._volume_initial: bytes = b""
         self._app_name = ""
         self._plan: StoragePlan | None = None

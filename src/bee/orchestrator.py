@@ -31,7 +31,7 @@ from bee.model import (
     run_state_to_dict,
     validate,
 )
-from bee.storage import VolumeStore, sha256_hex
+from bee.storage import VolumeStore, sha256_hex, write_new_file
 from bee.workload import max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
@@ -154,7 +154,7 @@ class CheckpointStore:
     def save(self, ckpt: Checkpoint, content: bytes) -> Path:
         d = self._dir(ckpt.run_id, ckpt.seq)
         d.mkdir(parents=True, exist_ok=True)
-        (d / "volume.bin").write_bytes(content)
+        write_new_file(d / "volume.bin", content)
         (d / "manifest.json").write_text(canonical_json(checkpoint_to_manifest(ckpt)),
                                          encoding="utf-8")
         return d
@@ -282,7 +282,8 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
     """Move checkpoint bytes onto the target system and verify integrity.
 
     Transfer time is charged at the slower of the two systems' networks; a
-    digest mismatch is retried once before giving up.
+    digest mismatch is retried once before giving up.  The verified digest is
+    handed to the store, which skips bytes it has already written.
     """
     if from_system is not None:
         bandwidth = min(from_system.net_bandwidth_native, to_system.net_bandwidth_native)
@@ -307,7 +308,7 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
     vol = vstore.volume(volume_id)
     if vol.location != "detached":
         vstore.detach(volume_id)
-    vstore.write(volume_id, delivered)
+    vstore.write(volume_id, delivered, ckpt.digest)
     vol = vstore.attach(volume_id, to_system.id)
     backend.charge(0.0, "restore_checkpoint", to_system.hosts[0].id)
     return vol
@@ -380,7 +381,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         vol = vstore.volume(data.id)
         if vol.location != "detached":
             vstore.detach(data.id)
-        vstore.write(data.id, ckpt_content)
+        vstore.write(data.id, ckpt_content, resume_from.digest)
         # a checkpoint without an origin (stall before any slot ran) loads like
         # initial data; anything else migrates from its recorded origin
         state = RunState(phase=Phase.INIT,
@@ -426,6 +427,8 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
                 transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
                                      vstore, data.id)
+                # the transfer delivered these bytes once their digest matched
+                content = ckpt_content
             else:
                 content = vstore.content(data.id)
                 backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
@@ -437,7 +440,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         except MigrationError:
             state = replace(state, phase=Phase.FAILED, current_system=None)
             return finish(Outcome.FAILED, None)
-        backend.stage_volume(vstore.content(data.id))
+        backend.stage_volume(content)
         backend.set_progress_base(state.progress)
 
         # deploy the virtual cluster
@@ -519,7 +522,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                             current_system=None)
             return finish(Outcome.FAILED, None)
 
-        vstore.write(data.id, ckpt_content)
+        vstore.write(data.id, ckpt_content, ckpt.digest)
         cluster.stop()
         delta = ckpt.progress - state.progress
         no_progress_slots = 0 if delta > 0 else no_progress_slots + 1

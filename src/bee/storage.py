@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -122,18 +121,41 @@ def iobench_table(solution: StorageSolution, max_nodes: int = 32,
 # volume store
 
 
+def write_new_file(path: Path, content: bytes) -> None:
+    """Write `content` to `path` as a new file; an existing one is unlinked first.
+
+    Truncating a file in place makes ext4 (auto_da_alloc) flush its dirty
+    pages first, which costs several times the write itself.  A crash
+    between unlink and write leaves the file missing, never silently short of
+    bytes it used to hold.
+    """
+    path.unlink(missing_ok=True)
+    path.write_bytes(content)
+
+
 class VolumeStore:
     """Persistent volumes at <root>/volumes/<id>/{meta.json,data.bin}.
 
     The digest is always the SHA-256 hex of data.bin; attach/detach only touch
     metadata, so they can never change content.
+
+    An instance remembers the digest it last wrote to each data.bin and skips
+    rewriting the same bytes.  That memory is never read back from meta.json,
+    which a torn write can leave naming bytes data.bin does not hold; a new
+    instance on the same root always writes.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
+        self._written: dict[str, str] = {}  # volume id -> digest of data.bin
 
     def _dir(self, volume_id: str) -> Path:
         return self.root / "volumes" / volume_id
+
+    def _put(self, volume_id: str, content: bytes, digest: str) -> None:
+        self._written.pop(volume_id, None)
+        write_new_file(self._dir(volume_id) / "data.bin", content)
+        self._written[volume_id] = digest
 
     def exists(self, volume_id: str) -> bool:
         return (self._dir(volume_id) / "meta.json").exists()
@@ -142,9 +164,8 @@ class VolumeStore:
                location: str = DETACHED) -> DataVolume:
         vol = DataVolume(id=volume_id, byte_size=len(content),
                          content_digest=sha256_hex(content), location=location)
-        d = self._dir(volume_id)
-        d.mkdir(parents=True, exist_ok=True)
-        (d / "data.bin").write_bytes(content)
+        self._dir(volume_id).mkdir(parents=True, exist_ok=True)
+        self._put(volume_id, content, vol.content_digest)
         self._write_meta(vol)
         return vol
 
@@ -164,10 +185,19 @@ class VolumeStore:
             raise StorageError(f"no such volume: {volume_id}")
         return path.read_bytes()
 
-    def write(self, volume_id: str, content: bytes) -> DataVolume:
+    def write(self, volume_id: str, content: bytes,
+              digest: str | None = None) -> DataVolume:
+        """Replace the volume's bytes.
+
+        `digest`, when given, must be the SHA-256 hex of exactly `content`,
+        computed or verified by the caller; it saves hashing the bytes again.
+        """
         vol = self.volume(volume_id)
-        (self._dir(volume_id) / "data.bin").write_bytes(content)
-        vol = replace(vol, byte_size=len(content), content_digest=sha256_hex(content))
+        if digest is None:
+            digest = sha256_hex(content)
+        if self._written.get(volume_id) != digest:
+            self._put(volume_id, content, digest)
+        vol = replace(vol, byte_size=len(content), content_digest=digest)
         self._write_meta(vol)
         return vol
 
@@ -196,20 +226,3 @@ class VolumeStore:
             raise StorageError(f"cannot snapshot detached volume {volume_id}")
         content = self.content(volume_id)
         return content, sha256_hex(content)
-
-    def delete(self, volume_id: str) -> None:
-        d = self._dir(volume_id)
-        if d.exists():
-            shutil.rmtree(d)
-
-
-def attach_volume(store: VolumeStore, volume: DataVolume, system_id: str) -> DataVolume:
-    return store.attach(volume.id, system_id)
-
-
-def detach_volume(store: VolumeStore, volume: DataVolume) -> DataVolume:
-    return store.detach(volume.id)
-
-
-def snapshot_volume(store: VolumeStore, volume: DataVolume) -> tuple[bytes, str]:
-    return store.snapshot(volume.id)

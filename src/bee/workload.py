@@ -14,14 +14,14 @@ from bee.model import AppSpec, ComputeSystem, HardwareConfig, quantize_work
 BLOCK_BYTES = 32
 
 
-def _output_blocks(app_name: str, start: int, end: int):
-    """sha256(f"{app_name}:{i}") for i = start..end.
+def _hash_blocks(label: str, start: int, end: int):
+    """sha256(f"{label}:{i}") for i = start..end.
 
     Each block resumes a copy of the hash state that has already absorbed the
     prefix.  A generator, so join() frees the block list before the caller
     concatenates its result.
     """
-    prefix = hashlib.sha256(f"{app_name}:".encode())
+    prefix = hashlib.sha256(f"{label}:".encode())
     for i in range(start, end + 1):
         h = prefix.copy()
         h.update(b"%d" % i)
@@ -38,7 +38,7 @@ def append_output(app_name: str, base_bytes: bytes, base_progress: float,
     """Volume content once the app has advanced from base_progress to progress."""
     start = completed_units(base_progress) + 1
     end = completed_units(progress)
-    return base_bytes + b"".join(_output_blocks(app_name, start, end))
+    return base_bytes + b"".join(_hash_blocks(app_name, start, end))
 
 
 def volume_content(app_name: str, initial: bytes, progress: float) -> bytes:
@@ -66,10 +66,13 @@ def compute_rate(app: AppSpec, hardware: HardwareConfig, system: ComputeSystem,
 
 
 def make_input_bytes(seed: int, name: str, size: int = 65536) -> bytes:
-    """Seeded pseudo-random input data: a hash stream, stable across runs."""
+    """Seeded pseudo-random input data, stable across runs.
+
+    The first `size` bytes of sha256(f"{seed}:{name}:{counter}") for
+    counter = 0, 1, 2, ...
+    """
     out = bytearray()
-    counter = 0
-    while len(out) < size:
-        out.extend(hashlib.sha256(f"{seed}:{name}:{counter}".encode()).digest())
-        counter += 1
-    return bytes(out[:size])
+    for block in _hash_blocks(f"{seed}:{name}", 0, -(-size // BLOCK_BYTES) - 1):
+        out += block  # unlike join(), never holds every block object at once
+    del out[size:]
+    return bytes(out)

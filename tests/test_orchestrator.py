@@ -500,6 +500,69 @@ class TestCheckpointStore:
         assert CheckpointStore(tmp_path).latest("r") is None
 
 
+class TestStoreIo:
+    """Each checkpoint is hashed where it is made and checked where it lands."""
+
+    def _migrating_app(self):
+        # 95 units per 100 s slot: four guard-fired slots, then completion
+        return make_app(work_total=4 * 95.0 + 50.0, process_count=1)
+
+    def test_at_most_two_hashes_per_migrated_slot(self, tmp_path, monkeypatch):
+        import bee.orchestrator
+        import bee.storage
+
+        vstore = VolumeStore(tmp_path)
+        app = self._migrating_app()
+        vstore.create(f"{app.name}-in", make_input_bytes(7, app.name, 1 << 16))
+        hashed, reads = [], []
+        real_hash, real_content = bee.storage.sha256_hex, VolumeStore.content
+
+        def counting_hash(data):
+            hashed.append(len(data))
+            return real_hash(data)
+
+        def counting_content(store, volume_id):
+            reads.append(volume_id)
+            return real_content(store, volume_id)
+
+        monkeypatch.setattr(bee.storage, "sha256_hex", counting_hash)
+        monkeypatch.setattr(bee.orchestrator, "sha256_hex", counting_hash)
+        monkeypatch.setattr(VolumeStore, "content", counting_content)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        result = run(pool, app, tmp_path, run_id="hashes")
+
+        migrated = [r for r in result.history if r.ended_by is SlotEnd.TIMESLOT_CHECKPOINT]
+        assert len(migrated) == 4
+        assert result.history[-1].ended_by is SlotEnd.COMPLETION
+        # one hash where each checkpoint is made, one where it is delivered,
+        # and one of the final output
+        assert all(n >= 1 << 16 for n in hashed)
+        assert len(hashed) <= 2 * len(migrated) + 1
+        # only the initial load reads the volume back from the store
+        assert len(reads) <= 1
+
+    def test_checkpoints_intact_after_migrations_and_resume(self, tmp_path):
+        app = self._migrating_app()
+        stalled = run(make_pool(*(make_system(f"a{i}", time_slot=100.0) for i in range(2))),
+                      app, tmp_path, run_id="r")
+        assert stalled.outcome is Outcome.STALLED_WITH_CHECKPOINT
+        cstore = CheckpointStore(tmp_path)
+        ckpt, content = cstore.load(cstore.latest("r"))
+        resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
+                      app, tmp_path, run_id="r", resume_from=ckpt, resume_content=content)
+        assert resumed.outcome is Outcome.COMPLETED
+        seqs = sorted(int(d.name) for d in (tmp_path / "r").iterdir() if d.is_dir())
+        assert seqs == [1, 2, 3, 4]
+        # no later write of the data volume touched a checkpoint's bytes
+        assert all(cstore.verify(tmp_path / "r" / str(seq)) for seq in seqs)
+        vol = VolumeStore(tmp_path).volume(f"{app.name}-in")
+        data = (tmp_path / "volumes" / vol.id / "data.bin").read_bytes()
+        assert vol == resumed.output_volume
+        assert (vol.content_digest, vol.byte_size) == (sha256_hex(data), len(data))
+        assert data == volume_content(app.name, make_input_bytes(7, app.name, 4096),
+                                      app.work_total)
+
+
 class TestOutputVolume:
     @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
            base=st.integers(0, 2000), units=st.integers(0, 300))
@@ -507,6 +570,17 @@ class TestOutputVolume:
         expected = b"seed" + b"".join(hashlib.sha256(f"{name}:{i}".encode()).digest()
                                       for i in range(base + 1, base + units + 1))
         assert append_output(name, b"seed", float(base), float(base + units)) == expected
+
+    @given(seed=st.integers(-10, 1 << 40),
+           name=st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+           size=st.sampled_from([0, 1, 31, 32, 33]) | st.integers(0, 5000))
+    def test_input_bytes_match_per_block_formula(self, seed, name, size):
+        out = bytearray()
+        counter = 0
+        while len(out) < size:
+            out.extend(hashlib.sha256(f"{seed}:{name}:{counter}".encode()).digest())
+            counter += 1
+        assert make_input_bytes(seed, name, size) == bytes(out[:size])
 
 
 class TestCheckpointOps:

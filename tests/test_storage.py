@@ -1,6 +1,11 @@
-import pytest
+import os
+import tempfile
+from pathlib import Path
 
-from bee.model import MB, StorageSolution
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bee.model import MB, DETACHED, StorageSolution
 from bee.storage import (
     StoragePlan,
     StorageError,
@@ -10,7 +15,6 @@ from bee.storage import (
     ior_workload,
     model_io,
     sha256_hex,
-    snapshot_volume,
 )
 
 NFS = StorageSolution.DATA_IMAGE_NFS
@@ -128,9 +132,9 @@ class TestVolumeStore:
 
     def test_snapshot_isolated_from_later_writes(self, tmp_path):
         store = VolumeStore(tmp_path)
-        vol = store.create("v1", b"before")
+        store.create("v1", b"before")
         store.attach("v1", "alpha")
-        snap, digest = snapshot_volume(store, vol)
+        snap, digest = store.snapshot("v1")
         store.write("v1", b"after")
         assert snap == b"before"
         assert digest == sha256_hex(b"before")
@@ -167,3 +171,112 @@ class TestVolumeStore:
         store.create("vol-9", b"bytes")
         assert (tmp_path / "volumes" / "vol-9" / "meta.json").exists()
         assert (tmp_path / "volumes" / "vol-9" / "data.bin").read_bytes() == b"bytes"
+
+    def test_payload_written_as_new_file(self, tmp_path):
+        # a hard link to the old data.bin keeps the old bytes: the file was
+        # replaced, not truncated and rewritten in place
+        store = VolumeStore(tmp_path)
+        store.create("v1", b"old bytes")
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        os.link(data, tmp_path / "old")
+        store.write("v1", b"new")
+        assert (tmp_path / "old").read_bytes() == b"old bytes"
+        assert data.read_bytes() == b"new"
+        os.link(data, tmp_path / "older")
+        store.create("v1", b"again")
+        assert (tmp_path / "older").read_bytes() == b"new"
+        assert data.read_bytes() == b"again"
+
+    def test_same_digest_skips_payload_but_rewrites_meta(self, tmp_path):
+        store = VolumeStore(tmp_path)
+        store.create("v1", b"bytes")
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        inode = data.stat().st_ino
+        os.link(data, tmp_path / "held")  # keeps the inode number from reuse
+        store.attach("v1", "alpha")
+        vol = store.write("v1", b"bytes", sha256_hex(b"bytes"))
+        assert data.stat().st_ino == inode
+        assert vol.location == "alpha" and store.volume("v1") == vol
+
+    def test_new_store_does_not_trust_meta_json(self, tmp_path):
+        # a torn write left meta.json naming bytes that data.bin does not
+        # hold; a store opened afterwards must write the payload again
+        first = VolumeStore(tmp_path)
+        vol = first.create("v1", b"complete payload")
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        data.write_bytes(b"compl")
+        second = VolumeStore(tmp_path)
+        assert second.volume("v1") == vol
+        second.write("v1", b"complete payload", vol.content_digest)
+        assert data.read_bytes() == b"complete payload"
+
+
+VOLUME_IDS = st.sampled_from(["a", "b"])
+CONTENTS = st.sampled_from([b"", b"x", b"y" * 40]) | st.binary(max_size=16)
+STORE_OPS = st.one_of(
+    st.tuples(st.just("create"), VOLUME_IDS, CONTENTS),
+    st.tuples(st.just("write"), VOLUME_IDS, CONTENTS, st.booleans()),
+    st.tuples(st.just("attach"), VOLUME_IDS, st.sampled_from(["alpha", "beta"])),
+    st.tuples(st.just("detach"), VOLUME_IDS),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("crash"), VOLUME_IDS, CONTENTS),
+)
+
+
+class TestVolumeStoreConsistency:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(STORE_OPS, max_size=25))
+    def test_meta_always_describes_data(self, ops):
+        """After every operation meta.json matches data.bin, except on a volume
+        whose data.bin a crash tore until it is next written."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            store = VolumeStore(root)
+            model: dict[str, tuple[bytes, str]] = {}  # id -> content, location
+            torn: set[str] = set()
+            for op in ops:
+                kind, vid = op[0], (op[1] if len(op) > 1 else None)
+                vol = None
+                if kind == "create":
+                    vol = store.create(vid, op[2])
+                    model[vid] = (op[2], DETACHED)
+                    torn.discard(vid)
+                elif kind == "reopen":
+                    store = VolumeStore(root)
+                elif kind == "crash":
+                    # another process died mid-write of data.bin, then this
+                    # process restarted
+                    if vid in model:
+                        (root / "volumes" / vid / "data.bin").write_bytes(op[2][:3])
+                        torn.add(vid)
+                    store = VolumeStore(root)
+                    continue
+                elif vid not in model:
+                    with pytest.raises(StorageError):
+                        getattr(store, kind)(vid, *op[2:3])
+                    continue
+                elif kind == "write":
+                    digest = sha256_hex(op[2]) if op[3] else None
+                    vol = store.write(vid, op[2], digest)
+                    model[vid] = (op[2], model[vid][1])
+                    torn.discard(vid)
+                elif kind == "attach" and model[vid][1] == DETACHED:
+                    vol = store.attach(vid, op[2])
+                    model[vid] = (model[vid][0], op[2])
+                elif kind == "detach" and model[vid][1] != DETACHED:
+                    vol = store.detach(vid)
+                    model[vid] = (model[vid][0], DETACHED)
+                else:
+                    with pytest.raises(StorageError):
+                        getattr(store, kind)(vid, *op[2:3])
+                    continue
+                if vol is not None:
+                    assert vol == store.volume(vid)
+                for other, (content, location) in model.items():
+                    if other in torn:
+                        continue
+                    meta = store.volume(other)
+                    data = store.content(other)
+                    assert data == content
+                    assert (meta.content_digest, meta.byte_size, meta.location) == \
+                        (sha256_hex(data), len(data), location)

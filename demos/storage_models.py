@@ -35,16 +35,17 @@ print(f"passthrough, 1 GiB: read {model_io(plan, 1, 'read', gib):.3f}s, "
 
 print()
 print("volume lifecycle: the data image moves between systems intact")
-store = VolumeStore(tempfile.mkdtemp(prefix="bee-volumes-"))
-vol = store.create("results", b"simulation output " * 1000)
-print(f"  created  {vol.id}: {vol.byte_size} bytes, digest {vol.content_digest[:12]}...")
-vol = store.attach("results", "cluster-a")
-snapshot, digest = store.snapshot("results")
-print(f"  attached to {vol.location}; snapshot digest {digest[:12]}...")
-store.write("results", b"later writes change the live volume")
-print(f"  live digest now {store.volume('results').content_digest[:12]}... "
-      f"(snapshot unchanged: {digest[:12]}...)")
-store.detach("results")
-vol = store.attach("results", "cluster-b")
-print(f"  moved to {vol.location}; digest preserved: "
-      f"{vol.content_digest == store.volume('results').content_digest}")
+with tempfile.TemporaryDirectory(prefix="bee-volumes-") as root:
+    store = VolumeStore(root)
+    vol = store.create("results", b"simulation output " * 1000)
+    print(f"  created  {vol.id}: {vol.byte_size} bytes, digest {vol.content_digest[:12]}...")
+    vol = store.attach("results", "cluster-a")
+    snapshot, digest = store.snapshot("results")
+    print(f"  attached to {vol.location}; snapshot digest {digest[:12]}...")
+    store.write("results", b"later writes change the live volume")
+    print(f"  live digest now {store.volume('results').content_digest[:12]}... "
+          f"(snapshot unchanged: {digest[:12]}...)")
+    store.detach("results")
+    vol = store.attach("results", "cluster-b")
+    print(f"  moved to {vol.location}; digest preserved: "
+          f"{vol.content_digest == store.volume('results').content_digest}")

@@ -63,41 +63,42 @@ hardware = HardwareConfig(vcpus=1, ram_mb=2048,
 
 cfg = SimConfig(backend="sim-hpc", seed=2024)
 
-store = tempfile.mkdtemp(prefix="bee-demo-")
-volumes = VolumeStore(store)
-data = volumes.create("plasma-input", make_input_bytes(2024, "plasma-sim", 1 << 16))
+with tempfile.TemporaryDirectory(prefix="bee-demo-") as root:
+    store, stall_store = f"{root}/full", f"{root}/stall"
+    volumes = VolumeStore(store)
+    data = volumes.create("plasma-input", make_input_bytes(2024, "plasma-sim", 1 << 16))
 
-print("=== full pool: the job migrates until it completes ===")
-result = run_workflow(pool, app, data, hardware,
-                      lambda s: make_backend(s, cfg), store, cfg=cfg,
-                      run_id="demo-full")
-print(f"outcome: {result.outcome.value}")
-for rec in result.history:
-    print(f"  {rec.system_id:>14}  {rec.ended_by.value:<20} "
-          f"used {rec.slot_duration_used:8.2f}s  +{rec.progress_delta:g} work")
-print(f"output digest: {result.output_volume.content_digest[:16]}...")
+    print("=== full pool: the job migrates until it completes ===")
+    result = run_workflow(pool, app, data, hardware,
+                          lambda s: make_backend(s, cfg), store, cfg=cfg,
+                          run_id="demo-full")
+    print(f"outcome: {result.outcome.value}")
+    for rec in result.history:
+        print(f"  {rec.system_id:>14}  {rec.ended_by.value:<20} "
+              f"used {rec.slot_duration_used:8.2f}s  +{rec.progress_delta:g} work")
+    print(f"output digest: {result.output_volume.content_digest[:16]}...")
 
-print()
-print("=== starved pool: the run stalls with a persisted checkpoint ===")
-small = ResourcePool(systems=(system("cluster-fast", 120.0, 1.5),))
-volumes2 = VolumeStore(store + "-stall")
-data2 = volumes2.create("plasma-input", make_input_bytes(2024, "plasma-sim", 1 << 16))
-stalled = run_workflow(small, app, data2, hardware,
-                       lambda s: make_backend(s, cfg), store + "-stall", cfg=cfg,
-                       run_id="demo-stall")
-ckpts = CheckpointStore(store + "-stall")
-path = ckpts.latest("demo-stall")
-print(f"outcome: {stalled.outcome.value}; checkpoint at {path}")
+    print()
+    print("=== starved pool: the run stalls with a persisted checkpoint ===")
+    small = ResourcePool(systems=(system("cluster-fast", 120.0, 1.5),))
+    volumes2 = VolumeStore(stall_store)
+    data2 = volumes2.create("plasma-input", make_input_bytes(2024, "plasma-sim", 1 << 16))
+    stalled = run_workflow(small, app, data2, hardware,
+                           lambda s: make_backend(s, cfg), stall_store, cfg=cfg,
+                           run_id="demo-stall")
+    ckpts = CheckpointStore(stall_store)
+    path = ckpts.latest("demo-stall")
+    print(f"outcome: {stalled.outcome.value}; checkpoint at {path}")
 
-print()
-print("=== new capacity shows up: resume from the checkpoint ===")
-ckpt, content = ckpts.load(path)
-fresh = ResourcePool(systems=(system("cloud-burst", 600.0, 0.8),))
-resumed = run_workflow(fresh, app, data2, hardware,
-                       lambda s: make_backend(s, cfg), store + "-stall", cfg=cfg,
-                       run_id="demo-stall", resume_from=ckpt, resume_content=content)
-print(f"outcome: {resumed.outcome.value} "
-      f"(picked up at {ckpt.progress:g} of {app.work_total:g} work units)")
-same = resumed.output_volume.content_digest == result.output_volume.content_digest
-print(f"resumed output identical to the uninterrupted run: {same}")
-assert resumed.outcome is Outcome.COMPLETED and same
+    print()
+    print("=== new capacity shows up: resume from the checkpoint ===")
+    ckpt, content = ckpts.load(path)
+    fresh = ResourcePool(systems=(system("cloud-burst", 600.0, 0.8),))
+    resumed = run_workflow(fresh, app, data2, hardware,
+                           lambda s: make_backend(s, cfg), stall_store, cfg=cfg,
+                           run_id="demo-stall", resume_from=ckpt, resume_content=content)
+    print(f"outcome: {resumed.outcome.value} "
+          f"(picked up at {ckpt.progress:g} of {app.work_total:g} work units)")
+    same = resumed.output_volume.content_digest == result.output_volume.content_digest
+    print(f"resumed output identical to the uninterrupted run: {same}")
+    assert resumed.outcome is Outcome.COMPLETED and same

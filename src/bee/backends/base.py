@@ -276,6 +276,9 @@ class Backend(abc.ABC):
     def abort_cluster(self) -> None:
         """Release anything begin_cluster/provision acquired after a failure."""
 
+    def close(self) -> None:
+        """Release everything this backend holds; it is not used afterwards."""
+
     @abc.abstractmethod
     def provision(self, host: str, spec: VmSpec) -> NodeRef: ...
 

@@ -8,6 +8,7 @@ the agent; time here is wall-clock, so drive it with small slot budgets.
 from __future__ import annotations
 
 import base64
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -37,6 +38,8 @@ class LocalProcessBackend(Backend):
                  workdir: str | Path | None = None):
         super().__init__(system, cfg)
         self._t0 = time.monotonic()
+        # a workdir made here is removed by close(); a caller's stays the caller's
+        self._own_workdir = not workdir
         self.workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="bee-local-"))
         self.fleet: AgentFleet | None = None
         self._refs: dict[int, NodeRef] = {}
@@ -153,21 +156,12 @@ class LocalProcessBackend(Backend):
 
     def stop(self, ref: NodeRef) -> None:
         assert self.fleet is not None
-        try:
-            if self.fleet.alive(ref.node_index):
-                self.fleet.client(ref.node_index).call(cmd="stop")
-        except (OSError, ConnectionError, KeyError):
-            pass
-        proc = self.fleet.procs.get(ref.node_index)
-        if proc is not None and proc.poll() is None:
-            try:
-                proc.wait(timeout=2)
-            except Exception:
-                proc.kill()
+        self.fleet.request_stop(ref.node_index)
         self._refs.pop(ref.node_index, None)
         self.log.append(self.now(), "stop", ref.host_id, stage=self.stage,
                         index=ref.node_index)
-        if not self._refs and self.fleet is not None:
+        if not self._refs:
+            # the last node of the cluster: reap every agent process at once
             self.fleet.stop()
 
     def put_volume(self, ref: NodeRef, content: bytes) -> None:
@@ -192,3 +186,5 @@ class LocalProcessBackend(Backend):
     def close(self) -> None:
         if self.fleet is not None:
             self.fleet.stop()
+        if self._own_workdir:
+            shutil.rmtree(self.workdir, ignore_errors=True)

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from bee.model import (
@@ -383,9 +384,9 @@ def cmd_scaling(args) -> int:
         net_bandwidth_native=100.0, disk_bandwidth_native=DiskBandwidth(500.0, 500.0),
         cpu_rate_native=1.0)
     cfg = SimConfig(backend=args.backend, seed=args.seed)
-    backend = make_backend(system, cfg)
     topology = None if args.topology == "flat" else NetworkSolution(args.topology)
-    rows = replay_scaling(app, backend, topology, counts)
+    with closing(make_backend(system, cfg)) as backend:
+        rows = replay_scaling(app, backend, topology, counts)
     doc = {"backend": args.backend, "topology": args.topology,
            "rows": [scaling_row_to_dict(r) for r in rows]}
     lines = [f"{'procs':>6} {'topology':>10} {'runtime_s':>10} {'speedup':>8}"]

@@ -310,7 +310,9 @@ class Agent:
             threading.Thread(target=self._control_conn, args=(conn,), daemon=True).start()
 
     def _control_conn(self, conn: socket.socket) -> None:
-        conn.settimeout(SOCKET_TIMEOUT)
+        # no read timeout: a control session may sit idle for a whole slot (a
+        # worker node hears nothing between deploy and pause) and ends when
+        # its client closes it or dies
         try:
             buf = conn.makefile("rwb")
             while not self.stopping.is_set():
@@ -321,6 +323,10 @@ class Agent:
                 reply = self._control(request)
                 buf.write(json.dumps(reply, sort_keys=True).encode() + b"\n")
                 buf.flush()
+                if request.get("cmd") == "stop":
+                    # only once the reply is out may the process exit
+                    self.close()
+                    return
         except (OSError, ValueError, EOFError):
             pass
         finally:
@@ -386,9 +392,7 @@ class Agent:
                                     self.work.base, self.work.progress())
             return {"ok": True, "data_b64": base64.b64encode(content).decode()}
         if cmd == "stop":
-            self.stopping.set()
-            threading.Thread(target=self.close, daemon=True).start()
-            return {"ok": True}
+            return {"ok": True}  # the control connection closes the agent after replying
         return {"ok": False, "error": f"unknown command {cmd!r}"}
 
     # -- lifecycle ----------------------------------------------------------------
@@ -416,8 +420,7 @@ class Agent:
     def run_forever(self) -> None:
         self.start()
         parent = os.getppid()
-        while not self.stopping.is_set():
-            time.sleep(0.05)
+        while not self.stopping.wait(0.05):
             # exit if the spawning process is gone (reparented to init)
             if os.getppid() != parent:
                 self.close()

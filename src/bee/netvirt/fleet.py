@@ -142,22 +142,36 @@ class AgentFleet:
             self.hub_proc.kill()
             self.hub_proc.wait(timeout=5)
 
+    def request_stop(self, node: int) -> None:
+        """Ask one agent to exit, without waiting for it; stop() reaps it."""
+        client = self._clients.pop(node, None)
+        if client is None:
+            return
+        try:
+            client.call(cmd="stop")
+        except (OSError, ConnectionError):
+            pass
+        client.close()
+
     def stop(self) -> None:
-        for node, client in list(self._clients.items()):
-            try:
-                client.call(cmd="stop")
-            except (OSError, ConnectionError):
-                pass
-            client.close()
-        self._clients.clear()
-        for proc in list(self.procs.values()) + ([self.hub_proc] if self.hub_proc else []):
+        """Ask every connected agent to exit, then reap all processes together.
+
+        An agent that has answered `stop` has nothing left to do, so one still
+        running is terminated rather than waited for; one that outlives the
+        terminate is killed.
+        """
+        for node in list(self._clients):
+            self.request_stop(node)
+        procs = list(self.procs.values()) + ([self.hub_proc] if self.hub_proc else [])
+        for proc in procs:
             if proc.poll() is None:
-                try:
-                    proc.terminate()
-                    proc.wait(timeout=2)
-                except (subprocess.TimeoutExpired, OSError):
-                    proc.kill()
-                    proc.wait(timeout=5)
+                proc.terminate()
+        for proc in procs:
+            try:
+                proc.wait(timeout=2)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=5)
         self.procs.clear()
         self.hub_proc = None
 

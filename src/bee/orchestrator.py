@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -415,124 +416,125 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
             queue.append(system)
             if no_progress_slots >= len(pool.systems):
                 break
-        backend = backend_factory(system)
-        backend.set_stage("data")
-        state = replace(state, phase=Phase.MIGRATING if state.need_migration
-                        else Phase.DEPLOYING, current_system=system.id)
-        status.state(state)
-
-        # data staging: restore a checkpoint or load the initial volume
-        try:
-            if state.need_migration and ckpt is not None and ckpt_content is not None:
-                origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
-                transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
-                                     vstore, data.id)
-                # the transfer delivered these bytes once their digest matched
-                content = ckpt_content
-            else:
-                content = vstore.content(data.id)
-                backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
-                               "load_initial_data", system.hosts[0].id)
-                vol = vstore.volume(data.id)
-                if vol.location != "detached":
-                    vstore.detach(data.id)
-                vstore.attach(data.id, system.id)
-        except MigrationError:
-            state = replace(state, phase=Phase.FAILED, current_system=None)
-            return finish(Outcome.FAILED, None)
-        backend.stage_volume(content)
-        backend.set_progress_base(state.progress)
-
-        # deploy the virtual cluster
-        state = replace(state, phase=Phase.DEPLOYING)
-        status.state(state)
-        cname = f"{run_id}-s{len(history) + 1}"
-        try:
-            cluster = deploy_cluster(system.hosts, app, cname, hardware, backend)
-        except DeploymentError:
-            history.append(SlotRecord(system.id, 0.0, 0.0, SlotEnd.FAILURE))
-            state = replace(state, slots_consumed=state.slots_consumed + 1)
-            vstore.detach(data.id)
-            wall += backend.now()
-            no_progress_slots += 1
+        # every exit from the slot releases the backend's agents and temp dirs
+        with closing(backend_factory(system)) as backend:
+            backend.set_stage("data")
+            state = replace(state, phase=Phase.MIGRATING if state.need_migration
+                            else Phase.DEPLOYING, current_system=system.id)
             status.state(state)
-            continue
 
-        guard = guard_seconds(vstore.volume(data.id).byte_size, work_total,
-                              state.progress, system.disk_bandwidth_native.write,
-                              system.time_slot)
-        backend.log.append(backend.now(), "guard_computed", system.hosts[0].id,
-                           stage="monitor", seconds=guard)
-        if guard >= system.time_slot:
-            # slot too small to even checkpoint: unusable for this app
-            cluster.stop()
-            vstore.detach(data.id)
-            history.append(SlotRecord(system.id, 0.0, 0.0, SlotEnd.FAILURE))
-            state = replace(state, slots_consumed=state.slots_consumed + 1)
-            wall += backend.now()
-            no_progress_slots += 1
+            # data staging: restore a checkpoint or load the initial volume
+            try:
+                if state.need_migration and ckpt is not None and ckpt_content is not None:
+                    origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
+                    transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
+                                         vstore, data.id)
+                    # the transfer delivered these bytes once their digest matched
+                    content = ckpt_content
+                else:
+                    content = vstore.content(data.id)
+                    backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
+                                   "load_initial_data", system.hosts[0].id)
+                    vol = vstore.volume(data.id)
+                    if vol.location != "detached":
+                        vstore.detach(data.id)
+                    vstore.attach(data.id, system.id)
+            except MigrationError:
+                state = replace(state, phase=Phase.FAILED, current_system=None)
+                return finish(Outcome.FAILED, None)
+            backend.stage_volume(content)
+            backend.set_progress_base(state.progress)
+
+            # deploy the virtual cluster
+            state = replace(state, phase=Phase.DEPLOYING)
             status.state(state)
-            continue
+            cname = f"{run_id}-s{len(history) + 1}"
+            try:
+                cluster = deploy_cluster(system.hosts, app, cname, hardware, backend)
+            except DeploymentError:
+                history.append(SlotRecord(system.id, 0.0, 0.0, SlotEnd.FAILURE))
+                state = replace(state, slots_consumed=state.slots_consumed + 1)
+                vstore.detach(data.id)
+                wall += backend.now()
+                no_progress_slots += 1
+                status.state(state)
+                continue
 
-        state = replace(state, phase=Phase.RUNNING)
-        status.state(state)
-        outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
+            guard = guard_seconds(vstore.volume(data.id).byte_size, work_total,
+                                  state.progress, system.disk_bandwidth_native.write,
+                                  system.time_slot)
+            backend.log.append(backend.now(), "guard_computed", system.hosts[0].id,
+                               stage="monitor", seconds=guard)
+            if guard >= system.time_slot:
+                # slot too small to even checkpoint: unusable for this app
+                cluster.stop()
+                vstore.detach(data.id)
+                history.append(SlotRecord(system.id, 0.0, 0.0, SlotEnd.FAILURE))
+                state = replace(state, slots_consumed=state.slots_consumed + 1)
+                wall += backend.now()
+                no_progress_slots += 1
+                status.state(state)
+                continue
 
-        if outcome.result is MonitorResult.COMPLETED:
-            final_content = backend.fetch_volume(cluster.master_ref)
-            volume = vstore.write(data.id, final_content)
+            state = replace(state, phase=Phase.RUNNING)
+            status.state(state)
+            outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
+
+            if outcome.result is MonitorResult.COMPLETED:
+                final_content = backend.fetch_volume(cluster.master_ref)
+                volume = vstore.write(data.id, final_content)
+                cluster.stop()
+                delta = work_total - state.progress
+                history.append(SlotRecord(system.id, outcome.elapsed, delta,
+                                          SlotEnd.COMPLETION))
+                state = replace(state, phase=Phase.COMPLETE, progress=work_total,
+                                slots_consumed=state.slots_consumed + 1,
+                                current_system=None)
+                return finish(Outcome.COMPLETED, volume)
+
+            if outcome.result is MonitorResult.FAILED:
+                cluster.stop()
+                vstore.detach(data.id)
+                history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
+                state = replace(state, phase=Phase.FAILED,
+                                slots_consumed=state.slots_consumed + 1,
+                                current_system=None)
+                return finish(Outcome.FAILED, None)
+
+            # guard fired: checkpoint and migrate (or fail if the app cannot)
+            if not app.checkpointable:
+                cluster.stop()
+                vstore.detach(data.id)
+                history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
+                state = replace(state, phase=Phase.FAILED,
+                                slots_consumed=state.slots_consumed + 1,
+                                current_system=None)
+                return finish(Outcome.FAILED, None)
+
+            seq += 1
+            try:
+                ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
+                    state, cluster, cstore, run_id, seq, wall + backend.now())
+            except CheckpointWriteError:
+                cluster.stop()
+                vstore.detach(data.id)
+                history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
+                state = replace(state, phase=Phase.FAILED,
+                                slots_consumed=state.slots_consumed + 1,
+                                current_system=None)
+                return finish(Outcome.FAILED, None)
+
+            vstore.write(data.id, ckpt_content, ckpt.digest)
             cluster.stop()
-            delta = work_total - state.progress
-            history.append(SlotRecord(system.id, outcome.elapsed, delta,
-                                      SlotEnd.COMPLETION))
-            state = replace(state, phase=Phase.COMPLETE, progress=work_total,
+            delta = ckpt.progress - state.progress
+            no_progress_slots = 0 if delta > 0 else no_progress_slots + 1
+            history.append(SlotRecord(system.id, outcome.elapsed + ckpt_duration, delta,
+                                      SlotEnd.TIMESLOT_CHECKPOINT))
+            state = replace(state, phase=Phase.MIGRATING, progress=ckpt.progress,
                             slots_consumed=state.slots_consumed + 1,
                             current_system=None)
-            return finish(Outcome.COMPLETED, volume)
-
-        if outcome.result is MonitorResult.FAILED:
-            cluster.stop()
-            vstore.detach(data.id)
-            history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
-            state = replace(state, phase=Phase.FAILED,
-                            slots_consumed=state.slots_consumed + 1,
-                            current_system=None)
-            return finish(Outcome.FAILED, None)
-
-        # guard fired: checkpoint and migrate (or fail if the app cannot)
-        if not app.checkpointable:
-            cluster.stop()
-            vstore.detach(data.id)
-            history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
-            state = replace(state, phase=Phase.FAILED,
-                            slots_consumed=state.slots_consumed + 1,
-                            current_system=None)
-            return finish(Outcome.FAILED, None)
-
-        seq += 1
-        try:
-            ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
-                state, cluster, cstore, run_id, seq, wall + backend.now())
-        except CheckpointWriteError:
-            cluster.stop()
-            vstore.detach(data.id)
-            history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
-            state = replace(state, phase=Phase.FAILED,
-                            slots_consumed=state.slots_consumed + 1,
-                            current_system=None)
-            return finish(Outcome.FAILED, None)
-
-        vstore.write(data.id, ckpt_content, ckpt.digest)
-        cluster.stop()
-        delta = ckpt.progress - state.progress
-        no_progress_slots = 0 if delta > 0 else no_progress_slots + 1
-        history.append(SlotRecord(system.id, outcome.elapsed + ckpt_duration, delta,
-                                  SlotEnd.TIMESLOT_CHECKPOINT))
-        state = replace(state, phase=Phase.MIGRATING, progress=ckpt.progress,
-                        slots_consumed=state.slots_consumed + 1,
-                        current_system=None)
-        wall += backend.now()
-        status.state(state)
+            wall += backend.now()
+            status.state(state)
 
     # pool exhausted with work remaining: persist the last checkpoint
     if ckpt is None:

@@ -14,6 +14,7 @@ from bee.netvirt.agent import (
     pack_frame,
     read_frame,
 )
+from bee.netvirt.fleet import AgentFleet
 
 STAR = NetworkSolution.P2P_STAR
 TREE = NetworkSolution.P2P_TREE
@@ -266,6 +267,31 @@ class TestAgentCli:
             for p in procs:
                 p.kill()
                 p.wait(timeout=5)
+
+
+class TestControlSession:
+    def test_idle_control_connection_stays_open(self, overlay, monkeypatch):
+        import bee.netvirt.agent as agent_module
+
+        monkeypatch.setattr(agent_module, "SOCKET_TIMEOUT", 0.2)
+        o = overlay(STAR, 1)
+        c = o.client(0)
+        assert c.call(cmd="ping") == {"ok": True, "node": 0}
+        time.sleep(0.5)  # idle for longer than the socket timeout
+        assert c.call(cmd="ping") == {"ok": True, "node": 0}
+
+
+class TestStop:
+    def test_stop_is_always_answered_then_the_agent_exits(self, tmp_path):
+        for cycle in range(20):
+            fleet = AgentFleet(TREE, 1, tmp_path / f"f{cycle}")
+            try:
+                fleet.start()
+                proc = fleet.procs[0]
+                assert fleet.client(0).call(cmd="stop") == {"ok": True}
+                proc.wait(timeout=1.0)  # raises if the agent is still running
+            finally:
+                fleet.stop()
 
 
 class TestWorkLoop:

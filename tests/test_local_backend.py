@@ -1,13 +1,19 @@
 """The orchestrator scenario suite must pass unchanged on the simulator and on
 the local-process backend (with wall-clock budgets scaled down)."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
+from bee.cluster import DeploymentError, deploy_cluster
 from bee.model import NetworkSolution
+from bee.netvirt.fleet import AgentFleet
 from bee.storage import VolumeStore, sha256_hex
 from bee.workload import volume_content
 from bee.orchestrator import CheckpointStore, Outcome, SlotEnd, run_workflow
 from bee.backends import SimConfig, make_backend
+from bee.backends.local import LocalProcessBackend
 from conftest import make_app, make_hardware, make_pool, make_system
 
 # Per-slot progress is (slot - guard) * processes * rate: 114 for the
@@ -69,15 +75,84 @@ class TestBackendSubstitutability:
         assert path is not None and store.verify(path)
 
 
-def test_local_deploy_failure_reaps_spawned_agents(tmp_path):
-    from bee.cluster import DeploymentError, deploy_cluster
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every agent process an AgentFleet starts during the test."""
+    procs = []
+    real_spawn = AgentFleet._spawn
 
+    def spawn(self, args, portfile):
+        proc = real_spawn(self, args, portfile)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(AgentFleet, "_spawn", spawn)
+    return procs
+
+
+def _local_backend(tmp_path):
     cfg = SimConfig(backend="local", seed=5, poll_interval=0.02)
-    system = make_system("sys0", n_hosts=2, time_slot=1.0, cpu_rate=40.0)
-    backend = make_backend(system, cfg)
+    system = make_system("sys0", n_hosts=3, time_slot=1.0, cpu_rate=40.0)
+    return system, LocalProcessBackend(system, cfg, workdir=tmp_path / "work")
+
+
+def test_local_deploy_failure_reaps_spawned_agents(tmp_path, spawned):
+    system, backend = _local_backend(tmp_path)
     backend.inject_fault("create_vm", host="sys0-h1")
     app = make_app(name="leak", work_total=10.0, process_count=2)
-    with pytest.raises(DeploymentError):
-        deploy_cluster(system.hosts, app, "c-leak", make_hardware(), backend)
-    assert backend.fleet is not None
-    assert all(proc.poll() is not None for proc in backend.fleet.procs.values())
+    try:
+        with pytest.raises(DeploymentError):
+            deploy_cluster(system.hosts, app, "c-leak", make_hardware(), backend)
+        assert spawned
+        assert all(proc.poll() is not None for proc in spawned)
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("network", [NetworkSolution.P2P_TREE, NetworkSolution.MULTICAST])
+def test_no_agent_alive_when_cluster_stop_returns(tmp_path, spawned, network):
+    system, backend = _local_backend(tmp_path)
+    app = make_app(name="reap", work_total=10_000.0, process_count=3)
+    try:
+        cluster = deploy_cluster(system.hosts, app, "c-reap", make_hardware(network),
+                                 backend)
+        assert len(spawned) == (4 if network is NetworkSolution.MULTICAST else 3)
+        assert all(proc.poll() is None for proc in spawned)
+        cluster.stop()
+        assert all(proc.poll() is not None for proc in spawned)
+    finally:
+        backend.close()
+
+
+def test_no_agent_alive_after_teardown_of_wired_cluster(tmp_path, spawned):
+    system, backend = _local_backend(tmp_path)
+    backend.inject_fault("docker_start", host="sys0-h2")
+    app = make_app(name="torn", work_total=10.0, process_count=3)
+    try:
+        with pytest.raises(DeploymentError):
+            deploy_cluster(system.hosts, app, "c-torn",
+                           make_hardware(NetworkSolution.MULTICAST), backend)
+        assert len(spawned) == 4
+        assert all(proc.poll() is not None for proc in spawned)
+    finally:
+        backend.close()
+
+
+def test_local_run_leaves_no_temp_dir_or_agent(tmp_path, spawned):
+    def workdirs():
+        return set(Path(tempfile.gettempdir()).glob("bee-local-*"))
+
+    before = workdirs()
+    app, result = _run("local", SCENARIOS["local"]["work_two_slots"], tmp_path)
+    assert result.outcome is Outcome.COMPLETED
+    assert len(result.history) >= 2
+    assert len(spawned) >= 4
+    assert all(proc.poll() is not None for proc in spawned)
+    assert workdirs() - before == set()
+
+
+def test_close_keeps_a_callers_workdir(tmp_path):
+    (tmp_path / "work").mkdir()
+    _, backend = _local_backend(tmp_path)
+    backend.close()
+    assert (tmp_path / "work").is_dir()

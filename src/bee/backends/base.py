@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from bee.model import (
@@ -114,32 +114,20 @@ class SimConfig:
     message_bytes: int = 65536
     messages_per_process: int = 50
 
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "seed": self.seed,
-            "cpu_overhead_fraction": self.cpu_overhead_fraction,
-            "hop_latency_ms": self.hop_latency_ms,
-            "poll_interval": self.poll_interval,
-            "nfs_cap": self.nfs_cap,
-            "image_size_mb": self.image_size_mb,
-            "docker_build_seconds": self.docker_build_seconds,
-            "image_step_seconds": self.image_step_seconds,
-            "boot_seconds": self.boot_seconds,
-            "provision_step_seconds": self.provision_step_seconds,
-            "provision_jitter": self.provision_jitter,
-            "message_bytes": self.message_bytes,
-            "messages_per_process": self.messages_per_process,
-        }
+    def violations(self) -> list[str]:
+        """Fields outside their range, as "field: rule, got value"; empty means valid.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        cfg = cls()
-        known = cfg.to_dict().keys()
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ValueError(f"unknown backend config keys: {sorted(unknown)}")
-        return replace(cfg, **data)
+        Every number but the seed lies in [0, 1e9]: far above any calibrated
+        value, and small enough that adding durations up leaves the simulated
+        clock exact, so it always advances.
+        """
+        out = [f"{name}: in [0, 1e9], got {value}" for name, value in vars(self).items()
+               if name != "seed" and type(value) in (int, float) and not 0 <= value <= 1e9]
+        if self.poll_interval == 0:
+            out.append("poll_interval: > 0, got 0")
+        if (self.cpu_overhead_fraction or 0) >= 1:
+            out.append(f"cpu_overhead_fraction: < 1, got {self.cpu_overhead_fraction}")
+        return out
 
 
 def sim_compute(work: float, cores: int, cpu_rate: float,

@@ -124,13 +124,3 @@ def replay_scaling(app: AppSpec, backend: Backend,
         ))
     return rows
 
-
-def scaling_row_to_dict(row: ScalingRow) -> dict:
-    return {
-        "processes": row.processes,
-        "topology": row.topology,
-        "compute_s": row.compute_s,
-        "comm_s": row.comm_s,
-        "runtime_s": row.runtime_s,
-        "speedup": row.speedup,
-    }

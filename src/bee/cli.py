@@ -8,22 +8,24 @@ Every flag can also come from the environment as BEE_<FLAG>.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import closing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from bee.model import (
+    AppSpec,
+    HardwareConfig,
     NetworkSolution,
     ParseError,
+    ResourcePool,
+    RunState,
     StorageSolution,
-    app_from_dict,
     canonical_json,
-    hardware_from_dict,
+    from_json,
     load_json_file,
-    pool_from_dict,
-    run_state_from_dict,
+    to_json,
     validate,
 )
 from bee.storage import DEFAULT_NFS_CAP, VolumeStore, iobench_table, sha256_hex
@@ -32,13 +34,12 @@ from bee.netvirt.topology import build_topology, cost_of_trace, route
 from bee.orchestrator import (
     CheckpointStore,
     Outcome,
-    checkpoint_from_manifest,
+    RunResult,
     derive_run_id,
-    run_result_to_dict,
     run_workflow,
 )
 from bee.backends import BACKEND_KINDS, SIM_HPC, SimConfig, make_backend
-from bee.backends.scaling import replay_scaling, scaling_row_to_dict
+from bee.backends.scaling import replay_scaling
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -63,6 +64,17 @@ def _env(name: str, default=None):
 
 def _env_flag(name: str) -> bool:
     return str(_env(name, "")).lower() in ("1", "true", "yes", "on")
+
+
+def _counts(text: str) -> list[int]:
+    """A comma-separated list of positive integers (an argparse type)."""
+    try:
+        counts = [int(c) for c in text.split(",") if c.strip()]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,17 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default=_env("BACKEND", SIM_HPC), choices=BACKEND_KINDS)
     p.add_argument("--topology", default=NetworkSolution.P2P_TREE.value,
                    choices=[k.value for k in NetworkSolution] + ["flat"])
-    p.add_argument("--process-counts", default="1,2,4,8,16,32,64")
+    p.add_argument("--process-counts", type=_counts, default="1,2,4,8,16,32,64")
     p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     return parser
 
 
 def _load_configs(args):
-    pool = pool_from_dict(load_json_file(args.pool))
-    app = app_from_dict(load_json_file(args.app))
-    hardware = hardware_from_dict(load_json_file(args.uconf))
-    return pool, app, hardware
+    return (from_json(ResourcePool, load_json_file(args.pool), "pool"),
+            from_json(AppSpec, load_json_file(args.app), "app"),
+            from_json(HardwareConfig, load_json_file(args.uconf), "uconf"))
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -159,35 +170,24 @@ def _render_violations(args, violations) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        pool, app, hardware = _load_configs(args)
-    except (ParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    pool, app, hardware = _load_configs(args)
     violations = validate(pool, app, hardware)
     _render_violations(args, violations)
     return EXIT_CONFIG if violations else EXIT_OK
 
 
 def _load_sim_config(args) -> SimConfig:
-    if getattr(args, "sim_config", None):
-        doc = load_json_file(args.sim_config)
-        if not isinstance(doc, dict):
-            raise ParseError(f"{args.sim_config}: expected a JSON object")
-        try:
-            cfg = SimConfig.from_dict(doc)
-        except ValueError as exc:
-            raise ParseError(f"{args.sim_config}: {exc}") from None
-        return SimConfig(**{**cfg.to_dict(), "backend": args.backend, "seed": args.seed})
-    return SimConfig(backend=args.backend, seed=args.seed)
+    cfg = SimConfig()
+    if args.sim_config:
+        cfg = from_json(SimConfig, load_json_file(args.sim_config), "sim_config")
+        problems = cfg.violations()
+        if problems:
+            raise ParseError(f"sim_config.{problems[0]}")
+    return replace(cfg, backend=args.backend, seed=args.seed)
 
 
 def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=None) -> int:
-    try:
-        cfg = _load_sim_config(args)
-    except (ParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_sim_config(args)
     run_id = resume_from.run_id if resume_from is not None else derive_run_id(app, args.seed)
     store = Path(args.store)
     vstore = VolumeStore(store)
@@ -209,7 +209,7 @@ def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=
         latest = CheckpointStore(store).latest(run_id)
         ckpt_path = str(latest) if latest else None
 
-    doc = {"run_id": run_id, "checkpoint_path": ckpt_path} | run_result_to_dict(result)
+    doc = {"run_id": run_id, "checkpoint_path": ckpt_path} | to_json(result)
     lines = [f"run {run_id}: {result.outcome.value}"]
     for rec in result.history:
         lines.append(f"  {rec.system_id}: {rec.ended_by.value} "
@@ -228,11 +228,7 @@ def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=
 
 
 def cmd_run(args) -> int:
-    try:
-        pool, app, hardware = _load_configs(args)
-    except (ParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    pool, app, hardware = _load_configs(args)
     violations = validate(pool, app, hardware)
     if violations:
         _render_violations(args, violations)
@@ -241,24 +237,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    try:
-        pool, app, hardware = _load_configs(args)
-    except (ParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    pool, app, hardware = _load_configs(args)
     violations = validate(pool, app, hardware)
     if violations:
         _render_violations(args, violations)
         return EXIT_CONFIG
 
     ckpt_dir = Path(args.checkpoint)
-    try:
-        manifest = json.loads((ckpt_dir / "manifest.json").read_text(encoding="utf-8"))
-        ckpt = checkpoint_from_manifest(manifest)
-        content = (ckpt_dir / "volume.bin").read_bytes()
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    ckpt, content = CheckpointStore(ckpt_dir.parent).load(ckpt_dir)
     if sha256_hex(content) != ckpt.digest:
         print("checkpoint corrupt: volume does not match manifest digest", file=sys.stderr)
         return EXIT_FAILED
@@ -266,17 +252,24 @@ def cmd_resume(args) -> int:
                            resume_content=content)
 
 
-def _load_run_file(path: Path, parse) -> tuple[dict, object]:
+def _load_run_file(path: Path, cls: type, root: str) -> tuple[dict, object]:
     """A JSON file a run writes into the store, as written and as parsed.
 
     Torn or malformed content, as a reader can see mid-write, raises
     ParseError naming the file.
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return doc, parse(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        doc = load_json_file(path)
+        return doc, from_json(cls, doc, root)
+    except (OSError, ParseError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class _ResultFile(RunResult):
+    """result.json: the run result under the id of its run."""
+
+    run_id: str
 
 
 def cmd_status(args) -> int:
@@ -286,48 +279,46 @@ def cmd_status(args) -> int:
         print(f"no such run: {args.run_id}", file=sys.stderr)
         return EXIT_CONFIG
     result_path = run_dir / "result.json"
-    try:
-        written, state = _load_run_file(state_path, run_state_from_dict)
-        doc = {"run_id": args.run_id, "state": written}
-        lines = [f"run {args.run_id}: phase {state.phase.value}, "
-                 f"progress {state.progress:g}, slots {state.slots_consumed}"]
-        if result_path.exists():
-            doc["result"], outcome = _load_run_file(result_path, lambda d: d["outcome"])
-            lines.append(f"  result: {outcome}")
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    written, state = _load_run_file(state_path, RunState, "state")
+    doc = {"run_id": args.run_id, "state": written}
+    lines = [f"run {args.run_id}: phase {state.phase.value}, "
+             f"progress {state.progress:g}, slots {state.slots_consumed}"]
+    if result_path.exists():
+        doc["result"], result = _load_run_file(result_path, _ResultFile, "result")
+        lines.append(f"  result: {result.outcome.value}")
     _emit(args, doc, lines)
     return EXIT_OK
 
 
-def _load_trace(path: str) -> list[tuple[int, int, int]]:
+@dataclass(frozen=True)
+class _Send:
+    """One trace entry: {src, dst, bytes} or [src, dst, bytes]."""
+
+    src: int
+    dst: int
+    bytes: int = 0
+
+
+def _load_trace(path: str, n: int) -> list[tuple[int, int, int]]:
+    if n < 1:
+        raise ParseError(f"n: node count must be positive, got {n}")
     doc = load_json_file(path)
-    if not isinstance(doc, list):
-        raise ParseError("trace must be a JSON list")
+    if type(doc) is not list:
+        raise ParseError("trace: expected a JSON list")
     trace = []
     for i, item in enumerate(doc):
-        try:
-            if isinstance(item, dict):
-                trace.append((int(item["src"]), int(item["dst"]), int(item.get("bytes", 0))))
-            else:
-                src, dst, *rest = item
-                trace.append((int(src), int(dst), int(rest[0]) if rest else 0))
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"trace[{i}]: expected {{src, dst, bytes}}") from None
+        if type(item) is list and len(item) in (2, 3):
+            item = dict(zip(("src", "dst", "bytes"), item))
+        send = from_json(_Send, item, f"trace[{i}]")
+        if not (0 <= send.src < n and 0 <= send.dst < n):
+            raise ParseError(f"trace[{i}]: endpoint out of range for n={n}")
+        trace.append((send.src, send.dst, send.bytes))
     return trace
 
 
 def cmd_topo(args) -> int:
-    try:
-        topo = build_topology(NetworkSolution(args.kind), args.n)
-        trace = _load_trace(args.trace)
-        for i, (src, dst, _b) in enumerate(trace):
-            if not (0 <= src < args.n and 0 <= dst < args.n):
-                raise ParseError(f"trace[{i}]: endpoint out of range for n={args.n}")
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    trace = _load_trace(args.trace, args.n)
+    topo = build_topology(NetworkSolution(args.kind), args.n)
     cost = cost_of_trace(topo, trace)
     histogram: dict[int, int] = {}
     for src, dst, _b in trace:
@@ -368,12 +359,8 @@ def cmd_iobench(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    try:
-        app = app_from_dict(load_json_file(args.app))
-        counts = [int(c) for c in str(args.process_counts).split(",") if c.strip()]
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    app = from_json(AppSpec, load_json_file(args.app), "app")
+    counts = args.process_counts
     from bee.model import ComputeSystem, DiskBandwidth, Host, SystemKind
 
     kind = SystemKind.CLOUD_AWS_LIKE if "cloud" in args.backend else SystemKind.HPC
@@ -388,7 +375,7 @@ def cmd_scaling(args) -> int:
     with closing(make_backend(system, cfg)) as backend:
         rows = replay_scaling(app, backend, topology, counts)
     doc = {"backend": args.backend, "topology": args.topology,
-           "rows": [scaling_row_to_dict(r) for r in rows]}
+           "rows": to_json(rows)}
     lines = [f"{'procs':>6} {'topology':>10} {'runtime_s':>10} {'speedup':>8}"]
     for row in rows:
         lines.append(f"{row.processes:>6} {row.topology:>10} "
@@ -409,9 +396,12 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except (ParseError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

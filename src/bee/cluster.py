@@ -95,30 +95,6 @@ class ClusterState:
     status: ClusterStatus
 
 
-def cluster_spec_to_dict(cname: str, hosts: Sequence[Host | str], app: AppSpec,
-                         hardware: HardwareConfig) -> dict:
-    """The on-disk cluster request: what deploy_cluster needs to run."""
-    from bee.model import app_to_dict, hardware_to_dict
-
-    return {
-        "cname": cname,
-        "hosts": [{"id": h.id if isinstance(h, Host) else str(h)} for h in hosts],
-        "uconf": hardware_to_dict(hardware),
-        "app": app_to_dict(app),
-    }
-
-
-def cluster_spec_from_dict(data: dict) -> tuple[str, list[Host], AppSpec, HardwareConfig]:
-    from bee.model import ParseError, app_from_dict, hardware_from_dict
-
-    for key in ("cname", "hosts", "uconf", "app"):
-        if key not in data:
-            raise ParseError(f"cluster spec: missing field {key!r}")
-    hosts = [Host(h["id"] if isinstance(h, dict) else str(h)) for h in data["hosts"]]
-    return (str(data["cname"]), hosts, app_from_dict(data["app"]),
-            hardware_from_dict(data["uconf"]))
-
-
 # ---------------------------------------------------------------------------
 # image recipe (offline phase of the image builder)
 

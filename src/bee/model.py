@@ -6,16 +6,23 @@ and cluster layers.  Bandwidths are MB/s with MB = 2**20 bytes throughout.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+import os
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 MB = 1 << 20
 
 # Progress/work arithmetic is quantized to this step so that slot-by-slot
 # progress deltas sum back to the total without floating-point residue.
 WORK_QUANTUM = 2.0 ** -20
+# The largest work count whose lattice points are all exact in a float
+# (2**53 quanta); validate() bounds work totals and per-core rates by it.
+MAX_WORK = 2.0 ** 33
 
 
 class SystemKind(str, Enum):
@@ -59,6 +66,10 @@ class ParseError(ValueError):
     """Raised when a JSON document does not match the expected schema."""
 
 
+# field metadata: to_json leaves the key out while the value is None
+OMIT_IF_NONE = {"omit_if_none": True}
+
+
 @dataclass(frozen=True)
 class Host:
     id: str
@@ -96,14 +107,15 @@ class ResourcePool:
 class ContainerSource:
     """Exactly one of image_ref / buildfile should be set."""
 
-    image_ref: str | None = None
-    buildfile: str | None = None
+    image_ref: str | None = field(default=None, metadata=OMIT_IF_NONE)
+    buildfile: str | None = field(default=None, metadata=OMIT_IF_NONE)
 
 
 @dataclass(frozen=True)
 class CommPattern:
     kind: CommKind
-    ratio: float | None = None  # fraction of one-to-one traffic, mixed only
+    # fraction of one-to-one traffic, mixed only
+    ratio: float | None = field(default=None, metadata=OMIT_IF_NONE)
 
 
 @dataclass(frozen=True)
@@ -189,8 +201,9 @@ def _check_system(sys_: ComputeSystem, where: str, out: list[Violation]) -> None
         out.append(Violation(f"{where}.net_bandwidth_native", "> 0", f"got {sys_.net_bandwidth_native}"))
     if sys_.disk_bandwidth_native.read <= 0 or sys_.disk_bandwidth_native.write <= 0:
         out.append(Violation(f"{where}.disk_bandwidth_native", "> 0", "read/write bandwidth must be positive"))
-    if sys_.cpu_rate_native <= 0:
-        out.append(Violation(f"{where}.cpu_rate_native", "> 0", f"got {sys_.cpu_rate_native}"))
+    if not (0 < sys_.cpu_rate_native <= MAX_WORK):
+        out.append(Violation(f"{where}.cpu_rate_native", "in (0, 2**33]",
+                             f"got {sys_.cpu_rate_native}"))
     host_ids = [h.id for h in sys_.hosts]
     if len(set(host_ids)) != len(host_ids):
         out.append(Violation(f"{where}.hosts", "unique ids", "duplicate host ids"))
@@ -219,8 +232,8 @@ def validate(pool: ResourcePool, app: AppSpec, hardware: HardwareConfig) -> list
                              "set exactly one of image_ref / buildfile"))
     if app.process_count < 1:
         out.append(Violation("app.process_count", ">= 1", f"got {app.process_count}"))
-    if app.work_total <= 0:
-        out.append(Violation("app.work_total", "> 0", f"got {app.work_total}"))
+    if not (0 < app.work_total <= MAX_WORK):
+        out.append(Violation("app.work_total", "in (0, 2**33]", f"got {app.work_total}"))
     if app.comm_pattern.kind is CommKind.MIXED:
         if app.comm_pattern.ratio is None or not (0.0 <= app.comm_pattern.ratio <= 1.0):
             out.append(Violation("app.comm_pattern.ratio", "in [0, 1]",
@@ -256,195 +269,88 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _expect(data: Any, keys: set[str], where: str) -> dict:
-    if not isinstance(data, dict):
-        raise ParseError(f"{where}: expected object, got {type(data).__name__}")
-    missing = keys - data.keys()
-    if missing:
-        raise ParseError(f"{where}: missing fields {sorted(missing)}")
-    return data
+def to_json(obj: Any) -> Any:
+    """The JSON value of a dataclass (an object keyed by field name), an enum
+    (its value), a tuple or list (a list) or a plain value."""
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)
+                if not (f.metadata.get("omit_if_none") and getattr(obj, f.name) is None)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    return obj
 
 
-def _enum(cls: type, value: Any, where: str) -> Any:
-    try:
-        return cls(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in cls)
-        raise ParseError(f"{where}: {value!r} not one of: {allowed}") from None
+@functools.cache
+def _schema(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
+    """Field types by name, and the names of the fields without a default."""
+    hints = get_type_hints(cls)
+    return ({f.name: hints[f.name] for f in fields(cls)},
+            frozenset(f.name for f in fields(cls)
+                      if f.default is MISSING and f.default_factory is MISSING))
 
 
-def system_to_dict(sys_: ComputeSystem) -> dict:
-    return {
-        "id": sys_.id,
-        "kind": sys_.kind.value,
-        "hosts": [{"id": h.id} for h in sys_.hosts],
-        "time_slot": sys_.time_slot,
-        "kvm_available": sys_.kvm_available,
-        "host_file_sharing": sys_.host_file_sharing,
-        "net_bandwidth_native": sys_.net_bandwidth_native,
-        "disk_bandwidth_native": {
-            "read": sys_.disk_bandwidth_native.read,
-            "write": sys_.disk_bandwidth_native.write,
-        },
-        "cpu_rate_native": sys_.cpu_rate_native,
-    }
+def _mismatch(path: str, want: str, data: Any) -> ParseError:
+    return ParseError(f"{path}: expected {want}, got {json.dumps(data, default=str)[:40]}")
 
 
-def system_from_dict(data: Any) -> ComputeSystem:
-    d = _expect(data, {"id", "kind", "hosts", "time_slot", "kvm_available",
-                       "host_file_sharing", "net_bandwidth_native",
-                       "disk_bandwidth_native", "cpu_rate_native"}, "system")
-    hosts = []
-    for h in d["hosts"]:
-        if isinstance(h, str):
-            hosts.append(Host(h))
-        else:
-            hosts.append(Host(_expect(h, {"id"}, "host")["id"]))
-    disk = _expect(d["disk_bandwidth_native"], {"read", "write"}, "disk_bandwidth_native")
-    return ComputeSystem(
-        id=str(d["id"]),
-        kind=_enum(SystemKind, d["kind"], "system.kind"),
-        hosts=tuple(hosts),
-        time_slot=float(d["time_slot"]),
-        kvm_available=bool(d["kvm_available"]),
-        host_file_sharing=bool(d["host_file_sharing"]),
-        net_bandwidth_native=float(d["net_bandwidth_native"]),
-        disk_bandwidth_native=DiskBandwidth(float(disk["read"]), float(disk["write"])),
-        cpu_rate_native=float(d["cpu_rate_native"]),
-    )
+def from_json(cls: Any, data: Any, path: str) -> Any:
+    """Parse the JSON value `data` as type `cls`, strictly.
 
-
-def pool_to_dict(pool: ResourcePool) -> dict:
-    return {"systems": [system_to_dict(s) for s in pool.systems]}
-
-
-def pool_from_dict(data: Any) -> ResourcePool:
-    d = _expect(data, {"systems"}, "pool")
-    if not isinstance(d["systems"], list):
-        raise ParseError("pool.systems: expected list")
-    return ResourcePool(systems=tuple(system_from_dict(s) for s in d["systems"]))
-
-
-def app_to_dict(app: AppSpec) -> dict:
-    source: dict[str, str] = {}
-    if app.container_source.image_ref is not None:
-        source["image_ref"] = app.container_source.image_ref
-    if app.container_source.buildfile is not None:
-        source["buildfile"] = app.container_source.buildfile
-    pattern: dict[str, Any] = {"kind": app.comm_pattern.kind.value}
-    if app.comm_pattern.ratio is not None:
-        pattern["ratio"] = app.comm_pattern.ratio
-    return {
-        "name": app.name,
-        "container_source": source,
-        "entry_command": list(app.entry_command),
-        "process_count": app.process_count,
-        "comm_pattern": pattern,
-        "work_total": app.work_total,
-        "io_profile": {
-            "read_bytes_per_slot": app.io_profile.read_bytes_per_slot,
-            "write_bytes_per_slot": app.io_profile.write_bytes_per_slot,
-        },
-        "checkpointable": app.checkpointable,
-    }
-
-
-def app_from_dict(data: Any) -> AppSpec:
-    d = _expect(data, {"name", "container_source", "entry_command", "process_count",
-                       "comm_pattern", "work_total", "io_profile", "checkpointable"}, "app")
-    src = d["container_source"]
-    if not isinstance(src, dict):
-        raise ParseError("app.container_source: expected object")
-    source = ContainerSource(image_ref=src.get("image_ref"), buildfile=src.get("buildfile"))
-    pat = d["comm_pattern"]
-    if isinstance(pat, str):
-        pattern = CommPattern(kind=_enum(CommKind, pat, "app.comm_pattern"))
-    else:
-        p = _expect(pat, {"kind"}, "app.comm_pattern")
-        ratio = p.get("ratio")
-        pattern = CommPattern(kind=_enum(CommKind, p["kind"], "app.comm_pattern.kind"),
-                              ratio=None if ratio is None else float(ratio))
-    io = _expect(d["io_profile"], {"read_bytes_per_slot", "write_bytes_per_slot"}, "app.io_profile")
-    return AppSpec(
-        name=str(d["name"]),
-        container_source=source,
-        entry_command=tuple(str(c) for c in d["entry_command"]),
-        process_count=int(d["process_count"]),
-        comm_pattern=pattern,
-        work_total=float(d["work_total"]),
-        io_profile=IoProfile(int(io["read_bytes_per_slot"]), int(io["write_bytes_per_slot"])),
-        checkpointable=bool(d["checkpointable"]),
-    )
-
-
-def hardware_to_dict(hw: HardwareConfig) -> dict:
-    return {
-        "vcpus": hw.vcpus,
-        "ram_mb": hw.ram_mb,
-        "network_solution": hw.network_solution.value,
-        "storage_solution": hw.storage_solution.value,
-        "ssh_base_port": hw.ssh_base_port,
-    }
-
-
-def hardware_from_dict(data: Any) -> HardwareConfig:
-    d = _expect(data, {"vcpus", "ram_mb", "network_solution", "storage_solution",
-                       "ssh_base_port"}, "uconf")
-    return HardwareConfig(
-        vcpus=int(d["vcpus"]),
-        ram_mb=int(d["ram_mb"]),
-        network_solution=_enum(NetworkSolution, d["network_solution"], "uconf.network_solution"),
-        storage_solution=_enum(StorageSolution, d["storage_solution"], "uconf.storage_solution"),
-        ssh_base_port=int(d["ssh_base_port"]),
-    )
-
-
-def volume_to_dict(vol: DataVolume) -> dict:
-    return {
-        "id": vol.id,
-        "byte_size": vol.byte_size,
-        "content_digest": vol.content_digest,
-        "location": vol.location,
-    }
-
-
-def volume_from_dict(data: Any) -> DataVolume:
-    d = _expect(data, {"id", "byte_size", "content_digest", "location"}, "volume")
-    return DataVolume(
-        id=str(d["id"]),
-        byte_size=int(d["byte_size"]),
-        content_digest=str(d["content_digest"]),
-        location=str(d["location"]),
-    )
+    bool is never a number, an int field takes only integers, a float field
+    takes any finite number, enums are read by value and tuples from lists.
+    An object may omit fields that have a default and may not carry unknown
+    keys; a dataclass with exactly one required field also accepts that
+    field's bare value.  Every error is a ParseError that starts with the
+    path of the offending field, for example pool.systems[1].time_slot.
+    """
+    if get_origin(cls) in (Union, UnionType):
+        (inner,) = [t for t in get_args(cls) if t is not type(None)]
+        return None if data is None else from_json(inner, data, path)
+    if get_origin(cls) is tuple:
+        if type(data) is not list:
+            raise _mismatch(path, "list", data)
+        return tuple(from_json(get_args(cls)[0], v, f"{path}[{i}]") for i, v in enumerate(data))
+    if is_dataclass(cls):
+        types, required = _schema(cls)
+        if type(data) is not dict:
+            if len(required) != 1:
+                raise _mismatch(path, "object", data)
+            (name,) = required
+            return cls(**{name: from_json(types[name], data, path)})
+        if data.keys() - types.keys():
+            raise ParseError(f"{path}: unknown fields {sorted(data.keys() - types.keys())}")
+        if required - data.keys():
+            raise ParseError(f"{path}: missing fields {sorted(required - data.keys())}")
+        return cls(**{k: from_json(types[k], v, f"{path}.{k}") for k, v in data.items()})
+    if issubclass(cls, Enum):
+        try:
+            return cls(data)
+        except ValueError:
+            raise _mismatch(path, "one of " + ", ".join(m.value for m in cls), data) from None
+    if cls is float and type(data) in (int, float):
+        try:
+            value = float(data)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        raise _mismatch(path, "a finite number", data)
+    if type(data) is cls:
+        return data
+    raise _mismatch(path, cls.__name__, data)
 
 
 def run_state_to_dict(state: RunState) -> dict:
-    return {
-        "phase": state.phase.value,
-        "current_system": state.current_system,
-        "last_host_system": state.last_host_system,
-        "need_migration": state.need_migration,
-        "progress": state.progress,
-        "slots_consumed": state.slots_consumed,
-    }
+    """The state.json document (kept as a name of its own for tracers to wrap)."""
+    return to_json(state)
 
 
-def run_state_from_dict(data: Any) -> RunState:
-    d = _expect(data, {"phase", "current_system", "last_host_system", "need_migration",
-                       "progress", "slots_consumed"}, "run_state")
-    return RunState(
-        phase=_enum(Phase, d["phase"], "run_state.phase"),
-        current_system=d["current_system"],
-        last_host_system=d["last_host_system"],
-        need_migration=bool(d["need_migration"]),
-        progress=float(d["progress"]),
-        slots_consumed=int(d["slots_consumed"]),
-    )
-
-
-def load_json_file(path: str) -> Any:
+def load_json_file(path: str | os.PathLike) -> Any:
+    """The parsed content of a JSON file; undecodable content raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None

@@ -319,9 +319,15 @@ class Agent:
                 line = buf.readline()
                 if not line:
                     return
-                request = json.loads(line)
-                reply = self._control(request)
-                buf.write(json.dumps(reply, sort_keys=True).encode() + b"\n")
+                try:
+                    request = json.loads(line)
+                    if type(request) is not dict:
+                        raise ValueError("a request is a JSON object")
+                    reply = json.dumps(self._control(request), sort_keys=True)
+                except Exception as exc:  # a malformed request is answered, not fatal
+                    request = {}
+                    reply = json.dumps({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+                buf.write(reply.encode() + b"\n")
                 buf.flush()
                 if request.get("cmd") == "stop":
                     # only once the reply is out may the process exit

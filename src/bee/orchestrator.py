@@ -10,7 +10,6 @@ persisted and the run reports stalled.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -24,12 +23,16 @@ from bee.model import (
     ComputeSystem,
     DataVolume,
     HardwareConfig,
+    ParseError,
     Phase,
     ResourcePool,
     RunState,
     canonical_json,
+    from_json,
+    load_json_file,
     quantize_work,
     run_state_to_dict,
+    to_json,
     validate,
 )
 from bee.storage import VolumeStore, sha256_hex, write_new_file
@@ -90,25 +93,6 @@ class RunResult:
     history: tuple[SlotRecord, ...]
 
 
-def slot_record_to_dict(rec: SlotRecord) -> dict:
-    return {
-        "system_id": rec.system_id,
-        "slot_duration_used": rec.slot_duration_used,
-        "progress_delta": rec.progress_delta,
-        "ended_by": rec.ended_by.value,
-    }
-
-
-def run_result_to_dict(res: RunResult) -> dict:
-    from bee.model import volume_to_dict
-
-    return {
-        "outcome": res.outcome.value,
-        "output_volume": volume_to_dict(res.output_volume) if res.output_volume else None,
-        "history": [slot_record_to_dict(r) for r in res.history],
-    }
-
-
 # ---------------------------------------------------------------------------
 # checkpoint store: <store>/<run_id>/<seq>/{manifest.json, volume.bin}
 
@@ -123,28 +107,6 @@ class Checkpoint:
     created_at: float
 
 
-def checkpoint_to_manifest(ckpt: Checkpoint) -> dict:
-    return {
-        "run_id": ckpt.run_id,
-        "seq": ckpt.seq,
-        "progress": ckpt.progress,
-        "digest": ckpt.digest,
-        "origin_system": ckpt.origin_system,
-        "created_at": ckpt.created_at,
-    }
-
-
-def checkpoint_from_manifest(data: dict) -> Checkpoint:
-    return Checkpoint(
-        run_id=str(data["run_id"]),
-        seq=int(data["seq"]),
-        progress=float(data["progress"]),
-        digest=str(data["digest"]),
-        origin_system=data["origin_system"],
-        created_at=float(data["created_at"]),
-    )
-
-
 class CheckpointStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -156,13 +118,11 @@ class CheckpointStore:
         d = self._dir(ckpt.run_id, ckpt.seq)
         d.mkdir(parents=True, exist_ok=True)
         write_new_file(d / "volume.bin", content)
-        (d / "manifest.json").write_text(canonical_json(checkpoint_to_manifest(ckpt)),
-                                         encoding="utf-8")
+        (d / "manifest.json").write_text(canonical_json(to_json(ckpt)), encoding="utf-8")
         return d
 
     def _manifest(self, d: Path) -> Checkpoint:
-        return checkpoint_from_manifest(
-            json.loads((d / "manifest.json").read_text(encoding="utf-8")))
+        return from_json(Checkpoint, load_json_file(d / "manifest.json"), "manifest")
 
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
         d = Path(path)
@@ -187,7 +147,7 @@ class CheckpointStore:
             d = self._dir(run_id, seq)
             try:
                 self._manifest(d)
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ParseError):
                 continue
             return d
         return None
@@ -338,14 +298,12 @@ class _StatusWriter:
                                              encoding="utf-8")
 
     def result(self, run_id: str, result: RunResult) -> None:
-        doc = {"run_id": run_id} | run_result_to_dict(result)
+        doc = {"run_id": run_id} | to_json(result)
         (self.dir / "result.json").write_text(canonical_json(doc), encoding="utf-8")
 
 
 def derive_run_id(app: AppSpec, seed: int) -> str:
-    from bee.model import app_to_dict
-
-    digest = hashlib.sha256(f"{canonical_json(app_to_dict(app))}:{seed}".encode()).hexdigest()
+    digest = hashlib.sha256(f"{canonical_json(to_json(app))}:{seed}".encode()).hexdigest()
     return f"run-{digest[:12]}"
 
 

@@ -8,7 +8,6 @@ and hypervisor directory passthrough (near-native, 10% write penalty).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,8 +18,9 @@ from bee.model import (
     DataVolume,
     StorageSolution,
     canonical_json,
-    volume_from_dict,
-    volume_to_dict,
+    from_json,
+    load_json_file,
+    to_json,
 )
 
 DEFAULT_NFS_CAP = 125.0  # MB/s, middle of the measured flat band
@@ -171,13 +171,13 @@ class VolumeStore:
 
     def _write_meta(self, vol: DataVolume) -> None:
         (self._dir(vol.id) / "meta.json").write_text(
-            canonical_json(volume_to_dict(vol)), encoding="utf-8")
+            canonical_json(to_json(vol)), encoding="utf-8")
 
     def volume(self, volume_id: str) -> DataVolume:
         meta = self._dir(volume_id) / "meta.json"
         if not meta.exists():
             raise StorageError(f"no such volume: {volume_id}")
-        return volume_from_dict(json.loads(meta.read_text(encoding="utf-8")))
+        return from_json(DataVolume, load_json_file(meta), "volume")
 
     def content(self, volume_id: str) -> bytes:
         path = self._dir(volume_id) / "data.bin"

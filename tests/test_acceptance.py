@@ -16,6 +16,7 @@ from bee.model import (
     StorageSolution,
     SystemKind,
     canonical_json,
+    to_json,
 )
 from bee.storage import StoragePlan, VolumeStore, effective_bandwidth, iobench_table
 from bee.workload import make_input_bytes
@@ -32,13 +33,11 @@ from bee.cluster import DeploymentError, PortRegistry, deploy_cluster
 from bee.orchestrator import (
     CheckpointStore,
     Outcome,
-    checkpoint_to_manifest,
-    run_result_to_dict,
     run_workflow,
 )
 from bee.backends import SimConfig, make_backend
 from bee.backends.base import sim_compute
-from bee.backends.scaling import replay_scaling, scaling_row_to_dict
+from bee.backends.scaling import replay_scaling
 from conftest import make_app, make_hardware, make_pool, make_system
 
 STAR = NetworkSolution.P2P_STAR
@@ -105,14 +104,14 @@ def _run_workflow_case(seed, store_dir, with_resume=True):
     result = run_workflow(pool, app, vstore.volume(vol_id), hardware, factory,
                           store_dir, cfg=cfg, run_id=f"run-{seed}")
 
-    artifact = {"seed": seed, "result": run_result_to_dict(result)}
+    artifact = {"seed": seed, "result": to_json(result)}
     resumed_digest = straight_digest = None
     if with_resume and result.outcome is Outcome.STALLED_WITH_CHECKPOINT:
         rescue = make_system(f"rescue-{seed}", n_hosts=4, time_slot=100_000.0,
                              cpu_rate=1.0)
         store = CheckpointStore(store_dir)
         ckpt, content = store.load(store.latest(f"run-{seed}"))
-        artifact["checkpoint"] = checkpoint_to_manifest(ckpt)
+        artifact["checkpoint"] = to_json(ckpt)
         resumed = run_workflow(make_pool(rescue), app, vstore.volume(vol_id),
                                hardware, factory, store_dir, cfg=cfg,
                                run_id=f"run-{seed}", resume_from=ckpt,
@@ -187,11 +186,10 @@ def _scaling_artifact():
     hpc = make_backend(make_system("hpc", n_hosts=64), SimConfig(seed=42))
     for kind in (TREE, STAR, MCAST):
         rows = replay_scaling(app, hpc, kind, [1, 16, 64])
-        out[kind.value] = [scaling_row_to_dict(r) for r in rows]
+        out[kind.value] = to_json(rows)
     cloud = make_backend(make_system("aws", n_hosts=64, kind=SystemKind.CLOUD_AWS_LIKE),
                          SimConfig(backend="sim-cloud-aws", seed=42))
-    out["cloud"] = [scaling_row_to_dict(r) for r in replay_scaling(app, cloud, None,
-                                                                   [1, 16, 64])]
+    out["cloud"] = to_json(replay_scaling(app, cloud, None, [1, 16, 64]))
     return out
 
 

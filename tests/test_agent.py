@@ -1,8 +1,10 @@
 import io
+import json
 import struct
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bee.model import NetworkSolution
 from bee.netvirt.topology import build_topology, predict_link_frames
@@ -279,6 +281,35 @@ class TestControlSession:
         assert c.call(cmd="ping") == {"ok": True, "node": 0}
         time.sleep(0.5)  # idle for longer than the socket timeout
         assert c.call(cmd="ping") == {"ok": True, "node": 0}
+
+    def test_malformed_requests_are_answered_and_the_session_survives(self, overlay):
+        # "stop" ends the agent by design; a well-formed "configure" would
+        # point its links at arbitrary hosts, so only malformed ones are sent
+        c = overlay(TREE, 3).client(0)
+        value = st.sampled_from([None, True, -1, 0, 1, 2.5, 1e308, "x", "zz", [], {}, [1]])
+        cmd = st.sampled_from(["ping", "send", "recv", "counts", "status", "exec",
+                               "app_start", "pause", "resume", "put_volume",
+                               "fetch_volume", "nope", None, 7])
+        fields = st.dictionaries(st.sampled_from(["dst", "payload_hex", "argv", "name", "rate",
+                                                  "work_total", "base", "data_b64"]), value)
+        request = st.one_of(
+            st.builds(lambda c_, f: json.dumps({"cmd": c_, **f}).encode(), cmd, fields),
+            st.sampled_from([json.dumps(r).encode() for r in (
+                {"cmd": "configure", "addrs": {"x": ["127.0.0.1", 1]}},
+                {"cmd": "configure", "addrs": []}, {"cmd": "configure", "hub": 5})]),
+            value.map(lambda v: json.dumps(v).encode()),
+            st.binary(max_size=20).filter(lambda b: b"\n" not in b))
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(request, min_size=1, max_size=4))
+        def check(lines):
+            for line in lines:
+                c.buf.write(line + b"\n")
+                c.buf.flush()
+                assert "ok" in json.loads(c.buf.readline())
+            assert c.call(cmd="ping") == {"ok": True, "node": 0}
+
+        check()
 
 
 class TestStop:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bee.model import CommKind, NetworkSolution, SystemKind
+from bee.model import CommKind, NetworkSolution, SystemKind, from_json, to_json
 from bee.netvirt.topology import build_topology, cost_of_trace
 from bee.backends import SimConfig, make_backend
 from bee.backends.base import sim_compute
@@ -96,14 +96,14 @@ class TestDeterminism:
 class TestSimConfig:
     def test_round_trip(self):
         cfg = SimConfig(backend="sim-cloud-aws", seed=9, hop_latency_ms=2.5)
-        assert SimConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(SimConfig, to_json(cfg), "sim_config") == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig.from_dict({"bandwidth": 1.0})
+            from_json(SimConfig, {"bandwidth": 1.0}, "sim_config")
 
     def test_partial_dict_uses_defaults(self):
-        cfg = SimConfig.from_dict({"backend": "local", "seed": 4})
+        cfg = from_json(SimConfig, {"backend": "local", "seed": 4}, "sim_config")
         assert cfg.backend == "local" and cfg.seed == 4
         assert cfg.nfs_cap == 125.0
 

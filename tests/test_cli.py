@@ -3,14 +3,7 @@ import json
 import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
-from bee.model import (
-    RunState,
-    app_to_dict,
-    canonical_json,
-    hardware_to_dict,
-    pool_to_dict,
-    run_state_to_dict,
-)
+from bee.model import RunState, canonical_json, to_json
 from conftest import make_app, make_hardware, make_pool, make_system
 
 
@@ -25,9 +18,9 @@ def configs(tmp_path):
         pool = pool or make_pool(make_system("alpha", time_slot=100.0))
         app = app or make_app(work_total=30.0, process_count=2)
         hardware = hardware or make_hardware()
-        return ["--pool", write("pool", pool_to_dict(pool)),
-                "--app", write("app", app_to_dict(app)),
-                "--uconf", write("uconf", hardware_to_dict(hardware))]
+        return ["--pool", write("pool", to_json(pool)),
+                "--app", write("app", to_json(app)),
+                "--uconf", write("uconf", to_json(hardware))]
 
     build.tmp_path = tmp_path
     return build
@@ -189,7 +182,7 @@ class TestStatusCommand:
     def test_torn_run_file_exits_config(self, tmp_path, capsys, torn):
         run_dir = tmp_path / "r"
         run_dir.mkdir()
-        (run_dir / "state.json").write_text(canonical_json(run_state_to_dict(RunState())),
+        (run_dir / "state.json").write_text(canonical_json(to_json(RunState())),
                                             encoding="utf-8")
         (run_dir / torn).write_text('{"phase":', encoding="utf-8")
         assert main(["status", "r", "--store", str(tmp_path)]) == EXIT_CONFIG
@@ -224,6 +217,15 @@ class TestTopoCommand:
         trace.write_text(json.dumps([{"from": 0}]))
         assert main(["topo", "p2p_star", "4", str(trace)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("entry", [{"src": True, "dst": 1}, [0, 1.5], {"src": 0, "dst": "3"},
+                                       [0, 1, 2.0], {"src": 0, "dst": 1, "weight": 2}])
+    def test_non_integer_field_exits_config(self, tmp_path, capsys, entry):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps([[0, 1, 1], entry]))
+        assert main(["topo", "p2p_star", "4", str(trace)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trace[1]") and err.count("\n") == 1
+
     def test_out_of_range_endpoint_exits_config(self, tmp_path):
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps([[0, 9, 1]]))
@@ -244,7 +246,7 @@ class TestIobenchCommand:
 class TestScalingCommand:
     def test_rows_and_speedups(self, tmp_path, capsys):
         app_path = tmp_path / "app.json"
-        app_path.write_text(json.dumps(app_to_dict(make_app(work_total=500.0))))
+        app_path.write_text(json.dumps(to_json(make_app(work_total=500.0))))
         code, doc = run_json(capsys, ["scaling", "--app", str(app_path),
                                       "--process-counts", "1,4,16", "--json"])
         assert code == EXIT_OK

@@ -72,12 +72,16 @@ class TestImageRecipe:
             build_image(default_recipe(), sim_backend(seed=99))
 
     def test_cluster_spec_round_trip(self):
-        from bee.cluster import cluster_spec_from_dict, cluster_spec_to_dict
+        from bee.model import AppSpec, HardwareConfig, Host, from_json, to_json
 
         app = make_app(process_count=3)
         hw = make_hardware()
-        doc = cluster_spec_to_dict("c9", ["h0", "h1", "h2"], app, hw)
-        cname, hosts, app2, hw2 = cluster_spec_from_dict(doc)
+        doc = {"cname": "c9", "hosts": ["h0", "h1", "h2"], "uconf": to_json(hw),
+               "app": to_json(app)}
+        cname, hosts, app2, hw2 = (from_json(str, doc["cname"], "cname"),
+                                   from_json(tuple[Host, ...], doc["hosts"], "hosts"),
+                                   from_json(AppSpec, doc["app"], "app"),
+                                   from_json(HardwareConfig, doc["uconf"], "uconf"))
         assert cname == "c9"
         assert [h.id for h in hosts] == ["h0", "h1", "h2"]
         assert app2 == app and hw2 == hw

@@ -7,24 +7,18 @@ from bee.model import (
     AppSpec,
     CommKind,
     CommPattern,
+    ComputeSystem,
     ContainerSource,
     DataVolume,
+    HardwareConfig,
     NetworkSolution,
     ParseError,
     ResourcePool,
     StorageSolution,
-    app_from_dict,
-    app_to_dict,
-    hardware_from_dict,
-    hardware_to_dict,
-    pool_from_dict,
-    pool_to_dict,
+    from_json,
     quantize_work,
-    system_from_dict,
-    system_to_dict,
+    to_json,
     validate,
-    volume_from_dict,
-    volume_to_dict,
 )
 from conftest import make_app, make_hardware, make_pool, make_system
 
@@ -72,43 +66,43 @@ class TestValidate:
 class TestSerialization:
     def test_pool_round_trip(self):
         pool = make_pool(make_system("a"), make_system("b", n_hosts=3, cpu_rate=2.5))
-        assert pool_from_dict(json.loads(json.dumps(pool_to_dict(pool)))) == pool
+        assert from_json(ResourcePool, json.loads(json.dumps(to_json(pool))), "pool") == pool
 
     def test_app_round_trip(self):
         app = make_app(comm=CommKind.MIXED, ratio=0.25, io_read=1024, io_write=2048)
-        assert app_from_dict(json.loads(json.dumps(app_to_dict(app)))) == app
+        assert from_json(AppSpec, json.loads(json.dumps(to_json(app))), "app") == app
 
     def test_hardware_round_trip(self):
         hw = make_hardware(network=NetworkSolution.MULTICAST,
                            storage=StorageSolution.DATA_IMAGE_NFS)
-        assert hardware_from_dict(json.loads(json.dumps(hardware_to_dict(hw)))) == hw
+        assert from_json(HardwareConfig, json.loads(json.dumps(to_json(hw))), "uconf") == hw
 
     def test_volume_round_trip(self):
         vol = DataVolume(id="v1", byte_size=42, content_digest="ab" * 32, location="alpha")
-        assert volume_from_dict(volume_to_dict(vol)) == vol
+        assert from_json(DataVolume, to_json(vol), "volume") == vol
 
     def test_comm_pattern_accepts_bare_string(self):
-        doc = app_to_dict(make_app())
+        doc = to_json(make_app())
         doc["comm_pattern"] = "all_to_all"
-        assert app_from_dict(doc).comm_pattern == CommPattern(CommKind.ALL_TO_ALL)
+        assert from_json(AppSpec, doc, "app").comm_pattern == CommPattern(CommKind.ALL_TO_ALL)
 
     def test_hosts_accept_bare_strings(self):
-        doc = system_to_dict(make_system())
+        doc = to_json(make_system())
         doc["hosts"] = ["x", "y"]
-        parsed = system_from_dict(doc)
+        parsed = from_json(ComputeSystem, doc, "system")
         assert [h.id for h in parsed.hosts] == ["x", "y"]
 
     def test_unknown_enum_rejected(self):
-        doc = hardware_to_dict(make_hardware())
+        doc = to_json(make_hardware())
         doc["network_solution"] = "token-ring"
         with pytest.raises(ParseError):
-            hardware_from_dict(doc)
+            from_json(HardwareConfig, doc, "uconf")
 
     def test_missing_field_rejected(self):
-        doc = app_to_dict(make_app())
+        doc = to_json(make_app())
         del doc["work_total"]
         with pytest.raises(ParseError):
-            app_from_dict(doc)
+            from_json(AppSpec, doc, "app")
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6),
            st.floats(min_value=0.5, max_value=1e6, allow_nan=False),
@@ -117,9 +111,9 @@ class TestSerialization:
         pool = make_pool(make_system("s", n_hosts=n_hosts))
         app = make_app(work_total=work, process_count=procs)
         hw = make_hardware(network=net, storage=storage)
-        assert pool_from_dict(pool_to_dict(pool)) == pool
-        assert app_from_dict(app_to_dict(app)) == app
-        assert hardware_from_dict(hardware_to_dict(hw)) == hw
+        assert from_json(ResourcePool, to_json(pool), "pool") == pool
+        assert from_json(AppSpec, to_json(app), "app") == app
+        assert from_json(HardwareConfig, to_json(hw), "uconf") == hw
 
 
 def test_quantize_work_is_exact_dyadic():

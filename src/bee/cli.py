@@ -252,7 +252,7 @@ def cmd_resume(args) -> int:
                            resume_content=content)
 
 
-def _load_run_file(path: Path, cls: type, root: str) -> tuple[dict, object]:
+def _load_run_file(path: Path, cls: type) -> tuple[dict, object]:
     """A JSON file a run writes into the store, as written and as parsed.
 
     Torn or malformed content, as a reader can see mid-write, raises
@@ -260,7 +260,7 @@ def _load_run_file(path: Path, cls: type, root: str) -> tuple[dict, object]:
     """
     try:
         doc = load_json_file(path)
-        return doc, from_json(cls, doc, root)
+        return doc, from_json(cls, doc, path.stem)
     except (OSError, ParseError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -279,12 +279,12 @@ def cmd_status(args) -> int:
         print(f"no such run: {args.run_id}", file=sys.stderr)
         return EXIT_CONFIG
     result_path = run_dir / "result.json"
-    written, state = _load_run_file(state_path, RunState, "state")
+    written, state = _load_run_file(state_path, RunState)
     doc = {"run_id": args.run_id, "state": written}
     lines = [f"run {args.run_id}: phase {state.phase.value}, "
              f"progress {state.progress:g}, slots {state.slots_consumed}"]
     if result_path.exists():
-        doc["result"], result = _load_run_file(result_path, _ResultFile, "result")
+        doc["result"], result = _load_run_file(result_path, _ResultFile)
         lines.append(f"  result: {result.outcome.value}")
     _emit(args, doc, lines)
     return EXIT_OK

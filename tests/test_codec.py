@@ -3,6 +3,7 @@ through the command line, which must end in exit 64 with a one-line message
 naming the field path, never in a traceback."""
 
 import copy
+import functools
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -87,16 +88,21 @@ def _nodes(doc, path=()):
         yield from _nodes(value, path + (key,))
 
 
+def _replaced(doc, path, value):
+    """A copy of doc with the node at path set to value."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 def _mutations(root, doc):
     """(field path, document) for each node of doc replaced by each mutant."""
     for path in _nodes(doc):
         for value in MUTANTS:
-            mutated = copy.deepcopy(doc)
-            parent = mutated
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
-            yield _dotted(root, path), mutated
+            yield _dotted(root, path), _replaced(doc, path, value)
 
 
 def _write(directory, docs):
@@ -134,24 +140,21 @@ def _one_line_error(err, field):
 ])
 def test_coercions_of_the_old_parsers_are_parse_errors(tmp_path, capsys, root, key, value):
     docs = _docs()
-    docs[root][key] = value
+    docs[root] = _replaced(docs[root], (key,), value)
     code, _, err = _bee(capsys, ["validate", *_write(tmp_path, docs)])
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: {root}.{key}: expected ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field,value", [("app.work_total", 1e308),
-                                         ("pool.systems[0].cpu_rate_native", 1e308)])
-def test_overflowing_numbers_are_violations(tmp_path, capsys, field, value):
+@pytest.mark.parametrize("root,path", [("app", ("work_total",)),
+                                       ("pool", ("systems", 0, "cpu_rate_native"))])
+def test_overflowing_numbers_are_violations(tmp_path, capsys, root, path):
     docs = _docs()
-    if field.startswith("app"):
-        docs["app"]["work_total"] = value
-    else:
-        docs["pool"]["systems"][0]["cpu_rate_native"] = value
+    docs[root] = _replaced(docs[root], path, 1e308)
     code, out, _ = _bee(capsys, ["run", *_write(tmp_path, docs), "--store",
                                  str(tmp_path / "store"), "--json"])
     assert code == EXIT_CONFIG
-    assert [v["field"] for v in json.loads(out)["violations"]] == [field]
+    assert [v["field"] for v in json.loads(out)["violations"]] == [_dotted(root, path)]
 
 
 def test_every_leaf_mutation_validates_to_zero_or_64_naming_its_field(tmp_path, capsys):
@@ -195,14 +198,9 @@ def test_unknown_keys_are_rejected_everywhere(tmp_path, capsys):
     base = _docs()
     for root, doc in base.items():
         for path in [(), *_nodes(doc)]:
-            mutated = copy.deepcopy(doc)
-            target = mutated
-            for key in path:
-                target = target[key]
-            if not isinstance(target, dict):
+            if not isinstance(functools.reduce(lambda node, key: node[key], path, doc), dict):
                 continue
-            target["extra"] = 1
-            argv = _write(tmp_path / "c", {**base, root: mutated})
+            argv = _write(tmp_path / "c", {**base, root: _replaced(doc, (*path, "extra"), 1)})
             code, _, err = _bee(capsys, ["validate", *argv])
             assert code == EXIT_CONFIG
             assert err == f"config error: {_dotted(root, path)}: unknown fields ['extra']\n"

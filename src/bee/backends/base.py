@@ -130,6 +130,12 @@ class SimConfig:
         return out
 
 
+def compute_rate(app: AppSpec, hardware: HardwareConfig, system: ComputeSystem,
+                 overhead_fraction: float) -> float:
+    """Cluster-wide work rate: one process per node, vcpus cores per process."""
+    return app.process_count * hardware.vcpus * system.cpu_rate_native * (1.0 - overhead_fraction)
+
+
 def sim_compute(work: float, cores: int, cpu_rate: float,
                 overhead_fraction: float = DEFAULT_CPU_OVERHEAD) -> float:
     """Seconds to finish `work` units on `cores` cores at `cpu_rate` units/s/core.

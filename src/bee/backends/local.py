@@ -15,7 +15,6 @@ from pathlib import Path
 
 from bee.model import AppSpec, ComputeSystem, HardwareConfig
 from bee.storage import StoragePlan
-from bee.workload import compute_rate
 from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet
 from bee.backends.base import (
@@ -28,6 +27,7 @@ from bee.backends.base import (
     NodeRef,
     SimConfig,
     VmSpec,
+    compute_rate,
 )
 
 

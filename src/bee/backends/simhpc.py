@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from bee.model import MB, WORK_QUANTUM, AppSpec, ComputeSystem, HardwareConfig, StorageSolution
 from bee.storage import StoragePlan, model_io
-from bee.workload import append_output, compute_rate, progress_at
+from bee.workload import append_output, progress_at
 from bee.backends.base import (
     ALL_TOPOLOGIES,
     DEFAULT_CPU_OVERHEAD,
@@ -24,6 +24,7 @@ from bee.backends.base import (
     NodeRef,
     SimConfig,
     VmSpec,
+    compute_rate,
 )
 
 VM_PROVISION_STEPS = ("create_vm", "create_img", "configure", "setup_shared_vol",

@@ -36,6 +36,7 @@ from bee.orchestrator import (
     Outcome,
     RunResult,
     derive_run_id,
+    run_id_problem,
     run_workflow,
 )
 from bee.backends import BACKEND_KINDS, SIM_HPC, SimConfig, make_backend
@@ -273,6 +274,10 @@ class _ResultFile(RunResult):
 
 
 def cmd_status(args) -> int:
+    problem = run_id_problem(args.run_id)
+    if problem:
+        print(f"run_id: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
     run_dir = Path(args.store) / args.run_id
     state_path = run_dir / "state.json"
     if not state_path.exists():

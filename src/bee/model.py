@@ -15,14 +15,10 @@ from enum import Enum
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
-MB = 1 << 20
+# the work lattice lives with the app model, which relay agents load without this module
+from bee.workload import MAX_WORK, WORK_QUANTUM, quantize_work  # noqa: F401
 
-# Progress/work arithmetic is quantized to this step so that slot-by-slot
-# progress deltas sum back to the total without floating-point residue.
-WORK_QUANTUM = 2.0 ** -20
-# The largest work count whose lattice points are all exact in a float
-# (2**53 quanta); validate() bounds work totals and per-core rates by it.
-MAX_WORK = 2.0 ** 33
+MB = 1 << 20
 
 
 class SystemKind(str, Enum):
@@ -174,18 +170,6 @@ class Violation:
     field: str
     rule: str
     message: str
-
-
-def quantize_work(value: float) -> float:
-    """Snap work-units to the nearest lattice point (exact in binary floats).
-
-    Keeping all progress values on one dyadic lattice makes slot deltas and
-    their sums exact, and nearest-rounding absorbs clock round-off so a job
-    finishing at an integer second is not pushed into the next poll.
-    """
-    if value <= 0:
-        return 0.0
-    return round(value / WORK_QUANTUM) * WORK_QUANTUM
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,5 @@
-"""Overlay network plane: topology/cost models and the socket relay agents."""
+"""Overlay network plane: topology/cost models and the socket relay agents.
 
-from bee.netvirt.topology import (
-    HUB,
-    CommCost,
-    RoutingTable,
-    Topology,
-    build_routing_table,
-    build_topology,
-    cost_of_trace,
-    per_node_tx_bytes,
-    predict_link_frames,
-    route,
-)
-
-__all__ = [
-    "HUB",
-    "CommCost",
-    "RoutingTable",
-    "Topology",
-    "build_routing_table",
-    "build_topology",
-    "cost_of_trace",
-    "per_node_tx_bytes",
-    "predict_link_frames",
-    "route",
-]
+The package imports none of its submodules, so a relay agent process loads
+`bee.netvirt.agent` without the topology code.
+"""

@@ -6,6 +6,12 @@ the chain, so a sender learns the arrival hop count or which relay broke.
 Multicast is realized by a hub process that copies every frame to all agents
 except the sender.
 
+An agent knows no topology: it forwards by a next-hop table ({dst: neighbour})
+that whoever wires the overlay computes and pushes in `configure`.  A frame
+that arrives from the hub is delivered or dropped, never forwarded.  The
+module imports only the standard library and `bee.workload`, so an agent
+process can start with `python -S`.
+
 Frame wire format (big-endian):
     4 bytes  length of the rest (6 + payload size)
     2 bytes  src node id
@@ -30,10 +36,7 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass
 
-from bee.model import NetworkSolution
-from bee.netvirt.topology import Topology, build_topology, route
 from bee.workload import append_output, progress_at
 
 FRAME_HEADER = struct.Struct(">IHHH")
@@ -78,16 +81,16 @@ def read_frame(sock: socket.socket) -> tuple[int, int, int, bytes]:
     return src, dst, hop, body[6:]
 
 
-@dataclass
 class _WorkState:
-    app_name: str = ""
-    rate: float = 0.0
-    work_total: float = 0.0
-    base: float = 0.0
-    started_at: float | None = None
-    paused_at: float | None = None
-    paused_total: float = 0.0
-    volume: bytes = b""
+    def __init__(self) -> None:
+        self.app_name = ""
+        self.rate = 0.0
+        self.work_total = 0.0
+        self.base = 0.0
+        self.started_at: float | None = None
+        self.paused_at: float | None = None
+        self.paused_total = 0.0
+        self.volume = b""
 
     def active_seconds(self) -> float:
         if self.started_at is None:
@@ -165,13 +168,13 @@ class _PeerLink:
 class Agent:
     """One overlay node: frame plane, control plane, and the toy work loop."""
 
-    def __init__(self, node_id: int, topo: Topology, bind_host: str = "127.0.0.1",
+    def __init__(self, node_id: int, bind_host: str = "127.0.0.1",
                  frame_port: int = 0, control_port: int = 0):
         self.node_id = node_id
-        self.topo = topo
         self.is_hub = node_id == HUB_ID
         self.addrs: dict[int, tuple[str, int]] = {}
         self.hub_addr: tuple[str, int] | None = None
+        self.next_hop: dict[int, int] = {}
         self.links: dict[int, _PeerLink] = {}
         self.links_lock = threading.Lock()
         self.inbox: list[dict] = []
@@ -189,10 +192,11 @@ class Agent:
 
     # -- wiring ------------------------------------------------------------
 
-    def configure(self, addrs: dict[int, tuple[str, int]],
-                  hub: tuple[str, int] | None) -> None:
+    def configure(self, addrs: dict[int, tuple[str, int]], hub: tuple[str, int] | None,
+                  next_hop: dict[int, int] | None = None) -> None:
         self.addrs = dict(addrs)
         self.hub_addr = hub
+        self.next_hop = dict(next_hop or {})
 
     def _link_to(self, peer: int) -> _PeerLink:
         with self.links_lock:
@@ -205,12 +209,6 @@ class Agent:
                 self.links[peer] = link
         return link
 
-    def _next_hop(self, dst: int) -> int:
-        if self.topo.kind is NetworkSolution.MULTICAST:
-            return HUB_ID
-        path = route(self.topo, self.node_id, dst)
-        return path[1]
-
     # -- sending -----------------------------------------------------------
 
     def send(self, dst: int, payload: bytes) -> int:
@@ -218,7 +216,9 @@ class Agent:
         if dst == self.node_id:
             self._deliver(self.node_id, 0, payload, from_peer=self.node_id)
             return 0
-        nxt = self._next_hop(dst)
+        nxt = self.next_hop.get(dst)
+        if nxt is None:
+            raise ValueError(f"no route to node {dst}")
         status, detail = self._forward(nxt, pack_frame(self.node_id, dst, 1, payload))
         if status != STATUS_OK:
             raise DeliveryError(dst if detail == HUB_ID else detail)
@@ -280,10 +280,13 @@ class Agent:
         if dst == self.node_id:
             self._deliver(src, hop, payload, from_peer=peer_id)
             return STATUS_OK, hop
-        if self.topo.kind is NetworkSolution.MULTICAST:
-            # every node sees every frame; only the addressee keeps it
+        if peer_id == HUB_ID:
+            # the hub shows every node every frame; only the addressee keeps it
             return STATUS_OK, hop
-        return self._forward(self._next_hop(dst), pack_frame(src, dst, hop + 1, payload))
+        nxt = self.next_hop.get(dst)
+        if nxt is None:
+            return STATUS_RELAY_FAILED, dst
+        return self._forward(nxt, pack_frame(src, dst, hop + 1, payload))
 
     def _hub_fanout(self, src: int, dst: int, hop: int, payload: bytes) -> tuple[int, int]:
         frame = pack_frame(src, dst, hop, payload)
@@ -346,9 +349,8 @@ class Agent:
         if cmd == "ping":
             return {"ok": True, "node": self.node_id}
         if cmd == "configure":
-            addrs = {int(k): tuple(v) for k, v in req.get("addrs", {}).items()}
-            hub = tuple(req["hub"]) if req.get("hub") else None
-            self.configure(addrs, hub)
+            self.configure(*_wiring(req.get("addrs", {}), req.get("hub"),
+                                    req.get("next_hop", {})))
             return {"ok": True}
         if cmd == "send":
             try:
@@ -371,6 +373,8 @@ class Agent:
                     "received": received}
         if cmd == "exec":
             argv = req.get("argv", [])
+            if type(argv) is not list or not all(type(a) is str for a in argv):
+                return {"ok": False, "error": "argv: expected a list of strings"}
             verb = argv[0] if argv else ""
             self.tags[verb] = " ".join(argv[1:])
             return {"ok": True, "argv": argv}
@@ -470,10 +474,10 @@ class AgentClient:
 # process entry point
 
 
-def _load_topo(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return build_topology(NetworkSolution(doc["kind"]), int(doc["n"]))
+def _wiring(addrs: dict, hub: list | None, next_hop: dict) -> tuple:
+    """configure()'s arguments from their JSON form, which has string keys."""
+    return ({int(k): tuple(v) for k, v in addrs.items()}, tuple(hub) if hub else None,
+            {int(k): int(v) for k, v in next_hop.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -481,8 +485,7 @@ def main(argv: list[str] | None = None) -> int:
                                      description="run one overlay relay agent")
     parser.add_argument("--node", type=int, help="node id (omit with --hub)")
     parser.add_argument("--hub", action="store_true", help="run the multicast hub")
-    parser.add_argument("--topo", required=True, help="topology descriptor JSON file")
-    parser.add_argument("--addrs", help="static listen/connect address map JSON file")
+    parser.add_argument("--addrs", help="static address map and next-hop table JSON file")
     parser.add_argument("--bind", default="127.0.0.1")
     parser.add_argument("--frame-port", type=int, default=0)
     parser.add_argument("--control-port", type=int, default=0)
@@ -493,16 +496,12 @@ def main(argv: list[str] | None = None) -> int:
     if node_id is None:
         parser.error("--node or --hub is required")
 
-    topo = _load_topo(args.topo)
-
-    agent = Agent(node_id, topo, bind_host=args.bind, frame_port=args.frame_port,
+    agent = Agent(node_id, bind_host=args.bind, frame_port=args.frame_port,
                   control_port=args.control_port)
     if args.addrs:
         with open(args.addrs, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        addrs = {int(k): tuple(v) for k, v in doc.get("nodes", {}).items()}
-        hub = tuple(doc["hub"]) if doc.get("hub") else None
-        agent.configure(addrs, hub)
+        agent.configure(*_wiring(doc.get("nodes", {}), doc.get("hub"), doc.get("next_hop", {})))
     if args.portfile:
         ports = {"node": "hub" if args.hub else node_id,
                  "frame_port": agent.frame_port, "control_port": agent.control_port}

@@ -1,4 +1,9 @@
-"""Spawn and wire a set of relay-agent OS processes for one overlay."""
+"""Spawn and wire a set of relay-agent OS processes for one overlay.
+
+The fleet is the overlay's control plane: it computes every agent's next-hop
+table from the topology and pushes it with the address map, so the agents
+themselves carry no routing code.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +15,25 @@ import time
 from pathlib import Path
 
 from bee.model import NetworkSolution
-from bee.netvirt.agent import AgentClient
+from bee.netvirt.agent import HUB_ID, AgentClient
+from bee.netvirt.topology import Topology, build_topology, route
 
 SPAWN_TIMEOUT = 15.0
 
 
 class FleetError(RuntimeError):
     pass
+
+
+def next_hop_table(topo: Topology, node: int) -> dict[int, int]:
+    """The neighbour `node` passes each other destination's frames to.
+
+    Under multicast every frame goes to the hub; otherwise it is the second
+    node of the topology's route.
+    """
+    if topo.kind is NetworkSolution.MULTICAST:
+        return {dst: HUB_ID for dst in range(topo.n) if dst != node}
+    return {dst: route(topo, node, dst)[1] for dst in range(topo.n) if dst != node}
 
 
 def _package_pythonpath() -> str:
@@ -42,9 +59,6 @@ class AgentFleet:
         self.hub_ports: dict | None = None
         self._clients: dict[int, AgentClient] = {}
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.topo_path = self.workdir / "topology.json"
-        self.topo_path.write_text(json.dumps({"kind": kind.value, "n": n}),
-                                  encoding="utf-8")
         self._env = dict(os.environ, PYTHONPATH=_package_pythonpath())
 
     # -- spawning ------------------------------------------------------------
@@ -52,7 +66,9 @@ class AgentFleet:
     def _spawn(self, args: list[str], portfile: Path) -> subprocess.Popen:
         if portfile.exists():
             portfile.unlink()
-        cmd = [sys.executable, "-m", "bee.netvirt.agent", "--topo", str(self.topo_path),
+        # -S: an agent needs only the standard library and bee, which
+        # PYTHONPATH provides, so the site-packages start-up is skipped
+        cmd = [sys.executable, "-S", "-m", "bee.netvirt.agent",
                "--bind", self.bind, "--portfile", str(portfile), *args]
         return subprocess.Popen(cmd, env=self._env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
@@ -86,7 +102,7 @@ class AgentFleet:
         raise FleetError(f"agent did not report ports in {name}")
 
     def wire(self) -> None:
-        """Collect ports from every process and distribute the address map."""
+        """Collect ports from every process; send each its addresses and routes."""
         for node in self.procs:
             self.ports[node] = self._read_ports(f"ports-{node}.json")
         if self.hub_proc is not None:
@@ -94,8 +110,10 @@ class AgentFleet:
         addrs = {str(node): [self.bind, self.ports[node]["frame_port"]]
                  for node in self.procs}
         hub = [self.bind, self.hub_ports["frame_port"]] if self.hub_ports else None
+        topo = build_topology(self.kind, self.n)
         for node in self.procs:
-            self.client(node).call(cmd="configure", addrs=addrs, hub=hub)
+            self.client(node).call(cmd="configure", addrs=addrs, hub=hub,
+                                   next_hop=next_hop_table(topo, node))
         if self.hub_ports is not None:
             hub_client = AgentClient((self.bind, self.hub_ports["control_port"]))
             hub_client.call(cmd="configure", addrs=addrs, hub=None)

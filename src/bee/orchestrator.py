@@ -97,6 +97,16 @@ class RunResult:
 # checkpoint store: <store>/<run_id>/<seq>/{manifest.json, volume.bin}
 
 
+def run_id_problem(run_id: str) -> str | None:
+    """Why run_id cannot name a run's directory in the store, or None if it can.
+
+    A run id is one path component, so no run writes outside its store.
+    """
+    if run_id in ("", ".", "..") or any(c in run_id for c in "/\\\0"):
+        return f"not a single path component: {run_id!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     run_id: str
@@ -122,7 +132,11 @@ class CheckpointStore:
         return d
 
     def _manifest(self, d: Path) -> Checkpoint:
-        return from_json(Checkpoint, load_json_file(d / "manifest.json"), "manifest")
+        ckpt = from_json(Checkpoint, load_json_file(d / "manifest.json"), "manifest")
+        problem = run_id_problem(ckpt.run_id)
+        if problem:
+            raise ParseError(f"manifest.run_id: {problem}")
+        return ckpt
 
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
         d = Path(path)
@@ -321,6 +335,9 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                                 "; ".join(f"{v.field}: {v.message}" for v in problems))
 
     run_id = run_id or derive_run_id(app, cfg.seed)
+    problem = run_id_problem(run_id)
+    if problem:
+        raise OrchestratorError(f"run_id: {problem}")
     vstore = VolumeStore(store_dir)
     cstore = CheckpointStore(store_dir)
     status = _StatusWriter(Path(store_dir), run_id)

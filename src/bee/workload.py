@@ -3,15 +3,34 @@
 The simulated app appends one 32-byte output block per completed work unit, so
 volume content is a pure function of (app name, initial bytes, progress).
 That is what makes a resumed run byte-identical to an uninterrupted one.
+
+Relay agents run this model, so it imports nothing but the standard library.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from bee.model import AppSpec, ComputeSystem, HardwareConfig, quantize_work
-
 BLOCK_BYTES = 32
+
+# Progress/work arithmetic is quantized to this step so that slot-by-slot
+# progress deltas sum back to the total without floating-point residue.
+WORK_QUANTUM = 2.0 ** -20
+# The largest work count whose lattice points are all exact in a float
+# (2**53 quanta); validate() bounds work totals and per-core rates by it.
+MAX_WORK = 2.0 ** 33
+
+
+def quantize_work(value: float) -> float:
+    """Snap work-units to the nearest lattice point (exact in binary floats).
+
+    Keeping all progress values on one dyadic lattice makes slot deltas and
+    their sums exact, and nearest-rounding absorbs clock round-off so a job
+    finishing at an integer second is not pushed into the next poll.
+    """
+    if value <= 0:
+        return 0.0
+    return round(value / WORK_QUANTUM) * WORK_QUANTUM
 
 
 def _hash_blocks(label: str, start: int, end: int):
@@ -57,12 +76,6 @@ def progress_at(rate: float, active_seconds: float, work_total: float) -> float:
         return 0.0
     total = quantize_work(work_total)
     return min(total, quantize_work(rate * active_seconds))
-
-
-def compute_rate(app: AppSpec, hardware: HardwareConfig, system: ComputeSystem,
-                 overhead_fraction: float) -> float:
-    """Cluster-wide work rate: one process per node, vcpus cores per process."""
-    return app.process_count * hardware.vcpus * system.cpu_rate_native * (1.0 - overhead_fraction)
 
 
 def make_input_bytes(seed: int, name: str, size: int = 65536) -> bytes:

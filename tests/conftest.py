@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from bee.model import (
@@ -15,6 +18,18 @@ from bee.model import (
     StorageSolution,
     SystemKind,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leftover_temp_dirs():
+    """The suite must leave no bee-* entry behind in the system temp directory."""
+    def entries():
+        return {p.name for p in Path(tempfile.gettempdir()).glob("bee-*")}
+
+    before = entries()
+    yield
+    left = sorted(entries() - before)
+    assert not left, f"tests left {left} in {tempfile.gettempdir()}"
 
 
 def make_system(sid="alpha", n_hosts=2, time_slot=100.0, cpu_rate=1.0,

@@ -9,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 from bee.model import NetworkSolution
 from bee.netvirt.topology import build_topology, predict_link_frames
 from bee.netvirt.agent import (
+    HELLO,
     HUB_ID,
+    RESPONSE,
+    STATUS_OK,
+    STATUS_RELAY_FAILED,
     Agent,
     AgentClient,
     DeliveryError,
+    _recv_exact,
     pack_frame,
     read_frame,
 )
-from bee.netvirt.fleet import AgentFleet
+from bee.netvirt.fleet import AgentFleet, next_hop_table
 
 STAR = NetworkSolution.P2P_STAR
 TREE = NetworkSolution.P2P_TREE
@@ -49,19 +54,19 @@ class TestFrameFormat:
 
 def _spawn_agents(kind, n):
     topo = build_topology(kind, n)
-    agents = [Agent(i, topo) for i in range(n)]
+    agents = [Agent(i) for i in range(n)]
     addrs = {a.node_id: ("127.0.0.1", a.frame_port) for a in agents}
     hub = None
     if kind is MCAST:
-        hub = Agent(HUB_ID, topo)
+        hub = Agent(HUB_ID)
         hub.configure(addrs, None)
         hub.start()
         for a in agents:
-            a.configure({}, ("127.0.0.1", hub.frame_port))
+            a.configure({}, ("127.0.0.1", hub.frame_port), next_hop_table(topo, a.node_id))
             a.start()
     else:
         for a in agents:
-            a.configure(addrs, None)
+            a.configure(addrs, None, next_hop_table(topo, a.node_id))
             a.start()
     return agents, hub
 
@@ -185,10 +190,31 @@ class TestFaults:
         time.sleep(0.05)
         with pytest.raises(DeliveryError):
             o.client(3).send(4, b"m")
-        o.agents[1] = Agent(1, old.topo, frame_port=old.frame_port)
-        o.agents[1].configure(addrs, None)
+        o.agents[1] = Agent(1, frame_port=old.frame_port)
+        o.agents[1].configure(addrs, None, old.next_hop)
         o.agents[1].start()
         assert o.client(3).send(4, b"m") == 2
+
+
+class TestUnroutable:
+    def test_control_send_without_next_hop_is_answered(self, overlay):
+        c = overlay(TREE, 3).client(0)
+        reply = c.call(cmd="send", dst=99, payload_hex="00")
+        assert reply["ok"] is False and "99" in reply["error"]
+        assert c.call(cmd="ping") == {"ok": True, "node": 0}
+
+    def test_relayed_frame_without_next_hop_is_answered_and_link_stays(self, overlay):
+        import socket
+
+        o = overlay(TREE, 3)
+        with socket.create_connection(("127.0.0.1", o.agents[1].frame_port), timeout=5) as s:
+            s.sendall(HELLO.pack(0))
+            s.sendall(pack_frame(0, 99, 1, b"lost"))
+            assert RESPONSE.unpack(_recv_exact(s, 4)) == (STATUS_RELAY_FAILED, 99)
+            s.sendall(pack_frame(0, 1, 1, b"kept"))
+            assert RESPONSE.unpack(_recv_exact(s, 4)) == (STATUS_OK, 1)
+        assert o.client(1).call(cmd="recv")["messages"] == [
+            {"src": 0, "hop_count": 1, "payload_hex": b"kept".hex()}]
 
 
 class TestWireModelEquivalence:
@@ -235,19 +261,19 @@ class TestAgentCli:
             return port
 
         ports = {i: (free_port(), free_port()) for i in range(3)}
-        (tmp_path / "topo.json").write_text(json.dumps({"kind": "p2p_star", "n": 3}))
-        addr_map = {"nodes": {str(i): ["127.0.0.1", ports[i][0]] for i in range(3)},
-                    "hub": None}
-        (tmp_path / "addrs.json").write_text(json.dumps(addr_map))
+        topo = build_topology(STAR, 3)
+        for i in range(3):
+            addr_map = {"nodes": {str(j): ["127.0.0.1", ports[j][0]] for j in range(3)},
+                        "hub": None, "next_hop": next_hop_table(topo, i)}
+            (tmp_path / f"addrs-{i}.json").write_text(json.dumps(addr_map))
 
         env = dict(os.environ, PYTHONPATH=_package_pythonpath())
         procs = []
         try:
             for i in range(3):
                 procs.append(subprocess.Popen(
-                    [sys.executable, "-m", "bee.netvirt.agent", "--node", str(i),
-                     "--topo", str(tmp_path / "topo.json"),
-                     "--addrs", str(tmp_path / "addrs.json"),
+                    [sys.executable, "-S", "-m", "bee.netvirt.agent", "--node", str(i),
+                     "--addrs", str(tmp_path / f"addrs-{i}.json"),
                      "--frame-port", str(ports[i][0]),
                      "--control-port", str(ports[i][1])],
                     env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
@@ -292,8 +318,10 @@ class TestControlSession:
                                "fetch_volume", "nope", None, 7])
         fields = st.dictionaries(st.sampled_from(["dst", "payload_hex", "argv", "name", "rate",
                                                   "work_total", "base", "data_b64"]), value)
+        argv = st.lists(st.sampled_from(["run", "x", "", 1, None, 2.5, []]), max_size=3)
         request = st.one_of(
             st.builds(lambda c_, f: json.dumps({"cmd": c_, **f}).encode(), cmd, fields),
+            st.builds(lambda a: json.dumps({"cmd": "exec", "argv": a}).encode(), argv),
             st.sampled_from([json.dumps(r).encode() for r in (
                 {"cmd": "configure", "addrs": {"x": ["127.0.0.1", 1]}},
                 {"cmd": "configure", "addrs": []}, {"cmd": "configure", "hub": 5})]),
@@ -307,9 +335,18 @@ class TestControlSession:
                 c.buf.write(line + b"\n")
                 c.buf.flush()
                 assert "ok" in json.loads(c.buf.readline())
-            assert c.call(cmd="ping") == {"ok": True, "node": 0}
+                assert c.call(cmd="status")["ok"] is True
+                assert c.call(cmd="ping") == {"ok": True, "node": 0}
 
         check()
+
+    def test_exec_with_non_string_argv_is_refused_and_status_stays_healthy(self, overlay):
+        c = overlay(STAR, 1).client(0)
+        for argv in ([1, "x"], "run x", [None], {"a": 1}):
+            assert c.call(cmd="exec", argv=argv)["ok"] is False
+        assert c.call(cmd="exec", argv=["run", "x"]) == {"ok": True, "argv": ["run", "x"]}
+        status = c.call(cmd="status")
+        assert status["ok"] is True and status["tags"] == {"run": "x"}
 
 
 class TestStop:

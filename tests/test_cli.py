@@ -150,6 +150,30 @@ class TestResumeCommand:
         assert doc["history"] == []
 
 
+    def test_manifest_run_id_outside_the_store_exits_config(self, configs, capsys):
+        from pathlib import Path
+
+        store = configs.tmp_path / "store" / "inner"
+        app = make_app(work_total=350.0, process_count=2)
+        code, doc = run_json(capsys, ["run", *configs(app=app), "--store", str(store),
+                                      "--seed", "3", "--json"])
+        assert code == EXIT_STALLED
+        manifest = Path(doc["checkpoint_path"]) / "manifest.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text())
+                                       | {"run_id": "../../escaped"}))
+
+        def outside_store():
+            return {p for p in configs.tmp_path.rglob("*")
+                    if configs.tmp_path / "store" not in (p, *p.parents)}
+
+        before = outside_store()
+        code = main(["resume", *configs(app=app), "--store", str(store), "--seed", "3",
+                     "--checkpoint", doc["checkpoint_path"]])
+        assert code == EXIT_CONFIG
+        assert "manifest.run_id" in capsys.readouterr().err
+        assert outside_store() == before
+
+
 class TestEnvOverrides:
     def test_flags_come_from_environment(self, configs, capsys, monkeypatch):
         argv = configs()
@@ -177,6 +201,14 @@ class TestStatusCommand:
 
     def test_unknown_run_exits_config(self, tmp_path):
         assert main(["status", "nope", "--store", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_run_id_outside_the_store_exits_config(self, tmp_path, capsys):
+        (tmp_path / "escaped").mkdir()
+        (tmp_path / "escaped" / "state.json").write_text(
+            canonical_json(to_json(RunState())), encoding="utf-8")
+        assert main(["status", "../escaped", "--store", str(tmp_path / "store")]) == \
+            EXIT_CONFIG
+        assert "run_id" in capsys.readouterr().err
 
     @pytest.mark.parametrize("torn", ["state.json", "result.json"])
     def test_torn_run_file_exits_config(self, tmp_path, capsys, torn):

@@ -1,14 +1,19 @@
 """The orchestrator scenario suite must pass unchanged on the simulator and on
 the local-process backend (with wall-clock budgets scaled down)."""
 
+import json
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 from bee.cluster import DeploymentError, deploy_cluster
 from bee.model import NetworkSolution
-from bee.netvirt.fleet import AgentFleet
+from bee.netvirt.fleet import AgentFleet, _package_pythonpath
 from bee.storage import VolumeStore, sha256_hex
 from bee.workload import volume_content
 from bee.orchestrator import CheckpointStore, Outcome, SlotEnd, run_workflow
@@ -156,3 +161,50 @@ def test_close_keeps_a_callers_workdir(tmp_path):
     _, backend = _local_backend(tmp_path)
     backend.close()
     assert (tmp_path / "work").is_dir()
+
+
+def _pids_naming(path: Path) -> set[int]:
+    """Processes whose command line contains `path`, read from /proc."""
+    key = str(path).encode()
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if key in (entry / "cmdline").read_bytes():
+                    pids.add(int(entry.name))
+            except OSError:
+                pass  # the process exited while the scan ran
+    return pids - {os.getpid()}
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigkilled_local_run_leaves_no_agent_alive(tmp_path):
+    from bee.model import to_json
+
+    docs = {"pool": make_pool(make_system("sys0", n_hosts=2, time_slot=60.0)),
+            "app": make_app(name="killed", work_total=1e6, process_count=2),
+            "uconf": make_hardware()}
+    argv = [sys.executable, "-m", "bee.cli", "run", "--backend", "local",
+            "--store", str(tmp_path / "store")]
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(to_json(doc)), encoding="utf-8")
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=_package_pythonpath())
+    bee = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            states = [p.read_text() for p in (tmp_path / "store").glob("*/state.json")]
+            agents = _pids_naming(tmp_path) - {bee.pid}
+            if len(agents) >= 2 and any('"phase":"running"' in s for s in states):
+                break  # mid-slot: deployed, and the app is running
+            assert bee.poll() is None and time.monotonic() < deadline, "slot never started"
+            time.sleep(0.05)
+    finally:
+        bee.kill()
+        bee.wait(timeout=5)
+    killed = time.monotonic()
+    while _pids_naming(tmp_path) and time.monotonic() - killed < 2.0:
+        time.sleep(0.02)
+    assert not _pids_naming(tmp_path), "agents outlived their killed run by 2 s"

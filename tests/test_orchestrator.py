@@ -18,6 +18,7 @@ from bee.orchestrator import (
     MigrationError,
     MonitorOutcome,
     MonitorResult,
+    OrchestratorError,
     Outcome,
     SlotEnd,
     checkpoint_now,
@@ -492,6 +493,15 @@ class TestCheckpointStore:
         assert resumed.outcome is Outcome.COMPLETED
         assert resumed.output_volume.content_digest == sha256_hex(
             volume_content(app.name, make_input_bytes(7, app.name, 4096), 300.0))
+
+    @pytest.mark.parametrize("run_id", ["..", ".", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_run_id_that_is_not_one_path_component_is_refused(self, tmp_path, run_id):
+        store = tmp_path / "store"
+        app = make_app(work_total=30.0, process_count=1)
+        with pytest.raises(OrchestratorError, match="run_id"):
+            run(make_pool(make_system("alpha")), app, store, run_id=run_id)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert sorted(p.name for p in store.iterdir()) == ["volumes"]
 
     def test_latest_none_when_nothing_committed(self, tmp_path):
         cut = tmp_path / "r" / "1"

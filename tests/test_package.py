@@ -1,4 +1,5 @@
-"""`import bee` is lazy: the package's names load their submodule on first use."""
+"""`import bee` is lazy: the package's names load their submodule on first use,
+and a relay agent loads nothing but the standard library and its own modules."""
 
 import json
 import subprocess
@@ -8,18 +9,47 @@ from pathlib import Path
 import pytest
 
 import bee
+from bee.model import NetworkSolution
+from bee.netvirt.fleet import AgentFleet
+from bee.netvirt.topology import build_topology, route
+
+
+def _modules_after_agent_import() -> list[str]:
+    """sys.modules of a fresh `python -S` that has imported the relay agent."""
+    probe = ("import sys, bee.netvirt.agent, json; "
+             "print(json.dumps(sorted(sys.modules)))")
+    src = str(Path(bee.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=30).stdout
+    return json.loads(out)
 
 
 def test_agent_import_leaves_engine_modules_unloaded():
-    probe = ("import json, sys, bee.netvirt.agent; "
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bee'))))")
-    src = str(Path(bee.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src},
-                         capture_output=True, text=True, check=True, timeout=30).stdout
-    loaded = json.loads(out)
+    loaded = _modules_after_agent_import()
     assert "bee.netvirt.agent" in loaded
     for heavy in ("bee.orchestrator", "bee.cluster", "bee.storage", "bee.backends"):
         assert heavy not in loaded
+
+
+def test_agent_loads_only_the_standard_library_and_its_own_modules():
+    loaded = _modules_after_agent_import()
+    assert [m for m in loaded if m == "bee" or m.startswith("bee.")] == \
+        ["bee", "bee.netvirt", "bee.netvirt.agent", "bee.workload"]
+    if sys.version_info[:2] == (3, 11):
+        for heavy in ("dataclasses", "typing", "inspect"):
+            assert heavy not in loaded
+
+
+@pytest.mark.parametrize("kind", list(NetworkSolution))
+def test_fleet_of_each_kind_delivers_with_the_routes_hop_counts(tmp_path, kind):
+    n = 5
+    topo = build_topology(kind, n)
+    with AgentFleet(kind, n, tmp_path) as fleet:
+        for src in range(n):
+            for dst in range(n):
+                want = 0 if src == dst else 1 if kind is NetworkSolution.MULTICAST \
+                    else len(route(topo, src, dst)) - 1
+                assert fleet.send(src, dst, b"%d" % dst) == want, (src, dst)
 
 
 def test_every_exported_name_is_its_submodules_object():

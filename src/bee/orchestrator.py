@@ -35,7 +35,7 @@ from bee.model import (
     to_json,
     validate,
 )
-from bee.storage import VolumeStore, sha256_hex, write_new_file
+from bee.storage import RunningDigest, VolumeStore, sha256_hex, write_new_file
 from bee.workload import max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
@@ -223,11 +223,14 @@ def monitor(cluster: Cluster, budget: float, guard: float,
 
 
 def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
-                   run_id: str, seq: int, created_at: float) -> tuple[Checkpoint, bytes, float, RunState]:
+                   run_id: str, seq: int, created_at: float,
+                   running: RunningDigest | None = None
+                   ) -> tuple[Checkpoint, bytes, float, RunState]:
     """Pause the cluster and snapshot the data volume with a progress marker.
 
     Returns the checkpoint, its content, the simulated write duration, and the
-    updated run state (need_migration set, origin recorded).
+    updated run state (need_migration set, origin recorded).  The content is
+    hashed through `running`, the run's digest, or in full without one.
     """
     if not cluster.app.checkpointable:
         raise CheckpointUnsupported("checkpoint unsupported: app has no checkpointing procedure")
@@ -243,7 +246,7 @@ def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
         raise CheckpointWriteError(f"checkpoint write failed: {fault.error}")
     backend.charge(duration, "checkpoint_write", master.host_id)
     ckpt = Checkpoint(run_id=run_id, seq=seq, progress=progress,
-                      digest=sha256_hex(content),
+                      digest=(running or RunningDigest()).hexdigest(content),
                       origin_system=cluster.system.id, created_at=created_at + duration)
     store.save(ckpt, content)
     new_state = replace(state, phase=Phase.CHECKPOINTING, need_migration=True,
@@ -253,13 +256,17 @@ def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
 
 def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeSystem | None,
                          to_system: ComputeSystem, backend: Backend,
-                         vstore: VolumeStore, volume_id: str) -> DataVolume:
+                         vstore: VolumeStore, volume_id: str,
+                         running: RunningDigest | None = None) -> DataVolume:
     """Move checkpoint bytes onto the target system and verify integrity.
 
     Transfer time is charged at the slower of the two systems' networks; a
-    digest mismatch is retried once before giving up.  The verified digest is
-    handed to the store, which skips bytes it has already written.
+    digest mismatch is retried once before giving up.  The delivered bytes
+    are hashed through `running`, the run's digest, or in full without one.
+    The verified digest is handed to the store, which skips bytes it has
+    already written.
     """
+    running = running or RunningDigest()
     if from_system is not None:
         bandwidth = min(from_system.net_bandwidth_native, to_system.net_bandwidth_native)
     else:
@@ -271,7 +278,7 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
         backend.charge(seconds, "data_transfer", to_system.hosts[0].id)
         fault = backend.take_fault("transfer", to_system.hosts[0].id)
         candidate = content if fault is None else _corrupt(content)
-        if sha256_hex(candidate) == ckpt.digest:
+        if running.hexdigest(candidate) == ckpt.digest:
             delivered = candidate
             break
         backend.log.append(backend.now(), "transfer_digest_mismatch",
@@ -327,7 +334,12 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                  run_id: str | None = None, loop_pool: bool = False,
                  resume_from: Checkpoint | None = None,
                  resume_content: bytes | None = None) -> RunResult:
-    """Run the application across the pool until done, stalled, or failed."""
+    """Run the application across the pool until done, stalled, or failed.
+
+    Every hash of volume bytes goes through one RunningDigest that lives as
+    long as this call: each slot's checkpoint extends the bytes the previous
+    slot hashed, so only the appended tail is hashed again.
+    """
     cfg = cfg or SimConfig()
     problems = validate(pool, app, hardware)
     if problems:
@@ -342,6 +354,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     cstore = CheckpointStore(store_dir)
     status = _StatusWriter(Path(store_dir), run_id)
     work_total = quantize_work(app.work_total)
+    running = RunningDigest()
 
     if not vstore.exists(data.id):
         raise OrchestratorError(f"input volume {data.id} not found in store")
@@ -352,7 +365,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     if resume_from is not None:
         if ckpt_content is None:
             raise OrchestratorError("resume requires the checkpoint content")
-        if sha256_hex(ckpt_content) != resume_from.digest:
+        if running.hexdigest(ckpt_content) != resume_from.digest:
             raise MigrationError("checkpoint corrupt: content does not match manifest digest")
         vol = vstore.volume(data.id)
         if vol.location != "detached":
@@ -403,7 +416,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 if state.need_migration and ckpt is not None and ckpt_content is not None:
                     origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
                     transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
-                                         vstore, data.id)
+                                         vstore, data.id, running)
                     # the transfer delivered these bytes once their digest matched
                     content = ckpt_content
                 else:
@@ -457,7 +470,8 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
 
             if outcome.result is MonitorResult.COMPLETED:
                 final_content = backend.fetch_volume(cluster.master_ref)
-                volume = vstore.write(data.id, final_content)
+                volume = vstore.write(data.id, final_content,
+                                      running.hexdigest(final_content))
                 cluster.stop()
                 delta = work_total - state.progress
                 history.append(SlotRecord(system.id, outcome.elapsed, delta,
@@ -489,7 +503,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
             seq += 1
             try:
                 ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
-                    state, cluster, cstore, run_id, seq, wall + backend.now())
+                    state, cluster, cstore, run_id, seq, wall + backend.now(), running)
             except CheckpointWriteError:
                 cluster.stop()
                 vstore.detach(data.id)
@@ -516,7 +530,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         seq += 1
         content = vstore.content(data.id)
         ckpt = Checkpoint(run_id=run_id, seq=seq, progress=state.progress,
-                          digest=sha256_hex(content),
+                          digest=running.hexdigest(content),
                           origin_system=state.last_host_system, created_at=wall)
         cstore.save(ckpt, content)
     state = replace(state, phase=Phase.STALLED, current_system=None)

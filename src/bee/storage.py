@@ -30,6 +30,33 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class RunningDigest:
+    """SHA-256 of byte strings that mostly extend the one hashed before.
+
+    It holds the last bytes it hashed and the hash state after them.  Data
+    that starts with those bytes is hashed by extending a copy of that state
+    with the tail alone; other data is hashed in full.  SHA-256 consumes its
+    input as a stream, so both paths give the digest of the whole data.  Only
+    immutable bytes are accepted, so the held prefix cannot change after the
+    check.
+    """
+
+    def __init__(self) -> None:
+        self._data = b""
+        self._state = hashlib.sha256()
+
+    def hexdigest(self, data: bytes) -> str:
+        if not isinstance(data, bytes):
+            raise TypeError(f"RunningDigest hashes bytes, not {type(data).__name__}")
+        if data.startswith(self._data):
+            state = self._state.copy()
+            state.update(memoryview(data)[len(self._data):])
+        else:
+            state = hashlib.sha256(data)
+        self._data, self._state = data, state
+        return state.hexdigest()
+
+
 @dataclass(frozen=True)
 class StoragePlan:
     solution: StorageSolution

@@ -1,4 +1,6 @@
+import hashlib
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,33 @@ def no_leftover_temp_dirs():
     yield
     left = sorted(entries() - before)
     assert not left, f"tests left {left} in {tempfile.gettempdir()}"
+
+
+def counting_hashlib(fed: list) -> types.SimpleNamespace:
+    """A stand-in for the hashlib module whose sha256 logs what it is fed.
+
+    Each hash started from data appends ("new", nbytes) to `fed`; each later
+    update() appends ("update", nbytes).  The digests are hashlib's own.
+    """
+    class Sha256:
+        def __init__(self, state):
+            self._state = state
+
+        def update(self, data):
+            fed.append(("update", len(data)))
+            self._state.update(data)
+
+        def copy(self):
+            return Sha256(self._state.copy())
+
+        def hexdigest(self):
+            return self._state.hexdigest()
+
+    def sha256(data=b""):
+        fed.append(("new", len(data)))
+        return Sha256(hashlib.sha256(data))
+
+    return types.SimpleNamespace(sha256=sha256)
 
 
 def make_system(sid="alpha", n_hosts=2, time_slot=100.0, cpu_rate=1.0,

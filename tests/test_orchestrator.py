@@ -28,7 +28,7 @@ from bee.orchestrator import (
     transfer_and_restore,
 )
 from bee.backends import SimConfig, make_backend
-from conftest import make_app, make_hardware, make_pool, make_system
+from conftest import counting_hashlib, make_app, make_hardware, make_pool, make_system
 
 EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
 
@@ -511,32 +511,27 @@ class TestCheckpointStore:
 
 
 class TestStoreIo:
-    """Each checkpoint is hashed where it is made and checked where it lands."""
+    """Each run hashes its volume in full once, then only the bytes each slot appends."""
 
     def _migrating_app(self):
         # 95 units per 100 s slot: four guard-fired slots, then completion
         return make_app(work_total=4 * 95.0 + 50.0, process_count=1)
 
-    def test_at_most_two_hashes_per_migrated_slot(self, tmp_path, monkeypatch):
-        import bee.orchestrator
+    def test_hashes_one_volume_plus_the_appended_bytes(self, tmp_path, monkeypatch):
         import bee.storage
 
         vstore = VolumeStore(tmp_path)
         app = self._migrating_app()
-        vstore.create(f"{app.name}-in", make_input_bytes(7, app.name, 1 << 16))
-        hashed, reads = [], []
-        real_hash, real_content = bee.storage.sha256_hex, VolumeStore.content
-
-        def counting_hash(data):
-            hashed.append(len(data))
-            return real_hash(data)
+        initial = make_input_bytes(7, app.name, 1 << 16)
+        vstore.create(f"{app.name}-in", initial)
+        fed, reads = [], []
+        real_content = VolumeStore.content
 
         def counting_content(store, volume_id):
             reads.append(volume_id)
             return real_content(store, volume_id)
 
-        monkeypatch.setattr(bee.storage, "sha256_hex", counting_hash)
-        monkeypatch.setattr(bee.orchestrator, "sha256_hex", counting_hash)
+        monkeypatch.setattr(bee.storage, "hashlib", counting_hashlib(fed))
         monkeypatch.setattr(VolumeStore, "content", counting_content)
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
         result = run(pool, app, tmp_path, run_id="hashes")
@@ -544,12 +539,46 @@ class TestStoreIo:
         migrated = [r for r in result.history if r.ended_by is SlotEnd.TIMESLOT_CHECKPOINT]
         assert len(migrated) == 4
         assert result.history[-1].ended_by is SlotEnd.COMPLETION
-        # one hash where each checkpoint is made, one where it is delivered,
-        # and one of the final output
-        assert all(n >= 1 << 16 for n in hashed)
-        assert len(hashed) <= 2 * len(migrated) + 1
+        # the first checkpoint is hashed in full; every later hash (delivery,
+        # next checkpoint, final output) covers only what the app appended
+        appended = result.output_volume.byte_size - len(initial)
+        assert appended > 0
+        assert sum(n for _, n in fed) <= len(initial) + appended + 64
         # only the initial load reads the volume back from the store
         assert len(reads) <= 1
+
+    def test_corrupted_delivery_leaves_later_digests_correct(self, tmp_path):
+        app = self._migrating_app()
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        clean = run(pool, app, tmp_path / "clean", run_id="r")
+
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        backends = []
+
+        def factory(system):
+            backend = make_backend(system, cfg)
+            if system.id == "s1":  # the first delivery arrives corrupted once
+                backend.inject_fault("transfer", times=1)
+            backends.append(backend)
+            return backend
+
+        store = tmp_path / "faulty"
+        volume = VolumeStore(store).create(f"{app.name}-in",
+                                           make_input_bytes(7, app.name, 4096))
+        result = run_workflow(pool, app, volume, make_hardware(), factory, store,
+                              cfg=cfg, run_id="r")
+
+        assert sum(e.kind == "transfer_digest_mismatch"
+                   for b in backends for e in b.log.events) == 1
+        assert [r.ended_by for r in result.history] == [r.ended_by for r in clean.history]
+        # s1 takes checkpoint 2 right after the corrupted delivery
+        for seq in (2, 3, 4):
+            manifest = json.loads((store / "r" / str(seq) / "manifest.json").read_text())
+            on_disk = (store / "r" / str(seq) / "volume.bin").read_bytes()
+            assert manifest["digest"] == hashlib.sha256(on_disk).hexdigest()
+        assert result.output_volume.content_digest == clean.output_volume.content_digest
+        data = (store / "volumes" / volume.id / "data.bin").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == clean.output_volume.content_digest
 
     def test_checkpoints_intact_after_migrations_and_resume(self, tmp_path):
         app = self._migrating_app()

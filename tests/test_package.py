@@ -19,7 +19,9 @@ def _modules_after_agent_import() -> list[str]:
     probe = ("import sys, bee.netvirt.agent, json; "
              "print(json.dumps(sorted(sys.modules)))")
     src = str(Path(bee.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src},
+    # no bytecode is written into src/, where a later run would start from it
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True, timeout=30).stdout
     return json.loads(out)
 

@@ -1,12 +1,16 @@
+import hashlib
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bee.storage
 from bee.model import MB, DETACHED, StorageSolution
 from bee.storage import (
+    RunningDigest,
     StoragePlan,
     StorageError,
     VolumeStore,
@@ -16,6 +20,7 @@ from bee.storage import (
     model_io,
     sha256_hex,
 )
+from conftest import counting_hashlib
 
 NFS = StorageSolution.DATA_IMAGE_NFS
 VIRTIO = StorageSolution.VIRTIO_PASSTHROUGH
@@ -280,3 +285,45 @@ class TestVolumeStoreConsistency:
                     assert data == content
                     assert (meta.content_digest, meta.byte_size, meta.location) == \
                         (sha256_hex(data), len(data), location)
+
+
+class TestRunningDigest:
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.binary(min_size=1, max_size=300),
+           appends=st.lists(st.binary(max_size=200), max_size=5),
+           mutation=st.sampled_from(["flip_first", "truncate", "same_length"]),
+           data=st.data())
+    def test_equals_sha256_and_rehashes_what_does_not_extend(self, base, appends,
+                                                             mutation, data):
+        fed: list = []
+        with mock.patch.object(bee.storage, "hashlib", counting_hashlib(fed)):
+            running = RunningDigest()
+            x = base
+            assert running.hexdigest(x) == hashlib.sha256(x).hexdigest()
+            for tail in appends:
+                fed.clear()
+                x += tail
+                assert running.hexdigest(x) == hashlib.sha256(x).hexdigest()
+                assert fed == [("update", len(tail))]  # the tail alone
+
+            if mutation == "flip_first":
+                y = bytes([x[0] ^ 0xFF]) + x[1:]
+            elif mutation == "truncate":
+                y = x[:data.draw(st.integers(0, len(x) - 1), label="keep")]
+            else:
+                i = data.draw(st.integers(0, len(x) - 1), label="index")
+                y = x[:i] + bytes([x[i] ^ data.draw(st.integers(1, 255), label="xor")]) \
+                    + x[i + 1:]
+            fed.clear()
+            assert running.hexdigest(y) == hashlib.sha256(y).hexdigest()
+            assert fed == [("new", len(y))]  # hashed in full
+
+            # the mutated bytes are now the prefix that later data extends
+            fed.clear()
+            assert running.hexdigest(y + b"tail") == hashlib.sha256(y + b"tail").hexdigest()
+            assert fed == [("update", 4)]
+
+    @pytest.mark.parametrize("data", [bytearray(b"abc"), memoryview(b"abc"), "abc"])
+    def test_accepts_only_bytes(self, data):
+        with pytest.raises(TypeError, match="bytes"):
+            RunningDigest().hexdigest(data)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from bee.model import (
     AppSpec,
+    DataVolume,
     HardwareConfig,
     NetworkSolution,
     ParseError,
@@ -28,11 +29,12 @@ from bee.model import (
     to_json,
     validate,
 )
-from bee.storage import DEFAULT_NFS_CAP, VolumeStore, iobench_table, sha256_hex
+from bee.storage import DEFAULT_NFS_CAP, VolumeStore, iobench_table
 from bee.workload import make_input_bytes
 from bee.netvirt.topology import build_topology, cost_of_trace, route
 from bee.orchestrator import (
     CheckpointStore,
+    MigrationError,
     Outcome,
     RunResult,
     derive_run_id,
@@ -191,14 +193,16 @@ def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=
     cfg = _load_sim_config(args)
     run_id = resume_from.run_id if resume_from is not None else derive_run_id(app, args.seed)
     store = Path(args.store)
-    vstore = VolumeStore(store)
     volume_id = f"{app.name}-data"
     if resume_from is not None:
+        # run_workflow checks the checkpoint's bytes before the volume takes them
+        volume = DataVolume(id=volume_id, byte_size=len(resume_content),
+                            content_digest=resume_from.digest)
+    else:
+        vstore = VolumeStore(store)
         if not vstore.exists(volume_id):
-            vstore.create(volume_id, resume_content)
-    elif not vstore.exists(volume_id):
-        vstore.create(volume_id, make_input_bytes(args.seed, app.name, args.input_size))
-    volume = vstore.volume(volume_id)
+            vstore.create(volume_id, make_input_bytes(args.seed, app.name, args.input_size))
+        volume = vstore.volume(volume_id)
 
     result = run_workflow(pool, app, volume, hardware,
                           lambda system: make_backend(system, cfg), store,
@@ -246,11 +250,12 @@ def cmd_resume(args) -> int:
 
     ckpt_dir = Path(args.checkpoint)
     ckpt, content = CheckpointStore(ckpt_dir.parent).load(ckpt_dir)
-    if sha256_hex(content) != ckpt.digest:
-        print("checkpoint corrupt: volume does not match manifest digest", file=sys.stderr)
+    try:
+        return _run_and_render(args, pool, app, hardware, resume_from=ckpt,
+                               resume_content=content)
+    except MigrationError as exc:  # the volume does not match the manifest digest
+        print(exc, file=sys.stderr)
         return EXIT_FAILED
-    return _run_and_render(args, pool, app, hardware, resume_from=ckpt,
-                           resume_content=content)
 
 
 def _load_run_file(path: Path, cls: type) -> tuple[dict, object]:

@@ -124,10 +124,14 @@ class CheckpointStore:
     def _dir(self, run_id: str, seq: int) -> Path:
         return self.root / run_id / str(seq)
 
+    def volume_file(self, ckpt: Checkpoint) -> Path:
+        """The file that save() writes the checkpoint's volume bytes to."""
+        return self._dir(ckpt.run_id, ckpt.seq) / "volume.bin"
+
     def save(self, ckpt: Checkpoint, content: bytes) -> Path:
         d = self._dir(ckpt.run_id, ckpt.seq)
         d.mkdir(parents=True, exist_ok=True)
-        write_new_file(d / "volume.bin", content)
+        write_new_file(self.volume_file(ckpt), content)
         (d / "manifest.json").write_text(canonical_json(to_json(ckpt)), encoding="utf-8")
         return d
 
@@ -338,7 +342,11 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
 
     Every hash of volume bytes goes through one RunningDigest that lives as
     long as this call: each slot's checkpoint extends the bytes the previous
-    slot hashed, so only the appended tail is hashed again.
+    slot hashed, so only the appended tail is hashed again.  A resume is
+    checked against its manifest digest before anything is stored; when the
+    store has no volume `data.id` yet, it is created from the checked bytes.
+    After each checkpoint the data volume is made a link to the checkpoint's
+    volume file rather than a second copy of its bytes.
     """
     cfg = cfg or SimConfig()
     problems = validate(pool, app, hardware)
@@ -350,27 +358,30 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     problem = run_id_problem(run_id)
     if problem:
         raise OrchestratorError(f"run_id: {problem}")
+    running = RunningDigest()
+    if resume_from is not None:
+        if resume_content is None:
+            raise OrchestratorError("resume requires the checkpoint content")
+        if running.hexdigest(resume_content) != resume_from.digest:
+            raise MigrationError("checkpoint corrupt: content does not match manifest digest")
     vstore = VolumeStore(store_dir)
     cstore = CheckpointStore(store_dir)
     status = _StatusWriter(Path(store_dir), run_id)
     work_total = quantize_work(app.work_total)
-    running = RunningDigest()
 
-    if not vstore.exists(data.id):
+    if resume_from is None and not vstore.exists(data.id):
         raise OrchestratorError(f"input volume {data.id} not found in store")
 
     ckpt = resume_from
     ckpt_content = resume_content
     seq = resume_from.seq if resume_from else 0
     if resume_from is not None:
-        if ckpt_content is None:
-            raise OrchestratorError("resume requires the checkpoint content")
-        if running.hexdigest(ckpt_content) != resume_from.digest:
-            raise MigrationError("checkpoint corrupt: content does not match manifest digest")
-        vol = vstore.volume(data.id)
-        if vol.location != "detached":
-            vstore.detach(data.id)
-        vstore.write(data.id, ckpt_content, resume_from.digest)
+        if not vstore.exists(data.id):
+            vstore.create(data.id, ckpt_content, digest=resume_from.digest)
+        else:
+            if vstore.volume(data.id).location != "detached":
+                vstore.detach(data.id)
+            vstore.write(data.id, ckpt_content, resume_from.digest)
         # a checkpoint without an origin (stall before any slot ran) loads like
         # initial data; anything else migrates from its recorded origin
         state = RunState(phase=Phase.INIT,
@@ -513,7 +524,8 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                                 current_system=None)
                 return finish(Outcome.FAILED, None)
 
-            vstore.write(data.id, ckpt_content, ckpt.digest)
+            # the checkpoint file already holds these bytes: link, do not copy
+            vstore.write(data.id, ckpt_content, ckpt.digest, cstore.volume_file(ckpt))
             cluster.stop()
             delta = ckpt.progress - state.progress
             no_progress_slots = 0 if delta > 0 else no_progress_slots + 1

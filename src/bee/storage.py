@@ -38,7 +38,7 @@ class RunningDigest:
     with the tail alone; other data is hashed in full.  SHA-256 consumes its
     input as a stream, so both paths give the digest of the whole data.  Only
     immutable bytes are accepted, so the held prefix cannot change after the
-    check.
+    check.  Being handed the very object it holds skips the prefix compare.
     """
 
     def __init__(self) -> None:
@@ -48,7 +48,7 @@ class RunningDigest:
     def hexdigest(self, data: bytes) -> str:
         if not isinstance(data, bytes):
             raise TypeError(f"RunningDigest hashes bytes, not {type(data).__name__}")
-        if data.startswith(self._data):
+        if data is self._data or data.startswith(self._data):
             state = self._state.copy()
             state.update(memoryview(data)[len(self._data):])
         else:
@@ -154,10 +154,25 @@ def write_new_file(path: Path, content: bytes) -> None:
     Truncating a file in place makes ext4 (auto_da_alloc) flush its dirty
     pages first, which costs several times the write itself.  A crash
     between unlink and write leaves the file missing, never silently short of
-    bytes it used to hold.
+    bytes it used to hold.  Bee only ever replaces payload files this way,
+    never edits one in place, so a payload file may be a hard link to
+    another: replacing one name leaves the other's bytes alone.
     """
     path.unlink(missing_ok=True)
     path.write_bytes(content)
+
+
+def link_new_file(source: Path, path: Path) -> bool:
+    """Make `path` a new hard link to `source`; an existing one is unlinked first.
+
+    Returns False, with `path` absent, where the file system refuses the link.
+    """
+    path.unlink(missing_ok=True)
+    try:
+        os.link(source, path)
+    except OSError:
+        return False
+    return True
 
 
 class VolumeStore:
@@ -170,6 +185,13 @@ class VolumeStore:
     rewriting the same bytes.  That memory is never read back from meta.json,
     which a torn write can leave naming bytes data.bin does not hold; a new
     instance on the same root always writes.
+
+    data.bin may be the same file as another payload file, such as the
+    volume.bin of the checkpoint it was last written from (see write()).
+    Bee replaces payload files and never edits them in place, so neither
+    name's bytes change when the other is replaced.  An edit in place from
+    outside bee changes both; `bee resume` still refuses such a checkpoint,
+    whose bytes no longer match its manifest digest.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -179,18 +201,22 @@ class VolumeStore:
     def _dir(self, volume_id: str) -> Path:
         return self.root / "volumes" / volume_id
 
-    def _put(self, volume_id: str, content: bytes, digest: str) -> None:
+    def _put(self, volume_id: str, content: bytes, digest: str,
+             source: Path | None = None) -> None:
         self._written.pop(volume_id, None)
-        write_new_file(self._dir(volume_id) / "data.bin", content)
+        path = self._dir(volume_id) / "data.bin"
+        if source is None or not link_new_file(source, path):
+            write_new_file(path, content)
         self._written[volume_id] = digest
 
     def exists(self, volume_id: str) -> bool:
         return (self._dir(volume_id) / "meta.json").exists()
 
-    def create(self, volume_id: str, content: bytes,
-               location: str = DETACHED) -> DataVolume:
+    def create(self, volume_id: str, content: bytes, location: str = DETACHED,
+               digest: str | None = None) -> DataVolume:
+        """A new volume holding `content`; `digest` is as for write()."""
         vol = DataVolume(id=volume_id, byte_size=len(content),
-                         content_digest=sha256_hex(content), location=location)
+                         content_digest=digest or sha256_hex(content), location=location)
         self._dir(volume_id).mkdir(parents=True, exist_ok=True)
         self._put(volume_id, content, vol.content_digest)
         self._write_meta(vol)
@@ -212,21 +238,27 @@ class VolumeStore:
             raise StorageError(f"no such volume: {volume_id}")
         return path.read_bytes()
 
-    def write(self, volume_id: str, content: bytes,
-              digest: str | None = None) -> DataVolume:
+    def write(self, volume_id: str, content: bytes, digest: str | None = None,
+              source: Path | None = None) -> DataVolume:
         """Replace the volume's bytes.
 
         `digest`, when given, must be the SHA-256 hex of exactly `content`,
         computed or verified by the caller; it saves hashing the bytes again.
+        `source`, when given, must be a file that holds exactly `content` and
+        is only ever replaced, never edited in place: data.bin becomes a hard
+        link to it instead of a second copy of the bytes.  Where the file
+        system refuses the link, the bytes are written.  meta.json is
+        rewritten only when the record changes.
         """
         vol = self.volume(volume_id)
         if digest is None:
             digest = sha256_hex(content)
         if self._written.get(volume_id) != digest:
-            self._put(volume_id, content, digest)
-        vol = replace(vol, byte_size=len(content), content_digest=digest)
-        self._write_meta(vol)
-        return vol
+            self._put(volume_id, content, digest, source)
+        new = replace(vol, byte_size=len(content), content_digest=digest)
+        if new != vol:
+            self._write_meta(new)
+        return new
 
     def attach(self, volume_id: str, system_id: str) -> DataVolume:
         vol = self.volume(volume_id)

@@ -10,8 +10,12 @@ Relay agents run this model, so it imports nothing but the standard library.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
 BLOCK_BYTES = 32
+# append_output joins this many blocks at a time, so the block objects alive
+# at once stay bounded however many units a slot completes
+JOIN_BLOCKS = 4096
 
 # Progress/work arithmetic is quantized to this step so that slot-by-slot
 # progress deltas sum back to the total without floating-point residue.
@@ -37,8 +41,8 @@ def _hash_blocks(label: str, start: int, end: int):
     """sha256(f"{label}:{i}") for i = start..end.
 
     Each block resumes a copy of the hash state that has already absorbed the
-    prefix.  A generator, so join() frees the block list before the caller
-    concatenates its result.
+    prefix.  A generator, so callers can consume the blocks a bounded number
+    at a time.
     """
     prefix = hashlib.sha256(f"{label}:".encode())
     for i in range(start, end + 1):
@@ -54,10 +58,17 @@ def completed_units(progress: float) -> int:
 
 def append_output(app_name: str, base_bytes: bytes, base_progress: float,
                   progress: float) -> bytes:
-    """Volume content once the app has advanced from base_progress to progress."""
+    """Volume content once the app has advanced from base_progress to progress.
+
+    The new blocks are joined in slices of JOIN_BLOCKS, then the base and the
+    slices in one final join, which copies the base once.
+    """
     start = completed_units(base_progress) + 1
     end = completed_units(progress)
-    return base_bytes + b"".join(_hash_blocks(app_name, start, end))
+    blocks = _hash_blocks(app_name, start, end)
+    slices = [b"".join(islice(blocks, JOIN_BLOCKS))
+              for _ in range(start, end + 1, JOIN_BLOCKS)]
+    return b"".join([base_bytes, *slices])
 
 
 def volume_content(app_name: str, initial: bytes, progress: float) -> bytes:

@@ -4,7 +4,7 @@ import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
 from bee.model import RunState, canonical_json, to_json
-from conftest import make_app, make_hardware, make_pool, make_system
+from conftest import counting_hashlib, make_app, make_hardware, make_pool, make_system
 
 
 @pytest.fixture
@@ -128,6 +128,41 @@ class TestResumeCommand:
         code = main(["resume", *configs(app=app), "--store", store,
                      "--checkpoint", ckpt])
         assert code == EXIT_FAILED
+
+    def test_tampered_checkpoint_creates_no_volume(self, configs, capsys):
+        from pathlib import Path
+
+        app, _, ckpt = self._stall(configs, capsys)
+        volume = Path(ckpt) / "volume.bin"
+        volume.write_bytes(b"tampered" + volume.read_bytes())
+        fresh = configs.tmp_path / "fresh"
+        code = main(["resume", *configs(app=app), "--store", str(fresh),
+                     "--checkpoint", ckpt])
+        assert code == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint corrupt") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (fresh / "volumes").exists()
+
+    @pytest.mark.parametrize("store_name", ["store", "fresh"])
+    def test_resume_hashes_the_checkpoint_once(self, configs, capsys, monkeypatch,
+                                               store_name):
+        from pathlib import Path
+
+        import bee.storage
+
+        app, _, ckpt = self._stall(configs, capsys)
+        size = (Path(ckpt) / "volume.bin").stat().st_size
+        fed = []
+        monkeypatch.setattr(bee.storage, "hashlib", counting_hashlib(fed))
+        big_pool = make_pool(make_system("omega", time_slot=1000.0))
+        code, doc = run_json(capsys, ["resume", *configs(app=app, pool=big_pool),
+                                      "--store", str(configs.tmp_path / store_name),
+                                      "--seed", "3", "--json", "--checkpoint", ckpt])
+        assert code == EXIT_OK
+        # the checkpoint in full once, then only the bytes the app appended
+        assert [n for _, n in fed if n >= size] == [size]
+        assert sum(n for _, n in fed) <= doc["output_volume"]["byte_size"] + 64
 
     def test_resume_completed_checkpoint_immediate_zero(self, configs, capsys, tmp_path):
         import hashlib

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -511,7 +513,8 @@ class TestCheckpointStore:
 
 
 class TestStoreIo:
-    """Each run hashes its volume in full once, then only the bytes each slot appends."""
+    """Each run hashes its volume in full once, then only the bytes each slot
+    appends, and writes each checkpoint's bytes to one file."""
 
     def _migrating_app(self):
         # 95 units per 100 s slot: four guard-fired slots, then completion
@@ -601,8 +604,107 @@ class TestStoreIo:
         assert data == volume_content(app.name, make_input_bytes(7, app.name, 4096),
                                       app.work_total)
 
+    def test_data_volume_is_the_newest_checkpoint_file(self, tmp_path):
+        app = self._migrating_app()
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        data = tmp_path / "volumes" / f"{app.name}-in" / "data.bin"
+        shared = []
+
+        def factory(system):
+            # each slot after the first starts once the previous slot checkpointed
+            seqs = [int(d.name) for d in (tmp_path / "r").glob("[0-9]*")]
+            if seqs:
+                newest = tmp_path / "r" / str(max(seqs)) / "volume.bin"
+                shared.append(os.path.samefile(data, newest))
+            return make_backend(system, cfg)
+
+        volume = VolumeStore(tmp_path).create(f"{app.name}-in",
+                                              make_input_bytes(7, app.name, 4096))
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        result = run_workflow(pool, app, volume, make_hardware(), factory, tmp_path,
+                              cfg=cfg, run_id="r")
+        assert result.outcome is Outcome.COMPLETED
+        assert shared == [True] * 4
+        # the final output is a new file; the checkpoint it replaced kept its bytes
+        assert not os.path.samefile(data, tmp_path / "r" / "4" / "volume.bin")
+        assert all(CheckpointStore(tmp_path).verify(tmp_path / "r" / str(seq))
+                   for seq in (1, 2, 3, 4))
+
+    def test_writes_each_checkpoint_once_plus_the_final_volume(self, tmp_path, monkeypatch):
+        import bee.orchestrator
+        import bee.storage
+
+        written = []
+        real_write = bee.storage.write_new_file
+
+        def counting_write(path, content):
+            written.append(len(content))
+            real_write(path, content)
+
+        monkeypatch.setattr(bee.storage, "write_new_file", counting_write)
+        monkeypatch.setattr(bee.orchestrator, "write_new_file", counting_write)
+        app = self._migrating_app()
+        VolumeStore(tmp_path).create(f"{app.name}-in", make_input_bytes(7, app.name, 1 << 16))
+        written.clear()
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        result = run(pool, app, tmp_path, run_id="w")
+        assert result.outcome is Outcome.COMPLETED
+        checkpoints = [(tmp_path / "w" / str(seq) / "volume.bin").stat().st_size
+                       for seq in (1, 2, 3, 4)]
+        assert sum(written) <= sum(checkpoints) + result.output_volume.byte_size
+
+    def test_refused_link_writes_the_same_store(self, tmp_path, monkeypatch):
+        app = self._migrating_app()
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
+
+        def stall(store):
+            assert run(pool, app, store, run_id="r").outcome is \
+                Outcome.STALLED_WITH_CHECKPOINT
+            return os.path.samefile(store / "volumes" / f"{app.name}-in" / "data.bin",
+                                    store / "r" / "3" / "volume.bin")
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert stall(tmp_path / "linked")
+
+        def refuse(src, dst, **kwargs):
+            raise PermissionError(f"cannot link {src}")
+
+        monkeypatch.setattr(os, "link", refuse)
+        assert not stall(tmp_path / "copied")
+        assert tree(tmp_path / "linked") == tree(tmp_path / "copied")
+
+    def test_meta_json_rewritten_only_when_it_changes(self, tmp_path, monkeypatch):
+        unchanged = []
+        real_write_meta = VolumeStore._write_meta
+
+        def spy(store, vol):
+            if store.exists(vol.id) and store.volume(vol.id) == vol:
+                unchanged.append(vol)
+            real_write_meta(store, vol)
+
+        monkeypatch.setattr(VolumeStore, "_write_meta", spy)
+        app = self._migrating_app()
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        assert run(pool, app, tmp_path, run_id="m").outcome is Outcome.COMPLETED
+        assert unchanged == []
+
 
 class TestOutputVolume:
+    def test_large_append_peaks_near_twice_its_output(self):
+        units = 50_000
+        tracemalloc.start()
+        try:
+            out = append_output("big", b"", 0.0, float(units))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == units * 32
+        # the slices plus the joined result, and one slice's block objects
+        assert peak <= 2 * len(out) + (512 << 10)
+
     @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
            base=st.integers(0, 2000), units=st.integers(0, 300))
     def test_one_sha256_block_per_unit(self, name, base, units):

@@ -192,16 +192,39 @@ class TestVolumeStore:
         assert (tmp_path / "older").read_bytes() == b"new"
         assert data.read_bytes() == b"again"
 
-    def test_same_digest_skips_payload_but_rewrites_meta(self, tmp_path):
+    def test_same_digest_skips_payload_and_unchanged_meta(self, tmp_path):
         store = VolumeStore(tmp_path)
         store.create("v1", b"bytes")
         data = tmp_path / "volumes" / "v1" / "data.bin"
         inode = data.stat().st_ino
         os.link(data, tmp_path / "held")  # keeps the inode number from reuse
         store.attach("v1", "alpha")
-        vol = store.write("v1", b"bytes", sha256_hex(b"bytes"))
-        assert data.stat().st_ino == inode
-        assert vol.location == "alpha" and store.volume("v1") == vol
+        with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta:
+            vol = store.write("v1", b"bytes", sha256_hex(b"bytes"))
+            assert data.stat().st_ino == inode
+            assert meta.call_count == 0  # the record it would write is the one it read
+            assert vol.location == "alpha" and store.volume("v1") == vol
+            store.write("v1", b"other")
+            assert meta.call_count == 1
+        assert store.volume("v1").content_digest == sha256_hex(b"other")
+
+    def test_linked_write_shares_the_source_file(self, tmp_path):
+        store = VolumeStore(tmp_path)
+        store.create("v1", b"old")
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.write_bytes(b"linked bytes")
+        second.write_bytes(b"more linked bytes")
+        vol = store.write("v1", b"linked bytes", None, first)
+        assert os.path.samefile(data, first)
+        assert vol.content_digest == sha256_hex(b"linked bytes")
+        # each later write makes data.bin a new file: the sources keep their bytes
+        store.write("v1", b"more linked bytes", None, second)
+        assert os.path.samefile(data, second)
+        store.write("v1", b"replaced")
+        assert first.read_bytes() == b"linked bytes"
+        assert second.read_bytes() == b"more linked bytes"
+        assert data.read_bytes() == b"replaced"
 
     def test_new_store_does_not_trust_meta_json(self, tmp_path):
         # a torn write left meta.json naming bytes that data.bin does not
@@ -221,6 +244,7 @@ CONTENTS = st.sampled_from([b"", b"x", b"y" * 40]) | st.binary(max_size=16)
 STORE_OPS = st.one_of(
     st.tuples(st.just("create"), VOLUME_IDS, CONTENTS),
     st.tuples(st.just("write"), VOLUME_IDS, CONTENTS, st.booleans()),
+    st.tuples(st.just("link"), VOLUME_IDS, CONTENTS, st.booleans()),
     st.tuples(st.just("attach"), VOLUME_IDS, st.sampled_from(["alpha", "beta"])),
     st.tuples(st.just("detach"), VOLUME_IDS),
     st.tuples(st.just("reopen")),
@@ -233,12 +257,14 @@ class TestVolumeStoreConsistency:
     @given(ops=st.lists(STORE_OPS, max_size=25))
     def test_meta_always_describes_data(self, ops):
         """After every operation meta.json matches data.bin, except on a volume
-        whose data.bin a crash tore until it is next written."""
+        whose data.bin a crash tore until it is next written.  A file that a
+        write linked data.bin to keeps its bytes after every later operation."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
             model: dict[str, tuple[bytes, str]] = {}  # id -> content, location
             torn: set[str] = set()
+            sources: dict[Path, bytes] = {}  # files a write linked, and their bytes
             for op in ops:
                 kind, vid = op[0], (op[1] if len(op) > 1 else None)
                 vol = None
@@ -249,20 +275,26 @@ class TestVolumeStoreConsistency:
                 elif kind == "reopen":
                     store = VolumeStore(root)
                 elif kind == "crash":
-                    # another process died mid-write of data.bin, then this
-                    # process restarted
+                    # another process died mid-write of data.bin, which it
+                    # replaces as a new file, then this process restarted
                     if vid in model:
-                        (root / "volumes" / vid / "data.bin").write_bytes(op[2][:3])
+                        data = root / "volumes" / vid / "data.bin"
+                        data.unlink()
+                        data.write_bytes(op[2][:3])
                         torn.add(vid)
                     store = VolumeStore(root)
-                    continue
                 elif vid not in model:
                     with pytest.raises(StorageError):
-                        getattr(store, kind)(vid, *op[2:3])
+                        getattr(store, "write" if kind == "link" else kind)(vid, *op[2:3])
                     continue
-                elif kind == "write":
+                elif kind in ("write", "link"):
                     digest = sha256_hex(op[2]) if op[3] else None
-                    vol = store.write(vid, op[2], digest)
+                    source = None
+                    if kind == "link":
+                        source = root / f"source{len(sources)}"
+                        source.write_bytes(op[2])
+                        sources[source] = op[2]
+                    vol = store.write(vid, op[2], digest, source)
                     model[vid] = (op[2], model[vid][1])
                     torn.discard(vid)
                 elif kind == "attach" and model[vid][1] == DETACHED:
@@ -285,6 +317,8 @@ class TestVolumeStoreConsistency:
                     assert data == content
                     assert (meta.content_digest, meta.byte_size, meta.location) == \
                         (sha256_hex(data), len(data), location)
+                for source, content in sources.items():
+                    assert source.read_bytes() == content
 
 
 class TestRunningDigest:
@@ -322,6 +356,25 @@ class TestRunningDigest:
             fed.clear()
             assert running.hexdigest(y + b"tail") == hashlib.sha256(y + b"tail").hexdigest()
             assert fed == [("update", 4)]
+
+    def test_the_held_object_skips_the_prefix_compare(self):
+        class Watched(bytes):
+            compares = 0
+
+            def startswith(self, prefix):
+                Watched.compares += 1
+                return super().startswith(prefix)
+
+        data = Watched(b"held bytes")
+        fed: list = []
+        with mock.patch.object(bee.storage, "hashlib", counting_hashlib(fed)):
+            running = RunningDigest()
+            first = running.hexdigest(data)
+            assert Watched.compares == 1
+            fed.clear()
+            assert running.hexdigest(data) == first == hashlib.sha256(data).hexdigest()
+        assert Watched.compares == 1
+        assert fed == [("update", 0)]  # the same path as any append, with no tail
 
     @pytest.mark.parametrize("data", [bytearray(b"abc"), memoryview(b"abc"), "abc"])
     def test_accepts_only_bytes(self, data):

@@ -132,18 +132,24 @@ def _run_workflow_case(seed, store_dir, with_resume=True):
     return pool, app, result, artifact, backends, resumed_digest, straight_digest
 
 
-def _deploy_case(seed):
+# the system kind each simulated backend kind deploys onto
+SIM_SYSTEM_KINDS = {"sim-hpc": SystemKind.HPC,
+                    "sim-cloud-aws": SystemKind.CLOUD_AWS_LIKE,
+                    "sim-cloud-baremetal": SystemKind.CLOUD_BAREMETAL_LIKE}
+
+
+def _deploy_case(seed, backend_kind="sim-hpc"):
     """One seeded deploy (possibly faulted); returns an artifact dict."""
     rng = random.Random(seed)
     n_hosts = rng.randint(1, 6)
-    system = make_system(f"d{seed}", n_hosts=n_hosts)
+    system = make_system(f"d{seed}", n_hosts=n_hosts, kind=SIM_SYSTEM_KINDS[backend_kind])
     app = make_app(name=f"dep{seed}", process_count=n_hosts,
                    image_ref="img:1" if rng.random() < 0.7 else None,
                    buildfile=None if rng.random() < 0.7 else "Dockerfile")
     if app.container_source.image_ref is None and app.container_source.buildfile is None:
         app = make_app(name=app.name, process_count=n_hosts, buildfile="Dockerfile")
     hardware = make_hardware(network=rng.choice(list(NetworkSolution)))
-    cfg = SimConfig(backend="sim-hpc", seed=seed)
+    cfg = SimConfig(backend=backend_kind, seed=seed)
     backend = make_backend(system, cfg)
     registry = PortRegistry()
 

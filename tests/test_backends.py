@@ -1,13 +1,16 @@
 import json
+from contextlib import closing
 
 import pytest
 
 from bee.model import CommKind, NetworkSolution, SystemKind, from_json, to_json
 from bee.netvirt.topology import build_topology, cost_of_trace
-from bee.backends import SimConfig, make_backend
-from bee.backends.base import sim_compute
+from bee.backends import BACKEND_KINDS, SimConfig, make_backend
+from bee.backends.base import BackendCapability, BackendOpError, NodeRef, VmSpec, sim_compute
+from bee.backends.local import LocalProcessBackend
 from bee.backends.scaling import generate_trace, replay_scaling
-from bee.cluster import deploy_cluster
+from bee.backends.simhpc import VM_PROVISION_STEPS
+from bee.cluster import deploy_cluster, make_storage_plan
 from conftest import make_app, make_hardware, make_system
 
 
@@ -60,6 +63,109 @@ class TestCapabilities:
     def test_sim_hpc_offers_all_overlays(self):
         backend = make_backend(make_system(), SimConfig())
         assert backend.capability().topology_choices == frozenset(NetworkSolution)
+
+
+ALL_OVERLAYS = frozenset(NetworkSolution)
+
+# (has_vm_layer, native_shared_fs, topology_choices, default cpu_overhead_fraction);
+# None as the shared filesystem stands for the system's host_file_sharing
+EXPECTED_CAPABILITY = {
+    "sim-hpc": (True, None, ALL_OVERLAYS, 0.09),
+    "sim-cloud-aws": (True, True, frozenset(), 0.09),
+    "sim-cloud-baremetal": (False, True, frozenset(), 0.0),
+    "local": (True, None, ALL_OVERLAYS, 0.09),
+}
+
+
+@pytest.mark.parametrize("overhead", [None, 0.25])
+@pytest.mark.parametrize("host_file_sharing", [True, False])
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+def test_capability_by_kind(kind, host_file_sharing, overhead, tmp_path):
+    system = make_system("cap", host_file_sharing=host_file_sharing)
+    cfg = SimConfig(backend=kind, cpu_overhead_fraction=overhead)
+    backend = LocalProcessBackend(system, cfg, workdir=tmp_path) if kind == "local" \
+        else make_backend(system, cfg)
+    vm_layer, shared_fs, overlays, default_overhead = EXPECTED_CAPABILITY[kind]
+    assert backend.capability() == BackendCapability(
+        has_vm_layer=vm_layer,
+        native_shared_fs=host_file_sharing if shared_fs is None else shared_fs,
+        topology_choices=overlays,
+        cpu_overhead_fraction=default_overhead if overhead is None else overhead)
+
+
+def test_expected_capabilities_cover_every_kind():
+    assert set(EXPECTED_CAPABILITY) == set(BACKEND_KINDS)
+
+
+SIM_FAULT_SITES = [
+    # (backend kind, action, extras the event carries)
+    *[("sim-hpc", step, {"index": 1}) for step in VM_PROVISION_STEPS],
+    ("sim-hpc", "register_vm", {"index": 1}),
+    ("sim-cloud-baremetal", "register_agent", {"index": 1}),
+    ("sim-hpc", "start_vm", {}),
+    ("sim-hpc", "img_pull", {"ref": "demo:1"}),
+    ("sim-hpc", "img_build", {}),
+    ("sim-hpc", "docker_start", {"index": 1}),
+    ("sim-hpc", "app_start", {"index": 1}),
+    ("sim-hpc", "hostname", {"argv": ["hostname"]}),
+]
+SITE_ARGV = {"img_pull": ["img_pull", "demo:1"], "img_build": ["img_build", "Dockerfile"],
+             "docker_start": ["docker_start"], "app_start": ["app_start", "mpirun"],
+             "hostname": ["hostname"]}
+
+
+def _bring_up(backend, hosts):
+    """begin_cluster, then provision every host but the faulted step's."""
+    app = make_app(process_count=len(hosts))
+    hardware = make_hardware()
+    backend.begin_cluster("c1", app, hardware, make_storage_plan(
+        hardware, backend.system, backend, backend.cfg.nfs_cap))
+    return [VmSpec(cluster_name="c1", node_index=i, vcpus=1, ram_mb=1024,
+                   network_solution=hardware.network_solution,
+                   storage_solution=hardware.storage_solution.value)
+            for i in range(len(hosts))]
+
+
+def _assert_one_failed_event(backend, err, host, action, stage, extras):
+    assert (err.value.host, err.value.op, err.value.cause) == (host, action, "boom")
+    failed = [e for e in backend.log.events if not e.detail["ok"]]
+    assert [(e.kind, e.node) for e in failed] == [(action, host)]
+    assert failed[0].detail == {"stage": stage, "ok": False, "cause": "boom", **extras}
+
+
+@pytest.mark.parametrize("kind,action,extras", SIM_FAULT_SITES,
+                         ids=[f"{k}-{a}" for k, a, _ in SIM_FAULT_SITES])
+def test_sim_fault_site_raises_and_logs_once(kind, action, extras):
+    system = make_system("f", n_hosts=2)
+    backend = make_backend(system, SimConfig(backend=kind, seed=1))
+    specs = _bring_up(backend, system.hosts)
+    backend.set_stage("vm_layer")
+    host = system.hosts[1].id
+    backend.inject_fault(action, host=host, error="boom")
+    with pytest.raises(BackendOpError) as err:
+        refs = [backend.provision(h.id, spec) for h, spec in zip(system.hosts, specs)]
+        if action == "start_vm":
+            backend.start_all(refs)
+        backend.exec(refs[1], SITE_ARGV[action])
+    _assert_one_failed_event(backend, err, host, action, "vm_layer", extras)
+
+
+@pytest.mark.parametrize("action", ["create_vm", "docker_start"])
+def test_local_fault_site_raises_and_logs_once(action, tmp_path):
+    system = make_system("f", n_hosts=1)
+    with closing(LocalProcessBackend(system, SimConfig(backend="local"),
+                                     workdir=tmp_path)) as backend:
+        [spec] = _bring_up(backend, system.hosts)
+        backend.set_stage("docker_layer")
+        host = system.hosts[0].id
+        backend.inject_fault(action, host=host, error="boom")
+        with pytest.raises(BackendOpError) as err:
+            if action == "create_vm":
+                backend.provision(host, spec)
+            else:
+                backend.exec(NodeRef(host_id=host, node_index=0, cluster_name="c1"),
+                             [action])
+        _assert_one_failed_event(backend, err, host, action, "docker_layer", {})
 
 
 class TestDeterminism:

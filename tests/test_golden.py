@@ -35,6 +35,7 @@ from test_acceptance import (  # noqa: E402
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "determinism.json"
+CLOUD_DEPLOY_SEEDS = DEPLOY_SEEDS[:20]
 
 
 def _hex_floats(obj):
@@ -80,6 +81,12 @@ def dump(tmp: Path) -> dict:
     for seed in DEPLOY_SEEDS:
         artifact, *_ = _deploy_case(seed)
         cases[f"deploy-{seed}"] = {"artifact": _digest([canonical_json(artifact)])}
+    # the cloud kinds differ from sim-hpc only in their capability and in the
+    # name their jitter is seeded with; these cases pin both
+    for kind in ("sim-cloud-aws", "sim-cloud-baremetal"):
+        for seed in CLOUD_DEPLOY_SEEDS:
+            artifact, *_ = _deploy_case(seed, kind)
+            cases[f"deploy-{kind}-{seed}"] = {"artifact": _digest([canonical_json(artifact)])}
     wire = {f"{k}-{v}": c for (k, v), c in predict_link_frames(
         build_topology(TREE, 8), _trace_for_wire(8)).items()}
     for name, artifact in (("scaling", _scaling_artifact()), ("wire", wire),

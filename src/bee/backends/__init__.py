@@ -1,4 +1,4 @@
-"""Backend registry: simulated HPC, simulated clouds, and the local-process runtime."""
+"""Backend registry: the simulated kinds (HPC and two clouds) and the local-process runtime."""
 
 from __future__ import annotations
 
@@ -15,21 +15,16 @@ from bee.backends.base import (
     sim_compute,
 )
 from bee.backends.simhpc import SimHpcBackend
-from bee.backends.simcloud import SimCloudAwsBackend, SimCloudBaremetalBackend
 
 
 def make_backend(system: ComputeSystem, cfg: SimConfig) -> Backend:
     kind = cfg.backend
-    if kind == SIM_HPC:
-        return SimHpcBackend(system, cfg)
-    if kind == SIM_CLOUD_AWS:
-        return SimCloudAwsBackend(system, cfg)
-    if kind == SIM_CLOUD_BAREMETAL:
-        return SimCloudBaremetalBackend(system, cfg)
     if kind == LOCAL:
         from bee.backends.local import LocalProcessBackend
 
         return LocalProcessBackend(system, cfg)
+    if kind in BACKEND_KINDS:
+        return SimHpcBackend(system, cfg)
     raise ValueError(f"unknown backend {kind!r}; expected one of {BACKEND_KINDS}")
 
 
@@ -42,8 +37,6 @@ __all__ = [
     "SIM_CLOUD_BAREMETAL",
     "SIM_HPC",
     "SimConfig",
-    "SimCloudAwsBackend",
-    "SimCloudBaremetalBackend",
     "SimHpcBackend",
     "make_backend",
     "sim_compute",

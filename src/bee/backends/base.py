@@ -34,6 +34,18 @@ DEFAULT_CPU_OVERHEAD = 0.09
 ALL_TOPOLOGIES = frozenset((NetworkSolution.MULTICAST, NetworkSolution.P2P_STAR,
                             NetworkSolution.P2P_TREE))
 
+# One row per backend kind: VM layer, shared filesystem (None: the system's
+# host_file_sharing), overlay topologies, default CPU overhead.  The clouds
+# ride the provider's flat subnet and shared filesystem, so they build no
+# overlay; bare metal runs containers straight on the hosts, with no VM layer
+# and no virtualization penalty.
+CAPABILITIES: dict[str, tuple[bool, bool | None, frozenset[NetworkSolution], float]] = {
+    SIM_HPC: (True, None, ALL_TOPOLOGIES, DEFAULT_CPU_OVERHEAD),
+    SIM_CLOUD_AWS: (True, True, frozenset(), DEFAULT_CPU_OVERHEAD),
+    SIM_CLOUD_BAREMETAL: (False, True, frozenset(), 0.0),
+    LOCAL: (True, None, ALL_TOPOLOGIES, DEFAULT_CPU_OVERHEAD),
+}
+
 
 class BackendOpError(RuntimeError):
     """Structured backend failure: which host, which operation, and why."""
@@ -75,7 +87,7 @@ class SimEvent:
 
 
 class EventLog:
-    """Append-only, time-ordered log; renders to newline-delimited JSON."""
+    """Append-only, time-ordered log of backend events."""
 
     def __init__(self) -> None:
         self.events: list[SimEvent] = []
@@ -88,11 +100,6 @@ class EventLog:
 
     def records(self) -> list[dict]:
         return [ev.as_record() for ev in self.events]
-
-    def to_ndjson(self) -> str:
-        import json
-
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records())
 
 
 @dataclass
@@ -193,20 +200,21 @@ class FaultRule:
 class Backend(abc.ABC):
     """Driver for one compute system; one active cluster at a time."""
 
+    name: str  # the backend kind: its row in CAPABILITIES
+
     def __init__(self, system: ComputeSystem, cfg: SimConfig):
         self.system = system
         self.cfg = cfg
         self.log = EventLog()
         self.stage = "backend"
         self._faults: list[FaultRule] = []
+        self.staged_volume = b""  # the data volume the app starts from
+        self.progress_base = 0.0  # the progress that volume holds
 
     # -- bookkeeping ------------------------------------------------------
 
     def set_stage(self, stage: str) -> None:
         self.stage = stage
-
-    def events(self) -> list[SimEvent]:
-        return list(self.log.events)
 
     def inject_fault(self, action: str, host: str | None = None,
                      error: str = "injected fault", at_time: float | None = None,
@@ -227,6 +235,26 @@ class Backend(abc.ABC):
                 return rule
         return None
 
+    def _due_fault(self, action: str, host: str) -> FaultRule | None:
+        """The timed fault for (action, host) whose time has come, spent on return."""
+        rule = self._pending_timed_fault(action, host)
+        if rule is None or self.now() < rule.at_time:
+            return None
+        rule.remaining = 0
+        return rule
+
+    def _op(self, action: str, host: str, **extra: Any) -> None:
+        """Fail `action` on `host` if a fault is injected for it.
+
+        The fault is logged as one ok=False event with its cause and `extra`,
+        then raised as BackendOpError.
+        """
+        fault = self.take_fault(action, host)
+        if fault is not None:
+            self.log.append(self.now(), action, host, stage=self.stage, ok=False,
+                            cause=fault.error, **extra)
+            raise BackendOpError(host, action, fault.error)
+
     def parallel_map(self, fn, items, parallelism: int | None = None) -> list:
         """Apply fn per item with join-before-return semantics."""
         return [fn(item) for item in items]
@@ -235,15 +263,11 @@ class Backend(abc.ABC):
 
     def stage_volume(self, content: bytes) -> None:
         """Place the data volume on the system before the cluster comes up."""
-        self._staged_volume = content
+        self.staged_volume = content
 
     def set_progress_base(self, progress: float) -> None:
         """Restore point: future progress accrues on top of this marker."""
-        self._progress_base = progress
-
-    @property
-    def progress_base(self) -> float:
-        return getattr(self, "_progress_base", 0.0)
+        self.progress_base = progress
 
     # -- clock ------------------------------------------------------------
 
@@ -260,8 +284,16 @@ class Backend(abc.ABC):
 
     # -- capability and cluster lifecycle ----------------------------------
 
-    @abc.abstractmethod
-    def capability(self) -> BackendCapability: ...
+    def capability(self) -> BackendCapability:
+        vm_layer, shared_fs, topologies, overhead = CAPABILITIES[self.name]
+        if self.cfg.cpu_overhead_fraction is not None:
+            overhead = self.cfg.cpu_overhead_fraction
+        return BackendCapability(
+            has_vm_layer=vm_layer,
+            native_shared_fs=self.system.host_file_sharing if shared_fs is None else shared_fs,
+            topology_choices=topologies,
+            cpu_overhead_fraction=overhead,
+        )
 
     @abc.abstractmethod
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,

@@ -18,11 +18,7 @@ from bee.storage import StoragePlan
 from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet
 from bee.backends.base import (
-    ALL_TOPOLOGIES,
-    DEFAULT_CPU_OVERHEAD,
     Backend,
-    BackendCapability,
-    BackendOpError,
     NodeFailure,
     NodeRef,
     SimConfig,
@@ -60,15 +56,6 @@ class LocalProcessBackend(Backend):
         # modeled cost only; wall time is already real here
         self.log.append(self.now(), action, host, stage=self.stage, seconds=seconds)
 
-    def capability(self) -> BackendCapability:
-        return BackendCapability(
-            has_vm_layer=True,
-            native_shared_fs=self.system.host_file_sharing,
-            topology_choices=ALL_TOPOLOGIES,
-            cpu_overhead_fraction=self.cfg.cpu_overhead_fraction
-            if self.cfg.cpu_overhead_fraction is not None else DEFAULT_CPU_OVERHEAD,
-        )
-
     # -- cluster lifecycle -------------------------------------------------------
 
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,
@@ -86,11 +73,7 @@ class LocalProcessBackend(Backend):
 
     def provision(self, host: str, spec: VmSpec) -> NodeRef:
         assert self.fleet is not None
-        fault = self.take_fault("create_vm", host)
-        if fault is not None:
-            self.log.append(self.now(), "create_vm", host, stage=self.stage,
-                            ok=False, cause=fault.error)
-            raise BackendOpError(host, "create_vm", fault.error)
+        self._op("create_vm", host)
         self.fleet.spawn_node(spec.node_index)
         for action in ("create_vm", "create_img", "configure", "setup_shared_vol",
                        "setup_network", "register_vm"):
@@ -112,11 +95,7 @@ class LocalProcessBackend(Backend):
 
     def exec(self, ref: NodeRef, argv: list[str]) -> dict:
         verb = argv[0] if argv else ""
-        fault = self.take_fault(verb, ref.host_id)
-        if fault is not None:
-            self.log.append(self.now(), verb, ref.host_id, stage=self.stage,
-                            ok=False, cause=fault.error)
-            raise BackendOpError(ref.host_id, verb, fault.error)
+        self._op(verb, ref.host_id)
         if verb == "app_start":
             self._start_app(ref, argv[1:])
         else:
@@ -127,8 +106,8 @@ class LocalProcessBackend(Backend):
     def _start_app(self, ref: NodeRef, entry: list[str]) -> None:
         assert self._app is not None and self._hardware is not None
         client = self._client(ref)
-        staged = getattr(self, "_staged_volume", b"")
-        client.call(cmd="put_volume", data_b64=base64.b64encode(staged).decode())
+        client.call(cmd="put_volume",
+                    data_b64=base64.b64encode(self.staged_volume).decode())
         rate = compute_rate(self._app, self._hardware, self.system,
                             self.capability().cpu_overhead_fraction)
         client.call(cmd="app_start", name=self._app.name, rate=rate,
@@ -136,9 +115,7 @@ class LocalProcessBackend(Backend):
 
     def progress(self, ref: NodeRef) -> float:
         assert self.fleet is not None
-        rule = self._pending_timed_fault("run", ref.host_id)
-        if rule is not None and rule.at_time is not None and self.now() >= rule.at_time:
-            rule.remaining = 0
+        if self._due_fault("run", ref.host_id) is not None:
             self.fleet.kill(ref.node_index)
         if not self.fleet.alive(ref.node_index):
             self.log.append(self.now(), "node_failure", ref.host_id, stage=self.stage,

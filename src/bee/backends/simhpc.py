@@ -1,8 +1,9 @@
-"""Deterministic discrete-event backend modeling a VM-per-host HPC deployment.
+"""Deterministic discrete-event backend for the simulated backend kinds.
 
-Everything runs on a logical clock: provisioning steps, image pulls, the app's
-per-slot I/O phase, and compute progress.  Identical seeds give byte-identical
-event logs.
+sim-hpc models a VM-per-host HPC deployment; the cloud kinds differ only in
+their row of the capability table.  Everything runs on a logical clock:
+provisioning steps, image pulls, the app's per-slot I/O phase, and compute
+progress.  Identical seeds give byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from bee.model import MB, WORK_QUANTUM, AppSpec, ComputeSystem, HardwareConfig, 
 from bee.storage import StoragePlan, model_io
 from bee.workload import append_output, progress_at
 from bee.backends.base import (
-    ALL_TOPOLOGIES,
-    DEFAULT_CPU_OVERHEAD,
     Backend,
-    BackendCapability,
-    BackendOpError,
     NodeFailure,
     NodeRef,
     SimConfig,
@@ -43,37 +40,20 @@ class _AppRun:
 
 
 class SimHpcBackend(Backend):
-    """Simulated system with a VM layer and no host file sharing assumptions."""
-
-    name = "sim-hpc"
+    """Simulated system of kind cfg.backend: sim-hpc or one of the clouds."""
 
     def __init__(self, system: ComputeSystem, cfg: SimConfig):
         super().__init__(system, cfg)
+        self.name = cfg.backend
         self._t = 0.0
         self._rng = random.Random((cfg.seed, system.id, self.name).__repr__())
         self._nodes: dict[int, NodeRef] = {}
         self._started: set[int] = set()
         self._app = _AppRun()
-        self._volume_initial: bytes = b""
         self._app_name = ""
         self._plan: StoragePlan | None = None
         self._hardware: HardwareConfig | None = None
         self._spec: AppSpec | None = None
-
-    # -- capability ---------------------------------------------------------
-
-    def capability(self) -> BackendCapability:
-        return BackendCapability(
-            has_vm_layer=True,
-            native_shared_fs=self.system.host_file_sharing,
-            topology_choices=ALL_TOPOLOGIES,
-            cpu_overhead_fraction=self._overhead(),
-        )
-
-    def _overhead(self) -> float:
-        if self.cfg.cpu_overhead_fraction is not None:
-            return self.cfg.cpu_overhead_fraction
-        return DEFAULT_CPU_OVERHEAD
 
     # -- clock ---------------------------------------------------------------
 
@@ -89,11 +69,7 @@ class SimHpcBackend(Backend):
         self.log.append(self._t, action, host, stage=self.stage, seconds=seconds)
 
     def _step(self, action: str, host: str, seconds: float, **extra) -> None:
-        fault = self.take_fault(action, host)
-        if fault is not None:
-            self.log.append(self._t, action, host, stage=self.stage, ok=False,
-                            cause=fault.error, **extra)
-            raise BackendOpError(host, action, fault.error)
+        self._op(action, host, **extra)
         self.wait(seconds)
         self.log.append(self._t, action, host, stage=self.stage, **extra)
 
@@ -157,11 +133,7 @@ class SimHpcBackend(Backend):
         t0 = self._t
         boots = []
         for ref in refs:
-            fault = self.take_fault("start_vm", ref.host_id)
-            if fault is not None:
-                self.log.append(t0, "start_vm", ref.host_id, stage=self.stage,
-                                ok=False, cause=fault.error)
-                raise BackendOpError(ref.host_id, "start_vm", fault.error)
+            self._op("start_vm", ref.host_id)
             boots.append((t0 + self._jittered(self.cfg.boot_seconds), ref))
         for t, ref in sorted(boots, key=lambda b: b[0]):
             self.log.append(t, "start_vm", ref.host_id, stage=self.stage,
@@ -193,7 +165,8 @@ class SimHpcBackend(Backend):
         io_time = self.io_seconds("read", io.read_bytes_per_slot) + \
             self.io_seconds("write", io.write_bytes_per_slot)
         self._app = _AppRun(
-            rate=compute_rate(self._spec, self._hardware, self.system, self._overhead()),
+            rate=compute_rate(self._spec, self._hardware, self.system,
+                              self.capability().cpu_overhead_fraction),
             work_total=self._spec.work_total,
             io_duration=io_time,
             started_at=self._t,
@@ -226,13 +199,9 @@ class SimHpcBackend(Backend):
         busy = end - run.started_at - run.paused_total
         return max(0.0, busy - run.io_duration)
 
-    def stage_volume(self, content: bytes) -> None:
-        self._volume_initial = content
-
     def progress(self, ref: NodeRef) -> float:
-        rule = self._pending_timed_fault("run", ref.host_id)
-        if rule is not None and rule.at_time is not None and self._t >= rule.at_time:
-            rule.remaining = 0
+        rule = self._due_fault("run", ref.host_id)
+        if rule is not None:
             self.log.append(self._t, "node_failure", ref.host_id, stage=self.stage,
                             ok=False, cause=rule.error)
             raise NodeFailure(ref.host_id, "run", rule.error)
@@ -292,7 +261,7 @@ class SimHpcBackend(Backend):
                         nbytes=len(content))
 
     def fetch_volume(self, ref: NodeRef) -> bytes:
-        content = append_output(self._app_name, self._volume_initial,
+        content = append_output(self._app_name, self.staged_volume,
                                 self.progress_base, self.progress(ref))
         self.log.append(self._t, "fetch_volume", ref.host_id, stage=self.stage,
                         nbytes=len(content))

@@ -1,14 +1,16 @@
 """Operator command line: validate, run, resume, status, topo, iobench, scaling.
 
-Exit codes: 0 success/completed, 1 failed (including corrupt checkpoints),
-2 stalled with a persisted checkpoint, 64 invalid configuration or usage.
-Every flag can also come from the environment as BEE_<FLAG>.
+Exit codes: 0 success/completed, 1 failed (including corrupt checkpoints and
+damaged stores), 2 stalled with a persisted checkpoint, 64 invalid
+configuration or usage, 128 + the signal number when stopped by SIGINT or
+SIGTERM.  Every flag can also come from the environment as BEE_<FLAG>.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -29,7 +31,7 @@ from bee.model import (
     to_json,
     validate,
 )
-from bee.storage import DEFAULT_NFS_CAP, VolumeStore, iobench_table
+from bee.storage import DEFAULT_NFS_CAP, StorageError, VolumeStore, iobench_table
 from bee.workload import make_input_bytes
 from bee.netvirt.topology import build_topology, cost_of_trace, route
 from bee.orchestrator import (
@@ -250,12 +252,8 @@ def cmd_resume(args) -> int:
 
     ckpt_dir = Path(args.checkpoint)
     ckpt, content = CheckpointStore(ckpt_dir.parent).load(ckpt_dir)
-    try:
-        return _run_and_render(args, pool, app, hardware, resume_from=ckpt,
-                               resume_content=content)
-    except MigrationError as exc:  # the volume does not match the manifest digest
-        print(exc, file=sys.stderr)
-        return EXIT_FAILED
+    return _run_and_render(args, pool, app, hardware, resume_from=ckpt,
+                           resume_content=content)
 
 
 def _load_run_file(path: Path, cls: type) -> tuple[dict, object]:
@@ -405,13 +403,29 @@ COMMANDS = {
 }
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM, which batch schedulers send when a job's time is up, unwinds
+    # like ^C, so every backend is closed and its temp dir removed
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (MigrationError, StorageError) as exc:  # a corrupt checkpoint, a damaged store
+        print(exc, file=sys.stderr)
+        return EXIT_FAILED
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -76,24 +76,6 @@ class NodeHandle:
     ssh_forward_port: int | None
     mpi_vnic_addr: str
 
-    def vm_network_view(self) -> dict:
-        return {"ssh_forward_port": self.ssh_forward_port,
-                "mpi_vnic_addr": self.mpi_vnic_addr}
-
-    def container_network_view(self) -> dict:
-        # Pass-through networking: the container sees the VM's interfaces as-is.
-        return self.vm_network_view()
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    name: str
-    hosts: tuple[str, ...]
-    nodes: tuple[NodeHandle, ...]
-    topology: Topology | None
-    storage_plan: StoragePlan
-    status: ClusterStatus
-
 
 # ---------------------------------------------------------------------------
 # image recipe (offline phase of the image builder)
@@ -216,10 +198,6 @@ class PortRegistry:
         return {p for ports in self._used.values() for p in ports}
 
 
-def allocate_ssh_forward(registry: PortRegistry, host: str, base_port: int) -> int:
-    return registry.allocate(host, base_port)
-
-
 # ---------------------------------------------------------------------------
 # deployment pipeline
 
@@ -241,12 +219,6 @@ class Cluster:
         self.storage_plan: StoragePlan | None = None
         self.app: AppSpec | None = None
         self.status = ClusterStatus.DEFINED
-
-    def state(self) -> ClusterState:
-        assert self.storage_plan is not None
-        return ClusterState(name=self.name, hosts=self.hosts, nodes=self.nodes,
-                            topology=self.topology, storage_plan=self.storage_plan,
-                            status=self.status)
 
     @property
     def master_ref(self) -> NodeRef:

@@ -155,11 +155,6 @@ class AgentFleet:
         if client is not None:
             client.close()
 
-    def kill_hub(self) -> None:
-        if self.hub_proc is not None:
-            self.hub_proc.kill()
-            self.hub_proc.wait(timeout=5)
-
     def request_stop(self, node: int) -> None:
         """Ask one agent to exit, without waiting for it; stop() reaps it."""
         client = self._clients.pop(node, None)

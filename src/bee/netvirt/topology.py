@@ -27,14 +27,6 @@ class Topology:
         return 0
 
 
-@dataclass(frozen=True)
-class RoutingTable:
-    paths: dict[tuple[int, int], tuple[int, ...]]
-
-    def path(self, src: int, dst: int) -> tuple[int, ...]:
-        return self.paths[(src, dst)]
-
-
 @dataclass
 class CommCost:
     messages_on_wire: int = 0
@@ -90,14 +82,6 @@ def route(topo: Topology, src: int, dst: int) -> list[int]:
             return [src, dst]
         return [src, 0, dst]
     return _tree_path(src, dst)
-
-
-def build_routing_table(topo: Topology) -> RoutingTable:
-    paths = {}
-    for src in range(topo.n):
-        for dst in range(topo.n):
-            paths[(src, dst)] = tuple(route(topo, src, dst))
-    return RoutingTable(paths=paths)
 
 
 def cost_of_trace(topo: Topology, trace: Iterable[Send]) -> CommCost:

@@ -444,42 +444,29 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
             backend.stage_volume(content)
             backend.set_progress_base(state.progress)
 
-            # deploy the virtual cluster
+            # deploy the virtual cluster; a slot that fails at any step below,
+            # before the app ran or while it ran, ends at the one exit after it
             state = replace(state, phase=Phase.DEPLOYING)
             status.state(state)
             cname = f"{run_id}-s{len(history) + 1}"
+            cluster = outcome = None
             try:
                 cluster = deploy_cluster(system.hosts, app, cname, hardware, backend)
             except DeploymentError:
-                history.append(SlotRecord(system.id, 0.0, 0.0, SlotEnd.FAILURE))
-                state = replace(state, slots_consumed=state.slots_consumed + 1)
-                vstore.detach(data.id)
-                wall += backend.now()
-                no_progress_slots += 1
-                status.state(state)
-                continue
+                pass
+            else:
+                guard = guard_seconds(vstore.volume(data.id).byte_size, work_total,
+                                      state.progress, system.disk_bandwidth_native.write,
+                                      system.time_slot)
+                backend.log.append(backend.now(), "guard_computed", system.hosts[0].id,
+                                   stage="monitor", seconds=guard)
+                # a slot too small to even checkpoint in is unusable for this app
+                if guard < system.time_slot:
+                    state = replace(state, phase=Phase.RUNNING)
+                    status.state(state)
+                    outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
 
-            guard = guard_seconds(vstore.volume(data.id).byte_size, work_total,
-                                  state.progress, system.disk_bandwidth_native.write,
-                                  system.time_slot)
-            backend.log.append(backend.now(), "guard_computed", system.hosts[0].id,
-                               stage="monitor", seconds=guard)
-            if guard >= system.time_slot:
-                # slot too small to even checkpoint: unusable for this app
-                cluster.stop()
-                vstore.detach(data.id)
-                history.append(SlotRecord(system.id, 0.0, 0.0, SlotEnd.FAILURE))
-                state = replace(state, slots_consumed=state.slots_consumed + 1)
-                wall += backend.now()
-                no_progress_slots += 1
-                status.state(state)
-                continue
-
-            state = replace(state, phase=Phase.RUNNING)
-            status.state(state)
-            outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
-
-            if outcome.result is MonitorResult.COMPLETED:
+            if outcome is not None and outcome.result is MonitorResult.COMPLETED:
                 final_content = backend.fetch_volume(cluster.master_ref)
                 volume = vstore.write(data.id, final_content,
                                       running.hexdigest(final_content))
@@ -492,49 +479,43 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                                 current_system=None)
                 return finish(Outcome.COMPLETED, volume)
 
-            if outcome.result is MonitorResult.FAILED:
-                cluster.stop()
-                vstore.detach(data.id)
-                history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
-                state = replace(state, phase=Phase.FAILED,
-                                slots_consumed=state.slots_consumed + 1,
-                                current_system=None)
-                return finish(Outcome.FAILED, None)
-
             # guard fired: checkpoint and migrate (or fail if the app cannot)
-            if not app.checkpointable:
-                cluster.stop()
-                vstore.detach(data.id)
-                history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
-                state = replace(state, phase=Phase.FAILED,
-                                slots_consumed=state.slots_consumed + 1,
-                                current_system=None)
-                return finish(Outcome.FAILED, None)
+            if outcome is not None and outcome.result is MonitorResult.GUARD_FIRED \
+                    and app.checkpointable:
+                seq += 1
+                try:
+                    ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
+                        state, cluster, cstore, run_id, seq, wall + backend.now(), running)
+                except CheckpointWriteError:
+                    pass
+                else:
+                    # the checkpoint file already holds these bytes: link, do not copy
+                    vstore.write(data.id, ckpt_content, ckpt.digest, cstore.volume_file(ckpt))
+                    cluster.stop()
+                    delta = ckpt.progress - state.progress
+                    no_progress_slots = 0 if delta > 0 else no_progress_slots + 1
+                    history.append(SlotRecord(system.id, outcome.elapsed + ckpt_duration,
+                                              delta, SlotEnd.TIMESLOT_CHECKPOINT))
+                    state = replace(state, phase=Phase.MIGRATING, progress=ckpt.progress,
+                                    slots_consumed=state.slots_consumed + 1,
+                                    current_system=None)
+                    wall += backend.now()
+                    status.state(state)
+                    continue
 
-            seq += 1
-            try:
-                ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
-                    state, cluster, cstore, run_id, seq, wall + backend.now(), running)
-            except CheckpointWriteError:
+            # the slot failed: a slot the app never ran in passes to the next
+            # system, one it ran in fails the run
+            if cluster is not None:
                 cluster.stop()
-                vstore.detach(data.id)
-                history.append(SlotRecord(system.id, outcome.elapsed, 0.0, SlotEnd.FAILURE))
-                state = replace(state, phase=Phase.FAILED,
-                                slots_consumed=state.slots_consumed + 1,
-                                current_system=None)
+            vstore.detach(data.id)
+            history.append(SlotRecord(system.id, outcome.elapsed if outcome else 0.0, 0.0,
+                                      SlotEnd.FAILURE))
+            state = replace(state, slots_consumed=state.slots_consumed + 1)
+            if outcome is not None:
+                state = replace(state, phase=Phase.FAILED, current_system=None)
                 return finish(Outcome.FAILED, None)
-
-            # the checkpoint file already holds these bytes: link, do not copy
-            vstore.write(data.id, ckpt_content, ckpt.digest, cstore.volume_file(ckpt))
-            cluster.stop()
-            delta = ckpt.progress - state.progress
-            no_progress_slots = 0 if delta > 0 else no_progress_slots + 1
-            history.append(SlotRecord(system.id, outcome.elapsed + ckpt_duration, delta,
-                                      SlotEnd.TIMESLOT_CHECKPOINT))
-            state = replace(state, phase=Phase.MIGRATING, progress=ckpt.progress,
-                            slots_consumed=state.slots_consumed + 1,
-                            current_system=None)
             wall += backend.now()
+            no_progress_slots += 1
             status.state(state)
 
     # pool exhausted with work remaining: persist the last checkpoint

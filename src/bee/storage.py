@@ -102,20 +102,6 @@ def model_io(plan: StoragePlan, node: int, op: str, nbytes: float,
     return nbytes / (effective_bandwidth(plan, node, op, active_workers) * MB)
 
 
-def ior_workload(n_nodes: int, bytes_per_process: int = 1 << 30) -> list[tuple[int, str, int]]:
-    """One process per node: write a file, then read the next node's file.
-
-    Reading a neighbour's output defeats local caching, so the read phase
-    exercises the shared path on every node.
-    """
-    ops: list[tuple[int, str, int]] = []
-    for node in range(n_nodes):
-        ops.append((node, "write", bytes_per_process))
-    for node in range(n_nodes):
-        ops.append((node, "read", bytes_per_process))
-    return ops
-
-
 def iobench_table(solution: StorageSolution, max_nodes: int = 32,
                   native_read: float = 500.0, native_write: float = 500.0,
                   nfs_cap: float = DEFAULT_NFS_CAP,

@@ -234,9 +234,9 @@ def test_criterion_02_guard_safety(tmp_path):
         for rec in result.history:
             assert rec.slot_duration_used <= systems[rec.system_id].time_slot
         for backend in backends:
-            guards = [e.detail["seconds"] for e in backend.events()
+            guards = [e.detail["seconds"] for e in backend.log.events
                       if e.kind == "guard_computed"]
-            writes = [e.detail["seconds"] for e in backend.events()
+            writes = [e.detail["seconds"] for e in backend.log.events
                       if e.kind == "checkpoint_write"]
             for write in writes:
                 assert guards and write <= guards[0]
@@ -366,14 +366,14 @@ def test_criterion_09_deployment_pipeline():
                         if r["stage"] in stage_num]
             assert numbered == sorted(numbered)
             starts = [r for r in artifact["events"] if r["action"] == "app_start"]
-            assert [r["host"] for r in starts] == [cluster.state().nodes[0].host_id]
+            assert [r["host"] for r in starts] == [cluster.nodes[0].host_id]
             # parallel-start equivalence: a serial redeploy lands in the same state
             serial = deploy_cluster(backend.system.hosts, cluster.app, cluster.name,
                                     make_hardware(network=cluster.topology.kind),
                                     make_backend(backend.system, SimConfig(seed=seed)),
                                     parallelism=1)
-            assert serial.state().nodes == cluster.state().nodes
-            assert serial.state().status == cluster.state().status
+            assert serial.nodes == cluster.nodes
+            assert serial.status == cluster.status
         else:
             faulted += 1
             assert artifact["status"] == "stopped"

@@ -85,6 +85,15 @@ class TestRunCommand:
                                       "--sim-config", str(calib), "--json"])
         assert code == EXIT_OK
 
+    def test_damaged_store_exits_failed_with_one_line(self, configs, capsys):
+        store = configs.tmp_path / "store"
+        argv = ["run", *configs(), "--store", str(store)]
+        assert main(argv) == EXIT_OK
+        (store / "volumes" / "demo-data" / "data.bin").unlink()
+        capsys.readouterr()
+        assert main(argv) == EXIT_FAILED
+        assert capsys.readouterr().err == "no such volume: demo-data\n"
+
     def test_bad_calibration_key_exits_config(self, configs):
         calib = configs.tmp_path / "calib.json"
         calib.write_text(json.dumps({"warp_factor": 9}))

@@ -10,7 +10,6 @@ from bee.cluster import (
     PortRegistry,
     ProvisionStep,
     StepKind,
-    allocate_ssh_forward,
     build_image,
     default_recipe,
     deploy_cluster,
@@ -23,6 +22,11 @@ from conftest import make_app, make_hardware, make_system
 def sim_backend(system=None, seed=7, backend="sim-hpc"):
     system = system or make_system("alpha", n_hosts=4)
     return make_backend(system, SimConfig(backend=backend, seed=seed))
+
+
+def _state(cluster):
+    return (cluster.name, cluster.hosts, cluster.nodes, cluster.topology,
+            cluster.storage_plan, cluster.status)
 
 
 def deploy(backend=None, app=None, hardware=None, **kwargs):
@@ -62,7 +66,7 @@ class TestImageRecipe:
     def test_full_recipe_build_logs_six_steps(self):
         backend = sim_backend()
         build_image(default_recipe(), backend)
-        steps = [e for e in backend.events() if e.kind.startswith("image_step:")]
+        steps = [e for e in backend.log.events if e.kind.startswith("image_step:")]
         assert len(steps) == 6
         deferred = [e for e in steps if e.detail.get("deferred_to_boot")]
         assert [e.kind for e in deferred] == ["image_step:configure_network_interfaces"]
@@ -90,17 +94,17 @@ class TestImageRecipe:
 class TestPorts:
     def test_first_allocation_is_base(self):
         reg = PortRegistry()
-        assert allocate_ssh_forward(reg, "h1", 10022) == 10022
+        assert reg.allocate("h1", 10022) == 10022
 
     def test_second_allocation_next_free(self):
         reg = PortRegistry()
-        allocate_ssh_forward(reg, "h1", 10022)
-        assert allocate_ssh_forward(reg, "h1", 10022) == 10023
+        reg.allocate("h1", 10022)
+        assert reg.allocate("h1", 10022) == 10023
 
     def test_hosts_are_separate_namespaces(self):
         reg = PortRegistry()
-        assert allocate_ssh_forward(reg, "h1", 10022) == 10022
-        assert allocate_ssh_forward(reg, "h2", 10022) == 10022
+        assert reg.allocate("h1", 10022) == 10022
+        assert reg.allocate("h2", 10022) == 10022
 
     def test_release_makes_port_reusable(self):
         reg = PortRegistry()
@@ -113,19 +117,18 @@ class TestDeploy:
     def test_four_host_tree_deploy(self):
         backend = sim_backend()
         cluster = deploy(backend, hardware=make_hardware(network=NetworkSolution.P2P_TREE))
-        state = cluster.state()
-        assert state.status is ClusterStatus.APP_RUNNING
-        assert len(state.nodes) == 4
-        assert state.nodes[0].role.value == "master"
-        assert all(n.role.value == "worker" for n in state.nodes[1:])
-        assert state.topology.kind is NetworkSolution.P2P_TREE
-        assert state.topology.edges == frozenset({(0, 1), (0, 2), (1, 3)})
+        assert cluster.status is ClusterStatus.APP_RUNNING
+        assert len(cluster.nodes) == 4
+        assert cluster.nodes[0].role.value == "master"
+        assert all(n.role.value == "worker" for n in cluster.nodes[1:])
+        assert cluster.topology.kind is NetworkSolution.P2P_TREE
+        assert cluster.topology.edges == frozenset({(0, 1), (0, 2), (1, 3)})
 
     def test_single_host_degenerate_cluster(self):
         backend = sim_backend(make_system("solo", n_hosts=1))
         cluster = deploy(backend, app=make_app(process_count=1))
-        assert len(cluster.state().nodes) == 1
-        assert cluster.state().topology.edges == frozenset()
+        assert len(cluster.nodes) == 1
+        assert cluster.topology.edges == frozenset()
 
     def test_stage_ordering_in_event_log(self):
         backend = sim_backend()
@@ -140,7 +143,7 @@ class TestDeploy:
         backend = sim_backend()
         cluster = deploy(backend)
         starts = [r for r in backend.log.records() if r["action"] == "app_start"]
-        assert [r["host"] for r in starts] == [cluster.state().nodes[0].host_id]
+        assert [r["host"] for r in starts] == [cluster.nodes[0].host_id]
 
     def test_build_fault_fails_stage_three_and_stops(self):
         backend = sim_backend()
@@ -161,18 +164,13 @@ class TestDeploy:
 
     def test_ssh_ports_assigned_per_host(self):
         cluster = deploy()
-        ports = [n.ssh_forward_port for n in cluster.state().nodes]
+        ports = [n.ssh_forward_port for n in cluster.nodes]
         assert ports == [10022] * 4  # one VM per distinct host
-
-    def test_container_network_is_pass_through(self):
-        cluster = deploy()
-        for node in cluster.state().nodes:
-            assert node.container_network_view() == node.vm_network_view()
 
     def test_parallel_start_equivalent_to_serial(self):
         serial = deploy(sim_backend(seed=3), parallelism=1)
         parallel = deploy(sim_backend(seed=3), parallelism=4)
-        assert serial.state() == parallel.state()
+        assert _state(serial) == _state(parallel)
 
     def test_insufficient_hosts_rejected(self):
         backend = sim_backend(make_system("tiny", n_hosts=2))
@@ -222,11 +220,11 @@ class TestNoVmBackends:
         cluster = deploy(backend, app=make_app(process_count=2))
         vm_actions = {"create_vm", "create_img", "start_vm", "register_vm"}
         assert not [r for r in backend.log.records() if r["action"] in vm_actions]
-        assert cluster.state().status is ClusterStatus.APP_RUNNING
-        assert all(n.vm_id is None for n in cluster.state().nodes)
-        assert all(n.ssh_forward_port is None for n in cluster.state().nodes)
+        assert cluster.status is ClusterStatus.APP_RUNNING
+        assert all(n.vm_id is None for n in cluster.nodes)
+        assert all(n.ssh_forward_port is None for n in cluster.nodes)
 
     def test_cloud_clusters_have_no_overlay(self):
         backend = sim_backend(make_system("aws", n_hosts=2), backend="sim-cloud-aws")
         cluster = deploy(backend, app=make_app(process_count=2))
-        assert cluster.state().topology is None
+        assert cluster.topology is None

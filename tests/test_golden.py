@@ -72,7 +72,7 @@ def dump(tmp: Path) -> dict:
         stored = _store_files(store, Path(f"{store}-straight"))
         logged = [canonical_json(_hex_floats({"t": ev.t, "kind": ev.kind, "node": ev.node,
                                               "detail": ev.detail}))
-                  for backend in backends for ev in backend.events()]
+                  for backend in backends for ev in backend.log.events]
         files += len(stored)
         events += len(logged)
         cases[f"workflow-{seed}"] = {"artifact": _digest([canonical_json(artifact)]),

@@ -3,6 +3,7 @@ the local-process backend (with wall-clock budgets scaled down)."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -177,8 +178,8 @@ def _pids_naming(path: Path) -> set[int]:
     return pids - {os.getpid()}
 
 
-@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
-def test_sigkilled_local_run_leaves_no_agent_alive(tmp_path):
+def _local_run_mid_slot(tmp_path) -> subprocess.Popen:
+    """`bee run --backend local` with TMPDIR at tmp_path/tmp, once its app runs."""
     from bee.model import to_json
 
     docs = {"pool": make_pool(make_system("sys0", n_hosts=2, time_slot=60.0)),
@@ -189,22 +190,48 @@ def test_sigkilled_local_run_leaves_no_agent_alive(tmp_path):
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(to_json(doc)), encoding="utf-8")
         argv += [f"--{name}", str(tmp_path / f"{name}.json")]
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=_package_pythonpath())
+    (tmp_path / "tmp").mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp_path / "tmp"), PYTHONPATH=_package_pythonpath())
     bee = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL)
+                           stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 30
+    while True:
+        states = [p.read_text() for p in (tmp_path / "store").glob("*/state.json")]
+        agents = _pids_naming(tmp_path) - {bee.pid}
+        if len(agents) >= 2 and any('"phase":"running"' in s for s in states):
+            return bee  # mid-slot: deployed, and the app is running
+        if bee.poll() is not None or time.monotonic() > deadline:
+            bee.kill()
+            bee.communicate(timeout=5)
+            pytest.fail("slot never started")
+        time.sleep(0.05)
+
+
+def _assert_agents_gone(tmp_path) -> None:
+    ended = time.monotonic()
+    while _pids_naming(tmp_path) and time.monotonic() - ended < 2.0:
+        time.sleep(0.02)
+    assert not _pids_naming(tmp_path), "agents outlived their run by 2 s"
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigkilled_local_run_leaves_no_agent_alive(tmp_path):
+    bee = _local_run_mid_slot(tmp_path)
+    bee.kill()
+    bee.communicate(timeout=5)
+    _assert_agents_gone(tmp_path)
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+def test_signalled_local_run_cleans_up_and_exits_with_one_line(tmp_path, signum):
+    bee = _local_run_mid_slot(tmp_path)
     try:
-        deadline = time.monotonic() + 30
-        while True:
-            states = [p.read_text() for p in (tmp_path / "store").glob("*/state.json")]
-            agents = _pids_naming(tmp_path) - {bee.pid}
-            if len(agents) >= 2 and any('"phase":"running"' in s for s in states):
-                break  # mid-slot: deployed, and the app is running
-            assert bee.poll() is None and time.monotonic() < deadline, "slot never started"
-            time.sleep(0.05)
+        bee.send_signal(signum)
+        _, err = bee.communicate(timeout=15)
     finally:
         bee.kill()
-        bee.wait(timeout=5)
-    killed = time.monotonic()
-    while _pids_naming(tmp_path) and time.monotonic() - killed < 2.0:
-        time.sleep(0.02)
-    assert not _pids_naming(tmp_path), "agents outlived their killed run by 2 s"
+    assert bee.returncode == 128 + signum
+    assert err == f"interrupted by {signum.name}\n"
+    _assert_agents_gone(tmp_path)
+    assert list((tmp_path / "tmp").iterdir()) == []

@@ -244,6 +244,51 @@ class TestRunWorkflow:
         assert result.history[0].ended_by is SlotEnd.FAILURE
         assert result.history[0].slot_duration_used == 0.0
 
+    # the five ways a slot can fail: (first system, checkpointable, fault, fatal)
+    SLOT_FAILURES = {
+        "deploy": (dict(), True, dict(action="create_vm", times=10), False),
+        "slot_too_small": (dict(time_slot=0.001, disk_write=0.01), True, None, False),
+        "monitor": (dict(), True, dict(action="run", at_time=50.0), True),
+        "not_checkpointable": (dict(), False, None, True),
+        "checkpoint_write": (dict(), True, dict(action="checkpoint_write"), True),
+    }
+
+    @pytest.mark.parametrize("case", list(SLOT_FAILURES))
+    def test_failed_slot_stops_detaches_and_records_once(self, tmp_path, case):
+        first_kwargs, checkpointable, fault, fatal = self.SLOT_FAILURES[case]
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        backends = {}
+
+        def factory(system):
+            backend = backends[system.id] = make_backend(system, cfg)
+            if system.id == "first" and fault is not None:
+                backend.inject_fault(**fault)
+            return backend
+
+        pool = make_pool(make_system("first", **{"time_slot": 100.0, **first_kwargs}),
+                         make_system("good", time_slot=100_000.0))
+        app = make_app(work_total=10_000.0, process_count=1, checkpointable=checkpointable)
+        vstore = VolumeStore(tmp_path)
+        volume = vstore.create("v", b"x" * 1024)
+        result = run_workflow(pool, app, volume, make_hardware(), factory, tmp_path,
+                              cfg=cfg, run_id="r")
+        failed = result.history[0]
+        assert (failed.system_id, failed.progress_delta, failed.ended_by) == \
+            ("first", 0.0, SlotEnd.FAILURE)
+        assert (failed.slot_duration_used > 0) is fatal
+        stops = [e for e in backends["first"].log.events if e.kind == "stop"]
+        assert len(stops) == (0 if case == "deploy" else 1)
+        state = json.loads((tmp_path / "r" / "state.json").read_text())
+        if fatal:
+            assert result.outcome is Outcome.FAILED and len(result.history) == 1
+            assert (state["phase"], state["slots_consumed"], state["current_system"]) == \
+                ("failed", 1, None)
+            assert vstore.volume("v").location == "detached"
+        else:
+            assert result.outcome is Outcome.COMPLETED
+            assert [r.ended_by for r in result.history[1:]] == [SlotEnd.COMPLETION]
+            assert (state["phase"], state["slots_consumed"]) == ("complete", 2)
+
     @pytest.mark.parametrize("backend_kind,system_kind", [
         ("sim-hpc", "hpc"),
         ("sim-cloud-aws", "cloud-aws-like"),
@@ -787,14 +832,14 @@ class TestTransfer:
         ckpt, content, src, dst, backend, vstore = self._fixture(tmp_path)
         vol = transfer_and_restore(ckpt, content, src, dst, backend, vstore, "v")
         assert vol.location == "dst"
-        charges = [e for e in backend.events() if e.kind == "data_transfer"]
+        charges = [e for e in backend.log.events if e.kind == "data_transfer"]
         assert charges[0].detail["seconds"] == pytest.approx(0.01, abs=1e-9)
 
     def test_zero_byte_volume_transfers_instantly(self, tmp_path):
         ckpt, content, src, dst, backend, vstore = self._fixture(tmp_path, content=b"")
         vol = transfer_and_restore(ckpt, b"", src, dst, backend, vstore, "v")
         assert vol.content_digest == sha256_hex(b"")
-        charges = [e for e in backend.events() if e.kind == "data_transfer"]
+        charges = [e for e in backend.log.events if e.kind == "data_transfer"]
         assert charges[0].detail["seconds"] == 0.0
 
     def test_corruption_retried_once_then_succeeds(self, tmp_path):
@@ -802,7 +847,7 @@ class TestTransfer:
             tmp_path, content=b"payload", fault_times=1)
         vol = transfer_and_restore(ckpt, b"payload", src, dst, backend, vstore, "v")
         assert vol.content_digest == ckpt.digest
-        mismatches = [e for e in backend.events()
+        mismatches = [e for e in backend.log.events
                       if e.kind == "transfer_digest_mismatch"]
         assert len(mismatches) == 1
 

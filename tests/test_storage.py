@@ -16,7 +16,6 @@ from bee.storage import (
     VolumeStore,
     effective_bandwidth,
     iobench_table,
-    ior_workload,
     model_io,
     sha256_hex,
 )
@@ -88,12 +87,6 @@ class TestIobench:
         for row in rows:
             assert row["read_master_mbps"] == pytest.approx(400.0)
             assert row["write_master_mbps"] == pytest.approx(0.9 * 400.0)
-
-    def test_ior_workload_reads_follow_writes(self):
-        ops = ior_workload(4, bytes_per_process=1 << 20)
-        assert len(ops) == 8
-        assert all(op == "write" for _, op, _ in ops[:4])
-        assert all(op == "read" for _, op, _ in ops[4:])
 
 
 class TestVolumeStore:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from bee.model import NetworkSolution
 from bee.netvirt.topology import (
     HUB,
-    build_routing_table,
     build_topology,
     cost_of_trace,
     per_node_tx_bytes,
@@ -114,12 +113,13 @@ class TestRouteInvariants:
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_paths_simple_and_edge_consistent(self, kind, n):
         topo = build_topology(kind, n)
-        table = build_routing_table(topo)
-        for (src, dst), path in table.paths.items():
-            assert len(set(path)) == len(path)
-            for u, v in zip(path, path[1:]):
-                assert (min(u, v), max(u, v)) in topo.edges
-            assert table.path(dst, src) == tuple(reversed(path))
+        for src in range(n):
+            for dst in range(n):
+                path = route(topo, src, dst)
+                assert len(set(path)) == len(path)
+                for u, v in zip(path, path[1:]):
+                    assert (min(u, v), max(u, v)) in topo.edges
+                assert route(topo, dst, src) == list(reversed(path))
 
 
 class TestCost:

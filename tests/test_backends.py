@@ -6,7 +6,14 @@ import pytest
 from bee.model import CommKind, NetworkSolution, SystemKind, from_json, to_json
 from bee.netvirt.topology import build_topology, cost_of_trace
 from bee.backends import BACKEND_KINDS, SimConfig, make_backend
-from bee.backends.base import BackendCapability, BackendOpError, NodeRef, VmSpec, sim_compute
+from bee.backends.base import (
+    CAPABILITIES,
+    BackendCapability,
+    BackendOpError,
+    NodeRef,
+    VmSpec,
+    sim_compute,
+)
 from bee.backends.local import LocalProcessBackend
 from bee.backends.scaling import generate_trace, replay_scaling
 from bee.backends.simhpc import VM_PROVISION_STEPS
@@ -93,8 +100,9 @@ def test_capability_by_kind(kind, host_file_sharing, overhead, tmp_path):
         cpu_overhead_fraction=default_overhead if overhead is None else overhead)
 
 
-def test_expected_capabilities_cover_every_kind():
-    assert set(EXPECTED_CAPABILITY) == set(BACKEND_KINDS)
+def test_capability_table_has_one_row_per_kind():
+    assert len(set(BACKEND_KINDS)) == len(BACKEND_KINDS)
+    assert set(CAPABILITIES) == set(EXPECTED_CAPABILITY) == set(BACKEND_KINDS)
 
 
 SIM_FAULT_SITES = [
@@ -115,7 +123,7 @@ SITE_ARGV = {"img_pull": ["img_pull", "demo:1"], "img_build": ["img_build", "Doc
 
 
 def _bring_up(backend, hosts):
-    """begin_cluster, then provision every host but the faulted step's."""
+    """Begin a cluster on `hosts`; returns the VmSpec of each host's node."""
     app = make_app(process_count=len(hosts))
     hardware = make_hardware()
     backend.begin_cluster("c1", app, hardware, make_storage_plan(

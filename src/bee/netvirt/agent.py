@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import math
 import os
 import socket
 import struct
@@ -37,7 +38,7 @@ import sys
 import threading
 import time
 
-from bee.workload import append_output, progress_at
+from bee.workload import MAX_WORK, append_output, progress_at
 
 FRAME_HEADER = struct.Struct(">IHHH")
 RESPONSE = struct.Struct(">HH")
@@ -79,6 +80,30 @@ def read_frame(sock: socket.socket) -> tuple[int, int, int, bytes]:
     body = _recv_exact(sock, length)
     src, dst, hop = struct.unpack(">HHH", body[:6])
     return src, dst, hop, body[6:]
+
+
+def _app_numbers(req: dict) -> tuple[float, float, float]:
+    """app_start's rate, work_total and base, or ValueError naming the first bad field.
+
+    Each is a finite number and never a bool, with 0 <= rate <= MAX_WORK and
+    0 <= base <= work_total <= MAX_WORK, so progress() stays finite.
+    """
+    values = []
+    for field in ("rate", "work_total", "base"):
+        value = req.get(field, 0.0)
+        try:
+            finite = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"{field}: expected a finite number, got {value!r}")
+        values.append(float(value))
+    rate, work_total, base = values
+    for field, value, high in (("rate", rate, MAX_WORK), ("work_total", work_total, MAX_WORK),
+                               ("base", base, work_total)):
+        if not 0.0 <= value <= high:
+            raise ValueError(f"{field}: expected 0 to {high:g}, got {value:g}")
+    return rate, work_total, base
 
 
 class _WorkState:
@@ -379,10 +404,12 @@ class Agent:
             self.tags[verb] = " ".join(argv[1:])
             return {"ok": True, "argv": argv}
         if cmd == "app_start":
+            try:
+                rate, work_total, base = _app_numbers(req)
+            except ValueError as exc:
+                return {"ok": False, "error": str(exc)}
             self.work.app_name = req.get("name", "")
-            self.work.rate = float(req.get("rate", 0.0))
-            self.work.work_total = float(req.get("work_total", 0.0))
-            self.work.base = float(req.get("base", 0.0))
+            self.work.rate, self.work.work_total, self.work.base = rate, work_total, base
             self.work.started_at = time.monotonic()
             return {"ok": True}
         if cmd == "pause":

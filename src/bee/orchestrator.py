@@ -10,9 +10,11 @@ persisted and the run reports stalled.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -35,7 +37,7 @@ from bee.model import (
     to_json,
     validate,
 )
-from bee.storage import RunningDigest, VolumeStore, sha256_hex, write_new_file
+from bee.storage import RunningDigest, VolumeStore, extend_file, sha256_hex, write_new_file
 from bee.workload import max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
@@ -94,7 +96,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint store: <store>/<run_id>/<seq>/{manifest.json, volume.bin}
+# checkpoint store: <store>/<run_id>/<seq>/manifest.json, bytes in segment files
 
 
 def run_id_problem(run_id: str) -> str | None:
@@ -117,34 +119,115 @@ class Checkpoint:
     created_at: float
 
 
+@dataclass(frozen=True)
+class _Manifest(Checkpoint):
+    """manifest.json: a checkpoint and where its bytes are, namely the first
+    `length` bytes of the segment file in the directory of seq `segment`.
+
+    The layout stays off Checkpoint, which is the same record wherever its
+    bytes are kept.
+    """
+
+    segment: int
+    length: int
+
+    def checkpoint(self) -> Checkpoint:
+        return Checkpoint(**{f.name: getattr(self, f.name) for f in fields(Checkpoint)})
+
+
 class CheckpointStore:
+    """Checkpoints as manifests over append-only segment files.
+
+    Checkpoint `seq` of a run is <root>/<run_id>/<seq>/manifest.json.  Its
+    bytes are the first `length` bytes of the segment file
+    <root>/<run_id>/<segment>/volume.bin.  A save whose content extends the
+    bytes this instance last committed appends only the new tail to that
+    segment; any other save starts a segment of its own (segment == seq),
+    written in full.  So a directory holding only {manifest.json,
+    volume.bin} is a complete checkpoint.
+
+    The manifest is written last and is the commit record.  Bytes past the
+    committed length are the tail of a save cut off before its manifest, and
+    the next append cuts them off.  No save changes a byte that a committed
+    manifest covers: before writing anything, save k removes the run's
+    manifests with a seq >= k, which an earlier run of the same id left and
+    which may name a segment that this save rewrites or extends.
+    """
+
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        # (run id, segment, content) of this instance's last committed save; the
+        # content is the caller's bytes object, held by reference, not copied
+        self._last: tuple[str, int, bytes] | None = None
 
     def _dir(self, run_id: str, seq: int) -> Path:
         return self.root / run_id / str(seq)
 
-    def volume_file(self, ckpt: Checkpoint) -> Path:
-        """The file that save() writes the checkpoint's volume bytes to."""
-        return self._dir(ckpt.run_id, ckpt.seq) / "volume.bin"
+    def save(self, ckpt: Checkpoint, content: bytes, prefix: bytes | None = None) -> Path:
+        """Commit `content` as checkpoint `ckpt`; returns the manifest's directory.
 
-    def save(self, ckpt: Checkpoint, content: bytes) -> Path:
+        `prefix`, when given, must be bytes that `content` is known to start
+        with.  Where it is the very object this store last committed, the
+        compare that tells whether `content` extends it is skipped.
+        """
+        self._drop_from(ckpt.run_id, ckpt.seq)
         d = self._dir(ckpt.run_id, ckpt.seq)
         d.mkdir(parents=True, exist_ok=True)
-        write_new_file(self.volume_file(ckpt), content)
-        (d / "manifest.json").write_text(canonical_json(to_json(ckpt)), encoding="utf-8")
+        last_run, segment, committed = self._last or (None, 0, b"")
+        if last_run == ckpt.run_id and segment < ckpt.seq \
+                and (prefix is committed or content.startswith(committed)):
+            extend_file(self._dir(ckpt.run_id, segment) / "volume.bin", len(committed), content)
+        else:
+            segment = ckpt.seq
+            write_new_file(d / "volume.bin", content)
+        manifest = to_json(ckpt) | {"segment": segment, "length": len(content)}
+        (d / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
+        self._last = (ckpt.run_id, segment, content)
         return d
 
-    def _manifest(self, d: Path) -> Checkpoint:
-        ckpt = from_json(Checkpoint, load_json_file(d / "manifest.json"), "manifest")
-        problem = run_id_problem(ckpt.run_id)
+    def _drop_from(self, run_id: str, seq: int) -> None:
+        """Remove the run's checkpoints with a seq >= `seq`, each manifest first."""
+        run_dir = self.root / run_id
+        if not run_dir.exists():
+            return
+        for d in run_dir.iterdir():
+            if d.name.isdigit() and int(d.name) >= seq and d.is_dir():
+                (d / "manifest.json").unlink(missing_ok=True)
+                shutil.rmtree(d)
+
+    def _manifest(self, d: Path) -> _Manifest:
+        m = from_json(_Manifest, load_json_file(d / "manifest.json"), "manifest")
+        problem = run_id_problem(m.run_id)
         if problem:
             raise ParseError(f"manifest.run_id: {problem}")
-        return ckpt
+        if m.seq < 1:
+            raise ParseError(f"manifest.seq: expected at least 1, got {m.seq}")
+        if not 1 <= m.segment <= m.seq:
+            raise ParseError(f"manifest.segment: expected 1 to seq ({m.seq}), got {m.segment}")
+        if m.length < 0:
+            raise ParseError(f"manifest.length: expected at least 0, got {m.length}")
+        return m
 
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
+        """The checkpoint whose manifest is in directory `path`, and its bytes.
+
+        A checkpoint that starts its segment reads the volume.bin beside its
+        manifest, so such a directory loads wherever it is copied to.  A
+        missing or short segment raises MigrationError.
+        """
         d = Path(path)
-        return self._manifest(d), (d / "volume.bin").read_bytes()
+        m = self._manifest(d)
+        segment = d if m.segment == m.seq else d.parent / str(m.segment)
+        try:
+            with open(segment / "volume.bin", "rb") as fh:
+                short = os.fstat(fh.fileno()).st_size < m.length
+                content = b"" if short else fh.read(m.length)
+        except FileNotFoundError:
+            short = True
+        if short:
+            raise MigrationError(f"checkpoint corrupt: segment {m.segment} does not "
+                                 f"hold the checkpoint's {m.length} bytes")
+        return m.checkpoint(), content
 
     def verify(self, path: str | Path) -> bool:
         ckpt, content = self.load(path)
@@ -249,10 +332,12 @@ def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
     if fault is not None:
         raise CheckpointWriteError(f"checkpoint write failed: {fault.error}")
     backend.charge(duration, "checkpoint_write", master.host_id)
+    running = running or RunningDigest()
     ckpt = Checkpoint(run_id=run_id, seq=seq, progress=progress,
-                      digest=(running or RunningDigest()).hexdigest(content),
+                      digest=running.hexdigest(content),
                       origin_system=cluster.system.id, created_at=created_at + duration)
-    store.save(ckpt, content)
+    # the digest has just checked which bytes the content extends
+    store.save(ckpt, content, running.extended)
     new_state = replace(state, phase=Phase.CHECKPOINTING, need_migration=True,
                         last_host_system=cluster.system.id)
     return ckpt, content, duration, new_state
@@ -267,8 +352,8 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
     Transfer time is charged at the slower of the two systems' networks; a
     digest mismatch is retried once before giving up.  The delivered bytes
     are hashed through `running`, the run's digest, or in full without one.
-    The verified digest is handed to the store, which skips bytes it has
-    already written.
+    The data volume moves to the target system; its stored bytes stay the
+    run's input until the run completes.
     """
     running = running or RunningDigest()
     if from_system is not None:
@@ -277,24 +362,20 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
         bandwidth = to_system.net_bandwidth_native
     seconds = len(content) / (bandwidth * MB) if content else 0.0
 
-    delivered: bytes | None = None
     for attempt in (1, 2):
         backend.charge(seconds, "data_transfer", to_system.hosts[0].id)
         fault = backend.take_fault("transfer", to_system.hosts[0].id)
         candidate = content if fault is None else _corrupt(content)
         if running.hexdigest(candidate) == ckpt.digest:
-            delivered = candidate
             break
         backend.log.append(backend.now(), "transfer_digest_mismatch",
                            to_system.hosts[0].id, stage="data", ok=False, attempt=attempt)
-    if delivered is None:
+    else:
         raise MigrationError(
             f"checkpoint digest mismatch after retry while moving to {to_system.id}")
 
-    vol = vstore.volume(volume_id)
-    if vol.location != "detached":
+    if vstore.volume(volume_id).location != "detached":
         vstore.detach(volume_id)
-    vstore.write(volume_id, delivered, ckpt.digest)
     vol = vstore.attach(volume_id, to_system.id)
     backend.charge(0.0, "restore_checkpoint", to_system.hosts[0].id)
     return vol
@@ -314,11 +395,20 @@ BackendFactory = Callable[[ComputeSystem], Backend]
 
 
 class _StatusWriter:
+    """state.json and result.json of one run.
+
+    A new writer removes the result.json of an earlier run of the same id,
+    so status never shows one run's state beside another's result.
+    """
+
     def __init__(self, store_root: Path, run_id: str):
         self.dir = store_root / run_id
         self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / "result.json").unlink(missing_ok=True)
+        self.last = RunState()
 
     def state(self, state: RunState) -> None:
+        self.last = state
         (self.dir / "state.json").write_text(canonical_json(run_state_to_dict(state)),
                                              encoding="utf-8")
 
@@ -342,11 +432,13 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
 
     Every hash of volume bytes goes through one RunningDigest that lives as
     long as this call: each slot's checkpoint extends the bytes the previous
-    slot hashed, so only the appended tail is hashed again.  A resume is
+    slot hashed, so only the appended tail is hashed again.  The checkpoint
+    store likewise appends only that tail to the run's segment.  A resume is
     checked against its manifest digest before anything is stored; when the
     store has no volume `data.id` yet, it is created from the checked bytes.
-    After each checkpoint the data volume is made a link to the checkpoint's
-    volume file rather than a second copy of its bytes.
+    The data volume's stored bytes are the input until the run completes,
+    and its output after that.  A call that ends by an exception, an
+    interrupt included, records phase `failed` before it re-raises.
     """
     cfg = cfg or SimConfig()
     problems = validate(pool, app, hardware)
@@ -364,167 +456,173 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
             raise OrchestratorError("resume requires the checkpoint content")
         if running.hexdigest(resume_content) != resume_from.digest:
             raise MigrationError("checkpoint corrupt: content does not match manifest digest")
-    vstore = VolumeStore(store_dir)
-    cstore = CheckpointStore(store_dir)
     status = _StatusWriter(Path(store_dir), run_id)
-    work_total = quantize_work(app.work_total)
+    try:
+        vstore = VolumeStore(store_dir)
+        cstore = CheckpointStore(store_dir)
+        work_total = quantize_work(app.work_total)
 
-    if resume_from is None and not vstore.exists(data.id):
-        raise OrchestratorError(f"input volume {data.id} not found in store")
+        if resume_from is None and not vstore.exists(data.id):
+            raise OrchestratorError(f"input volume {data.id} not found in store")
 
-    ckpt = resume_from
-    ckpt_content = resume_content
-    seq = resume_from.seq if resume_from else 0
-    if resume_from is not None:
-        if not vstore.exists(data.id):
-            vstore.create(data.id, ckpt_content, digest=resume_from.digest)
+        ckpt = resume_from
+        ckpt_content = resume_content
+        seq = resume_from.seq if resume_from else 0
+        if resume_from is not None:
+            # a checkpoint without an origin (stall before any slot ran) loads like
+            # initial data; anything else migrates from its recorded origin
+            state = RunState(phase=Phase.INIT,
+                             need_migration=resume_from.origin_system is not None,
+                             last_host_system=resume_from.origin_system,
+                             progress=resume_from.progress)
+            if not vstore.exists(data.id):
+                vstore.create(data.id, ckpt_content, digest=resume_from.digest)
+            elif resume_from.progress >= work_total:
+                # a complete checkpoint holds the output
+                if vstore.volume(data.id).location != "detached":
+                    vstore.detach(data.id)
+                vstore.write(data.id, ckpt_content, resume_from.digest)
+            if resume_from.progress >= work_total:
+                vol = vstore.volume(data.id)
+                result = RunResult(Outcome.COMPLETED, vol, ())
+                status.state(replace(state, phase=Phase.COMPLETE, need_migration=False))
+                status.result(run_id, result)
+                return result
         else:
-            if vstore.volume(data.id).location != "detached":
-                vstore.detach(data.id)
-            vstore.write(data.id, ckpt_content, resume_from.digest)
-        # a checkpoint without an origin (stall before any slot ran) loads like
-        # initial data; anything else migrates from its recorded origin
-        state = RunState(phase=Phase.INIT,
-                         need_migration=resume_from.origin_system is not None,
-                         last_host_system=resume_from.origin_system,
-                         progress=resume_from.progress)
-        if resume_from.progress >= work_total:
-            vol = vstore.volume(data.id)
-            result = RunResult(Outcome.COMPLETED, vol, ())
-            status.state(replace(state, phase=Phase.COMPLETE, need_migration=False))
+            state = RunState()
+
+        systems = {s.id: s for s in pool.systems}
+        queue = deque(pool.systems)
+        history: list[SlotRecord] = []
+        wall = 0.0
+        no_progress_slots = 0
+
+        def finish(outcome: Outcome, volume: DataVolume | None) -> RunResult:
+            result = RunResult(outcome, volume, tuple(history))
+            status.state(state)
             status.result(run_id, result)
             return result
-    else:
-        state = RunState()
 
-    systems = {s.id: s for s in pool.systems}
-    queue = deque(pool.systems)
-    history: list[SlotRecord] = []
-    wall = 0.0
-    no_progress_slots = 0
+        while queue:
+            system = queue.popleft()
+            if loop_pool:
+                queue.append(system)
+                if no_progress_slots >= len(pool.systems):
+                    break
+            # every exit from the slot releases the backend's agents and temp dirs
+            with closing(backend_factory(system)) as backend:
+                backend.set_stage("data")
+                state = replace(state, phase=Phase.MIGRATING if state.need_migration
+                                else Phase.DEPLOYING, current_system=system.id)
+                status.state(state)
 
-    def finish(outcome: Outcome, volume: DataVolume | None) -> RunResult:
-        result = RunResult(outcome, volume, tuple(history))
-        status.state(state)
-        status.result(run_id, result)
-        return result
-
-    while queue:
-        system = queue.popleft()
-        if loop_pool:
-            queue.append(system)
-            if no_progress_slots >= len(pool.systems):
-                break
-        # every exit from the slot releases the backend's agents and temp dirs
-        with closing(backend_factory(system)) as backend:
-            backend.set_stage("data")
-            state = replace(state, phase=Phase.MIGRATING if state.need_migration
-                            else Phase.DEPLOYING, current_system=system.id)
-            status.state(state)
-
-            # data staging: restore a checkpoint or load the initial volume
-            try:
-                if state.need_migration and ckpt is not None and ckpt_content is not None:
-                    origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
-                    transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
-                                         vstore, data.id, running)
-                    # the transfer delivered these bytes once their digest matched
-                    content = ckpt_content
-                else:
-                    content = vstore.content(data.id)
-                    backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
-                                   "load_initial_data", system.hosts[0].id)
-                    vol = vstore.volume(data.id)
-                    if vol.location != "detached":
-                        vstore.detach(data.id)
-                    vstore.attach(data.id, system.id)
-            except MigrationError:
-                state = replace(state, phase=Phase.FAILED, current_system=None)
-                return finish(Outcome.FAILED, None)
-            backend.stage_volume(content)
-            backend.set_progress_base(state.progress)
-
-            # deploy the virtual cluster; a slot that fails at any step below,
-            # before the app ran or while it ran, ends at the one exit after it
-            state = replace(state, phase=Phase.DEPLOYING)
-            status.state(state)
-            cname = f"{run_id}-s{len(history) + 1}"
-            cluster = outcome = None
-            try:
-                cluster = deploy_cluster(system.hosts, app, cname, hardware, backend)
-            except DeploymentError:
-                pass
-            else:
-                guard = guard_seconds(vstore.volume(data.id).byte_size, work_total,
-                                      state.progress, system.disk_bandwidth_native.write,
-                                      system.time_slot)
-                backend.log.append(backend.now(), "guard_computed", system.hosts[0].id,
-                                   stage="monitor", seconds=guard)
-                # a slot too small to even checkpoint in is unusable for this app
-                if guard < system.time_slot:
-                    state = replace(state, phase=Phase.RUNNING)
-                    status.state(state)
-                    outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
-
-            if outcome is not None and outcome.result is MonitorResult.COMPLETED:
-                final_content = backend.fetch_volume(cluster.master_ref)
-                volume = vstore.write(data.id, final_content,
-                                      running.hexdigest(final_content))
-                cluster.stop()
-                delta = work_total - state.progress
-                history.append(SlotRecord(system.id, outcome.elapsed, delta,
-                                          SlotEnd.COMPLETION))
-                state = replace(state, phase=Phase.COMPLETE, progress=work_total,
-                                slots_consumed=state.slots_consumed + 1,
-                                current_system=None)
-                return finish(Outcome.COMPLETED, volume)
-
-            # guard fired: checkpoint and migrate (or fail if the app cannot)
-            if outcome is not None and outcome.result is MonitorResult.GUARD_FIRED \
-                    and app.checkpointable:
-                seq += 1
+                # data staging: restore a checkpoint or load the initial volume
                 try:
-                    ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
-                        state, cluster, cstore, run_id, seq, wall + backend.now(), running)
-                except CheckpointWriteError:
+                    if state.need_migration and ckpt is not None and ckpt_content is not None:
+                        origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
+                        transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
+                                             vstore, data.id, running)
+                        # the transfer delivered these bytes once their digest matched
+                        content = ckpt_content
+                    else:
+                        # a resume from a checkpoint without an origin stages its
+                        # checked bytes; a fresh run stages the input
+                        content = ckpt_content if ckpt_content is not None \
+                            else vstore.content(data.id)
+                        backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
+                                       "load_initial_data", system.hosts[0].id)
+                        vol = vstore.volume(data.id)
+                        if vol.location != "detached":
+                            vstore.detach(data.id)
+                        vstore.attach(data.id, system.id)
+                except MigrationError:
+                    state = replace(state, phase=Phase.FAILED, current_system=None)
+                    return finish(Outcome.FAILED, None)
+                backend.stage_volume(content)
+                backend.set_progress_base(state.progress)
+
+                # deploy the virtual cluster; a slot that fails at any step below,
+                # before the app ran or while it ran, ends at the one exit after it
+                state = replace(state, phase=Phase.DEPLOYING)
+                status.state(state)
+                cname = f"{run_id}-s{len(history) + 1}"
+                cluster = outcome = None
+                try:
+                    cluster = deploy_cluster(system.hosts, app, cname, hardware, backend)
+                except DeploymentError:
                     pass
                 else:
-                    # the checkpoint file already holds these bytes: link, do not copy
-                    vstore.write(data.id, ckpt_content, ckpt.digest, cstore.volume_file(ckpt))
+                    guard = guard_seconds(len(content), work_total,
+                                          state.progress, system.disk_bandwidth_native.write,
+                                          system.time_slot)
+                    backend.log.append(backend.now(), "guard_computed", system.hosts[0].id,
+                                       stage="monitor", seconds=guard)
+                    # a slot too small to even checkpoint in is unusable for this app
+                    if guard < system.time_slot:
+                        state = replace(state, phase=Phase.RUNNING)
+                        status.state(state)
+                        outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
+
+                if outcome is not None and outcome.result is MonitorResult.COMPLETED:
+                    final_content = backend.fetch_volume(cluster.master_ref)
+                    volume = vstore.write(data.id, final_content,
+                                          running.hexdigest(final_content))
                     cluster.stop()
-                    delta = ckpt.progress - state.progress
-                    no_progress_slots = 0 if delta > 0 else no_progress_slots + 1
-                    history.append(SlotRecord(system.id, outcome.elapsed + ckpt_duration,
-                                              delta, SlotEnd.TIMESLOT_CHECKPOINT))
-                    state = replace(state, phase=Phase.MIGRATING, progress=ckpt.progress,
+                    delta = work_total - state.progress
+                    history.append(SlotRecord(system.id, outcome.elapsed, delta,
+                                              SlotEnd.COMPLETION))
+                    state = replace(state, phase=Phase.COMPLETE, progress=work_total,
                                     slots_consumed=state.slots_consumed + 1,
                                     current_system=None)
-                    wall += backend.now()
-                    status.state(state)
-                    continue
+                    return finish(Outcome.COMPLETED, volume)
 
-            # the slot failed: a slot the app never ran in passes to the next
-            # system, one it ran in fails the run
-            if cluster is not None:
-                cluster.stop()
-            vstore.detach(data.id)
-            history.append(SlotRecord(system.id, outcome.elapsed if outcome else 0.0, 0.0,
-                                      SlotEnd.FAILURE))
-            state = replace(state, slots_consumed=state.slots_consumed + 1)
-            if outcome is not None:
-                state = replace(state, phase=Phase.FAILED, current_system=None)
-                return finish(Outcome.FAILED, None)
-            wall += backend.now()
-            no_progress_slots += 1
-            status.state(state)
+                # guard fired: checkpoint and migrate (or fail if the app cannot)
+                if outcome is not None and outcome.result is MonitorResult.GUARD_FIRED \
+                        and app.checkpointable:
+                    seq += 1
+                    try:
+                        ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
+                            state, cluster, cstore, run_id, seq, wall + backend.now(), running)
+                    except CheckpointWriteError:
+                        pass
+                    else:
+                        cluster.stop()
+                        delta = ckpt.progress - state.progress
+                        no_progress_slots = 0 if delta > 0 else no_progress_slots + 1
+                        history.append(SlotRecord(system.id, outcome.elapsed + ckpt_duration,
+                                                  delta, SlotEnd.TIMESLOT_CHECKPOINT))
+                        state = replace(state, phase=Phase.MIGRATING, progress=ckpt.progress,
+                                        slots_consumed=state.slots_consumed + 1,
+                                        current_system=None)
+                        wall += backend.now()
+                        status.state(state)
+                        continue
 
-    # pool exhausted with work remaining: persist the last checkpoint
-    if ckpt is None:
-        seq += 1
-        content = vstore.content(data.id)
-        ckpt = Checkpoint(run_id=run_id, seq=seq, progress=state.progress,
-                          digest=running.hexdigest(content),
-                          origin_system=state.last_host_system, created_at=wall)
-        cstore.save(ckpt, content)
-    state = replace(state, phase=Phase.STALLED, current_system=None)
-    return finish(Outcome.STALLED_WITH_CHECKPOINT, None)
+                # the slot failed: a slot the app never ran in passes to the next
+                # system, one it ran in fails the run
+                if cluster is not None:
+                    cluster.stop()
+                vstore.detach(data.id)
+                history.append(SlotRecord(system.id, outcome.elapsed if outcome else 0.0, 0.0,
+                                          SlotEnd.FAILURE))
+                state = replace(state, slots_consumed=state.slots_consumed + 1)
+                if outcome is not None:
+                    state = replace(state, phase=Phase.FAILED, current_system=None)
+                    return finish(Outcome.FAILED, None)
+                wall += backend.now()
+                no_progress_slots += 1
+                status.state(state)
+
+        # pool exhausted with work remaining: persist the last checkpoint
+        if ckpt is None:
+            seq += 1
+            content = vstore.content(data.id)
+            ckpt = Checkpoint(run_id=run_id, seq=seq, progress=state.progress,
+                              digest=running.hexdigest(content),
+                              origin_system=state.last_host_system, created_at=wall)
+            cstore.save(ckpt, content)
+        state = replace(state, phase=Phase.STALLED, current_system=None)
+        return finish(Outcome.STALLED_WITH_CHECKPOINT, None)
+    except BaseException:
+        status.state(replace(status.last, phase=Phase.FAILED, current_system=None))
+        raise

@@ -39,11 +39,14 @@ class RunningDigest:
     input as a stream, so both paths give the digest of the whole data.  Only
     immutable bytes are accepted, so the held prefix cannot change after the
     check.  Being handed the very object it holds skips the prefix compare.
+    After each call, `extended` is the held bytes object that the data was
+    found to start with, or None where the data was hashed in full.
     """
 
     def __init__(self) -> None:
         self._data = b""
         self._state = hashlib.sha256()
+        self.extended: bytes | None = None
 
     def hexdigest(self, data: bytes) -> str:
         if not isinstance(data, bytes):
@@ -51,8 +54,10 @@ class RunningDigest:
         if data is self._data or data.startswith(self._data):
             state = self._state.copy()
             state.update(memoryview(data)[len(self._data):])
+            self.extended = self._data
         else:
             state = hashlib.sha256(data)
+            self.extended = None
         self._data, self._state = data, state
         return state.hexdigest()
 
@@ -140,25 +145,23 @@ def write_new_file(path: Path, content: bytes) -> None:
     Truncating a file in place makes ext4 (auto_da_alloc) flush its dirty
     pages first, which costs several times the write itself.  A crash
     between unlink and write leaves the file missing, never silently short of
-    bytes it used to hold.  Bee only ever replaces payload files this way,
-    never edits one in place, so a payload file may be a hard link to
-    another: replacing one name leaves the other's bytes alone.
+    bytes it used to hold.
     """
     path.unlink(missing_ok=True)
     path.write_bytes(content)
 
 
-def link_new_file(source: Path, path: Path) -> bool:
-    """Make `path` a new hard link to `source`; an existing one is unlinked first.
+def extend_file(path: Path, committed: int, content: bytes) -> None:
+    """Make the file at `path` hold `content`, whose first `committed` bytes it holds.
 
-    Returns False, with `path` absent, where the file system refuses the link.
+    Only the bytes past `committed` are written.  Whatever the file held past
+    that offset, such as the tail of a write cut off halfway, is cut off
+    first; the first `committed` bytes are never written.
     """
-    path.unlink(missing_ok=True)
-    try:
-        os.link(source, path)
-    except OSError:
-        return False
-    return True
+    with open(path, "r+b") as fh:
+        fh.truncate(committed)
+        fh.seek(committed)
+        fh.write(memoryview(content)[committed:])
 
 
 class VolumeStore:
@@ -166,34 +169,13 @@ class VolumeStore:
 
     The digest is always the SHA-256 hex of data.bin; attach/detach only touch
     metadata, so they can never change content.
-
-    An instance remembers the digest it last wrote to each data.bin and skips
-    rewriting the same bytes.  That memory is never read back from meta.json,
-    which a torn write can leave naming bytes data.bin does not hold; a new
-    instance on the same root always writes.
-
-    data.bin may be the same file as another payload file, such as the
-    volume.bin of the checkpoint it was last written from (see write()).
-    Bee replaces payload files and never edits them in place, so neither
-    name's bytes change when the other is replaced.  An edit in place from
-    outside bee changes both; `bee resume` still refuses such a checkpoint,
-    whose bytes no longer match its manifest digest.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self._written: dict[str, str] = {}  # volume id -> digest of data.bin
 
     def _dir(self, volume_id: str) -> Path:
         return self.root / "volumes" / volume_id
-
-    def _put(self, volume_id: str, content: bytes, digest: str,
-             source: Path | None = None) -> None:
-        self._written.pop(volume_id, None)
-        path = self._dir(volume_id) / "data.bin"
-        if source is None or not link_new_file(source, path):
-            write_new_file(path, content)
-        self._written[volume_id] = digest
 
     def exists(self, volume_id: str) -> bool:
         return (self._dir(volume_id) / "meta.json").exists()
@@ -204,7 +186,7 @@ class VolumeStore:
         vol = DataVolume(id=volume_id, byte_size=len(content),
                          content_digest=digest or sha256_hex(content), location=location)
         self._dir(volume_id).mkdir(parents=True, exist_ok=True)
-        self._put(volume_id, content, vol.content_digest)
+        write_new_file(self._dir(volume_id) / "data.bin", content)
         self._write_meta(vol)
         return vol
 
@@ -224,24 +206,17 @@ class VolumeStore:
             raise StorageError(f"no such volume: {volume_id}")
         return path.read_bytes()
 
-    def write(self, volume_id: str, content: bytes, digest: str | None = None,
-              source: Path | None = None) -> DataVolume:
+    def write(self, volume_id: str, content: bytes, digest: str | None = None) -> DataVolume:
         """Replace the volume's bytes.
 
         `digest`, when given, must be the SHA-256 hex of exactly `content`,
         computed or verified by the caller; it saves hashing the bytes again.
-        `source`, when given, must be a file that holds exactly `content` and
-        is only ever replaced, never edited in place: data.bin becomes a hard
-        link to it instead of a second copy of the bytes.  Where the file
-        system refuses the link, the bytes are written.  meta.json is
-        rewritten only when the record changes.
+        meta.json is rewritten only when the record changes.
         """
         vol = self.volume(volume_id)
-        if digest is None:
-            digest = sha256_hex(content)
-        if self._written.get(volume_id) != digest:
-            self._put(volume_id, content, digest, source)
-        new = replace(vol, byte_size=len(content), content_digest=digest)
+        write_new_file(self._dir(volume_id) / "data.bin", content)
+        new = replace(vol, byte_size=len(content),
+                      content_digest=digest or sha256_hex(content))
         if new != vol:
             self._write_meta(new)
         return new

@@ -4,7 +4,7 @@ import struct
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bee.model import NetworkSolution
 from bee.netvirt.topology import build_topology, predict_link_frames
@@ -330,6 +330,7 @@ class TestControlSession:
 
         @settings(max_examples=60, deadline=None)
         @given(st.lists(request, min_size=1, max_size=4))
+        @example([json.dumps({"cmd": "app_start", "rate": 1, "work_total": 1e308}).encode()])
         def check(lines):
             for line in lines:
                 c.buf.write(line + b"\n")
@@ -339,6 +340,34 @@ class TestControlSession:
                 assert c.call(cmd="ping") == {"ok": True, "node": 0}
 
         check()
+
+    def test_app_start_with_unbounded_work_is_refused_and_status_stays_healthy(self,
+                                                                                overlay):
+        c = overlay(STAR, 1).client(0)
+        assert c.call(cmd="app_start", rate=1, work_total=2.0) == {"ok": True}
+        before = c.call(cmd="status")
+        # 1e308 units would overflow progress() to infinity on every status
+        reply = c.call(cmd="app_start", rate=1, work_total=1e308)
+        assert reply["ok"] is False and reply["error"].startswith("work_total: ")
+        status = c.call(cmd="status")
+        assert status["ok"] is True and status["progress"] >= before["progress"]
+        assert c.call(cmd="fetch_volume")["ok"] is True
+
+    @pytest.mark.parametrize("fields,error", [
+        ({"rate": True}, "rate: "),
+        ({"rate": float("inf")}, "rate: "),
+        ({"rate": -1}, "rate: "),
+        ({"rate": 2.0 ** 34}, "rate: "),
+        ({"rate": 1, "work_total": 10 ** 400}, "work_total: "),
+        ({"rate": 1, "work_total": "5"}, "work_total: "),
+        ({"rate": 1, "work_total": 5, "base": 6}, "base: "),
+        ({"rate": 1, "work_total": 5, "base": -1}, "base: "),
+    ])
+    def test_app_start_numbers_are_bounded_and_the_field_named(self, overlay, fields, error):
+        c = overlay(STAR, 1).client(0)
+        reply = c.call(cmd="app_start", **fields)
+        assert reply["ok"] is False and reply["error"].startswith(error)
+        assert c.call(cmd="status")["ok"] is True
 
     def test_exec_with_non_string_argv_is_refused_and_status_stays_healthy(self, overlay):
         c = overlay(STAR, 1).client(0)

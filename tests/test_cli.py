@@ -94,6 +94,36 @@ class TestRunCommand:
         assert main(argv) == EXIT_FAILED
         assert capsys.readouterr().err == "no such volume: demo-data\n"
 
+    def test_run_again_after_a_stall_matches_a_fresh_store(self, configs, capsys):
+        # the stalled run's checkpoints must not become the next run's input
+        app = make_app(work_total=300.0, process_count=2)
+        wide = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(4)))
+        store = str(configs.tmp_path / "store")
+        code, stalled = run_json(capsys, ["run", *configs(app=app), "--store", store,
+                                          "--json"])
+        assert code == EXIT_STALLED
+        code, again = run_json(capsys, ["run", *configs(app=app, pool=wide), "--store",
+                                        store, "--json"])
+        assert code == EXIT_OK and again["run_id"] == stalled["run_id"]
+        code, fresh = run_json(capsys, ["run", *configs(app=app, pool=wide), "--store",
+                                        str(configs.tmp_path / "fresh"), "--json"])
+        assert code == EXIT_OK
+        assert again["output_volume"]["content_digest"] == \
+            fresh["output_volume"]["content_digest"]
+
+    def test_run_that_ends_without_a_result_reports_failed(self, configs, capsys):
+        store = configs.tmp_path / "store"
+        argv = ["run", *configs(), "--store", str(store)]
+        assert main(argv) == EXIT_OK
+        (store / "volumes" / "demo-data" / "data.bin").unlink()
+        assert main(argv) == EXIT_FAILED
+        run_id = next(p.name for p in store.iterdir() if p.name.startswith("run-"))
+        capsys.readouterr()
+        assert main(["status", run_id, "--store", str(store)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"run {run_id}: phase failed,")
+        assert "result:" not in out
+
     def test_bad_calibration_key_exits_config(self, configs):
         calib = configs.tmp_path / "calib.json"
         calib.write_text(json.dumps({"warp_factor": 9}))
@@ -153,6 +183,33 @@ class TestResumeCommand:
         assert "Traceback" not in err
         assert not (fresh / "volumes").exists()
 
+    @pytest.mark.parametrize("damage", ["flipped", "short"])
+    @pytest.mark.parametrize("seq", [1, 2, 3])
+    def test_damaged_segment_fails_whichever_checkpoint_is_named(self, configs, capsys,
+                                                                 damage, seq):
+        from pathlib import Path
+
+        app = make_app(work_total=1000.0, process_count=2)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
+        store = configs.tmp_path / "store"
+        code, doc = run_json(capsys, ["run", *configs(app=app, pool=pool),
+                                      "--store", str(store), "--json"])
+        assert code == EXIT_STALLED
+        run_dir = Path(doc["checkpoint_path"]).parent
+        assert sorted(p.name for p in run_dir.glob("*/volume.bin")) == ["volume.bin"]
+        segment = run_dir / "1" / "volume.bin"
+        content = bytearray(segment.read_bytes())
+        if damage == "flipped":  # a byte that all three checkpoints cover
+            content[100] ^= 0x01
+        else:  # shorter than the first checkpoint
+            del content[100:]
+        segment.write_bytes(bytes(content))
+        code = main(["resume", *configs(app=app), "--store", str(store),
+                     "--checkpoint", str(run_dir / str(seq))])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert err.startswith("checkpoint corrupt") and err.count("\n") == 1
+
     @pytest.mark.parametrize("store_name", ["store", "fresh"])
     def test_resume_hashes_the_checkpoint_once(self, configs, capsys, monkeypatch,
                                                store_name):
@@ -185,13 +242,18 @@ class TestResumeCommand:
         (ckpt_dir / "volume.bin").write_bytes(content)
         manifest = {"run_id": "done", "seq": 1, "progress": 20.0,
                     "digest": hashlib.sha256(content).hexdigest(),
-                    "origin_system": "alpha", "created_at": 1.0}
+                    "origin_system": "alpha", "created_at": 1.0,
+                    "segment": 1, "length": len(content)}
         (ckpt_dir / "manifest.json").write_text(json.dumps(manifest))
         code, doc = run_json(capsys, ["resume", *configs(app=app),
                                       "--store", str(tmp_path / "store"), "--json",
                                       "--checkpoint", str(ckpt_dir)])
         assert code == EXIT_OK
         assert doc["history"] == []
+        # the checkpoint is the output, and the data volume holds it
+        assert doc["output_volume"]["content_digest"] == manifest["digest"]
+        assert (tmp_path / "store" / "volumes" / "demo-data" / "data.bin").read_bytes() == \
+            content
 
 
     def test_manifest_run_id_outside_the_store_exits_config(self, configs, capsys):

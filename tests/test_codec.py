@@ -5,8 +5,10 @@ naming the field path, never in a traceback."""
 import copy
 import functools
 import json
+import shutil
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -217,12 +219,14 @@ def _stalled_run(tmp_path, capsys):
 def test_malformed_state_and_manifest_fields_exit_64(tmp_path, capsys):
     argv, store, run = _stalled_run(tmp_path, capsys)
     run_dir = tmp_path / "store" / run["run_id"]
-    ckpt_dir = tmp_path / "ckpt"
-    ckpt_dir.mkdir()
-    (ckpt_dir / "volume.bin").write_bytes(
-        (tmp_path / run["checkpoint_path"] / "volume.bin").read_bytes())
+    # a copy of the run's checkpoints, so the segment that the latest one
+    # names stays beside it
+    checkpoint = Path(run["checkpoint_path"])
+    ckpt_dir = tmp_path / "ckpt" / checkpoint.name
+    shutil.copytree(checkpoint.parent, ckpt_dir.parent)
     state = json.loads((run_dir / "state.json").read_text())
-    manifest = json.loads((tmp_path / run["checkpoint_path"] / "manifest.json").read_text())
+    manifest = json.loads((ckpt_dir / "manifest.json").read_text())
+    assert manifest["segment"] < manifest["seq"]  # the latest extends an earlier one
     bad = []
     for field, doc in _mutations("state", state):
         (run_dir / "state.json").write_text(json.dumps(doc))

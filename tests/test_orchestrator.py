@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import random
 import tracemalloc
 
@@ -33,6 +32,28 @@ from bee.backends import SimConfig, make_backend
 from conftest import counting_hashlib, make_app, make_hardware, make_pool, make_system
 
 EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
+
+
+def count_payload_writes(monkeypatch) -> list[int]:
+    """The bytes of each payload write (a new file, or an extension) from now on."""
+    import bee.orchestrator
+    import bee.storage
+
+    written = []
+    real_write, real_extend = bee.storage.write_new_file, bee.storage.extend_file
+
+    def counting_write(path, content):
+        written.append(len(content))
+        real_write(path, content)
+
+    def counting_extend(path, committed, content):
+        written.append(len(content) - committed)
+        real_extend(path, committed, content)
+
+    for module in (bee.storage, bee.orchestrator):
+        monkeypatch.setattr(module, "write_new_file", counting_write)
+    monkeypatch.setattr(bee.orchestrator, "extend_file", counting_extend)
+    return written
 
 
 def run(pool, app, store, seed=7, cfg=None, **kwargs):
@@ -326,14 +347,21 @@ class TestRunWorkflow:
         assert result.outcome is Outcome.STALLED_WITH_CHECKPOINT
 
     def test_checkpoint_manifest_fields(self, tmp_path):
-        pool = make_pool(make_system("alpha", time_slot=100.0))
+        pool = make_pool(make_system("alpha", time_slot=100.0),
+                         make_system("beta", time_slot=100.0))
         app = make_app(work_total=300.0, process_count=1)
         run(pool, app, tmp_path, run_id="mf")
-        manifest = json.loads(
-            (CheckpointStore(tmp_path).latest("mf") / "manifest.json").read_text())
+        latest = CheckpointStore(tmp_path).latest("mf")
+        manifest = json.loads((latest / "manifest.json").read_text())
         assert set(manifest) == {"run_id", "seq", "progress", "digest",
-                                 "origin_system", "created_at"}
-        assert manifest["run_id"] == "mf" and manifest["origin_system"] == "alpha"
+                                 "origin_system", "created_at", "segment", "length"}
+        assert manifest["run_id"] == "mf" and manifest["origin_system"] == "beta"
+        # the second checkpoint extends the first: it names the first one's
+        # segment and all of that segment's bytes
+        segment = tmp_path / "mf" / "1" / "volume.bin"
+        assert (manifest["seq"], manifest["segment"]) == (2, 1)
+        assert manifest["length"] == segment.stat().st_size
+        assert manifest["digest"] == sha256_hex(segment.read_bytes())
 
     def test_slots_consumed_matches_history(self, tmp_path):
         pool = make_pool(make_system("alpha", time_slot=100.0),
@@ -557,6 +585,166 @@ class TestCheckpointStore:
         assert CheckpointStore(tmp_path).latest("r") is None
 
 
+class SimulatedCrash(Exception):
+    """Stands for the process dying at a chosen write."""
+
+
+def crash_in_append(monkeypatch, call, half):
+    """Make the `call`-th append to a segment die, with all of its tail
+    written or only half of it; the manifest after it is never written."""
+    import bee.orchestrator
+
+    real = bee.orchestrator.extend_file
+    calls = []
+
+    def extend(path, committed, content):
+        calls.append(path)
+        if len(calls) == call:
+            if half:
+                content = content[:committed + (len(content) - committed) // 2]
+            real(path, committed, content)
+            raise SimulatedCrash(path)
+        real(path, committed, content)
+
+    monkeypatch.setattr(bee.orchestrator, "extend_file", extend)
+
+
+def checkpoint(seq, content, run_id="r"):
+    return Checkpoint(run_id=run_id, seq=seq, progress=float(seq),
+                      digest=sha256_hex(content), origin_system="alpha", created_at=0.0)
+
+
+class TestSegment:
+    """No save changes a byte that a committed manifest covers, wherever a
+    save is cut off and whichever run reuses the run id."""
+
+    def _migrating_app(self):
+        return make_app(work_total=4 * 95.0 + 50.0, process_count=1)
+
+    @pytest.mark.parametrize("half", [False, True], ids=["whole_tail", "half_tail"])
+    def test_cut_off_append_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                          half):
+        app = self._migrating_app()
+        clean = run(make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5))),
+                    app, tmp_path / "clean", run_id="r")
+        store = tmp_path / "store"
+        crash_in_append(monkeypatch, 2, half)  # checkpoint 3, the second append
+        with pytest.raises(SimulatedCrash):
+            run(make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5))),
+                app, store, run_id="r")
+        monkeypatch.undo()
+
+        cstore = CheckpointStore(store)
+        assert cstore.latest("r") == store / "r" / "2"
+        ckpt, content = cstore.load(store / "r" / "2")
+        assert ckpt.seq == 2 and cstore.verify(store / "r" / "2")
+        assert (store / "r" / "1" / "volume.bin").stat().st_size > len(content)
+        state = json.loads((store / "r" / "state.json").read_text())
+        assert (state["phase"], state["progress"]) == ("failed", ckpt.progress)
+
+        resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
+                      app, store, run_id="r", resume_from=ckpt, resume_content=content)
+        assert resumed.outcome is Outcome.COMPLETED
+        assert resumed.output_volume.content_digest == clean.output_volume.content_digest
+
+    @pytest.mark.parametrize("half", [False, True], ids=["whole_tail", "half_tail"])
+    def test_same_store_commits_the_next_save_after_a_cut_off_append(self, tmp_path,
+                                                                    monkeypatch, half):
+        a = make_input_bytes(7, "demo", 1000)
+        b, c = a + b"tail of two" * 10, a + b"tail of two" * 10 + b"three" * 30
+        store = CheckpointStore(tmp_path)
+        store.save(checkpoint(1, a), a)
+        store.save(checkpoint(2, b), b)
+        crash_in_append(monkeypatch, 1, half)
+        with pytest.raises(SimulatedCrash):
+            store.save(checkpoint(3, c), c)
+        monkeypatch.undo()
+        segment = tmp_path / "r" / "1" / "volume.bin"
+        assert store.latest("r") == tmp_path / "r" / "2"
+        assert len(b) < segment.stat().st_size <= len(c)
+
+        store.save(checkpoint(3, c), c)
+        assert store.latest("r") == tmp_path / "r" / "3"
+        assert segment.read_bytes() == c  # the cut-off tail was cut off, not kept
+        for seq, content in ((1, a), (2, b), (3, c)):
+            assert store.load(tmp_path / "r" / str(seq))[1] == content
+            assert store.verify(tmp_path / "r" / str(seq))
+
+    def test_reused_run_id_leaves_latest_loadable(self, tmp_path):
+        app = make_app(work_total=1000.0, process_count=1)
+        first = run(make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3))),
+                    app, tmp_path, run_id="r")
+        assert [r.ended_by for r in first.history] == [SlotEnd.TIMESLOT_CHECKPOINT] * 3
+        # the second run's only checkpoint starts segment 1 again, at other bytes
+        second = run(make_pool(make_system("slow", time_slot=100.0, cpu_rate=0.5)),
+                     app, tmp_path, run_id="r")
+        assert second.outcome is Outcome.STALLED_WITH_CHECKPOINT
+        cstore = CheckpointStore(tmp_path)
+        assert cstore.latest("r") == tmp_path / "r" / "1"
+        ckpt, content = cstore.load(cstore.latest("r"))
+        assert cstore.verify(cstore.latest("r"))
+        assert ckpt.progress == second.history[0].progress_delta
+        assert content == volume_content(app.name, make_input_bytes(7, app.name, 4096),
+                                         ckpt.progress)
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "result.json",
+                                                                      "state.json"]
+
+    def test_a_known_prefix_spares_only_the_compare(self, tmp_path):
+        class Watched(bytes):
+            compares = 0
+
+            def startswith(self, prefix):
+                Watched.compares += 1
+                return super().startswith(prefix)
+
+        a, other = b"first checkpoint", b"other bytes"
+        b = Watched(a + b" and its tail")
+        store = CheckpointStore(tmp_path)
+        store.save(checkpoint(1, a), a)
+        store.save(checkpoint(2, b), b, a)  # the committed object itself
+        assert Watched.compares == 0
+        # a prefix that is not the committed object proves nothing
+        c = Watched(other + b" and more")
+        store.save(checkpoint(3, c), c, other)
+        assert Watched.compares == 1
+        segments = {seq: json.loads((tmp_path / "r" / str(seq) / "manifest.json")
+                                    .read_text())["segment"] for seq in (1, 2, 3)}
+        assert segments == {1: 1, 2: 1, 3: 3}
+        for seq, content in ((1, a), (2, b), (3, c)):
+            assert store.load(tmp_path / "r" / str(seq))[1] == content
+
+    def test_a_run_compares_each_checkpoint_once(self, tmp_path, monkeypatch):
+        known = []
+        real_save = CheckpointStore.save
+
+        def spy(store, ckpt, content, prefix=None):
+            known.append(store._last is not None and prefix is store._last[2])
+            return real_save(store, ckpt, content, prefix)
+
+        monkeypatch.setattr(CheckpointStore, "save", spy)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        assert run(pool, self._migrating_app(), tmp_path, run_id="r").outcome is \
+            Outcome.COMPLETED
+        # every save after the first is handed the bytes it extends
+        assert known == [False, True, True, True]
+
+    def test_missing_or_short_segment_is_a_corrupt_checkpoint(self, tmp_path):
+        a = b"first checkpoint"
+        b = a + b" and its tail"
+        store = CheckpointStore(tmp_path)
+        store.save(checkpoint(1, a), a)
+        store.save(checkpoint(2, b), b)
+        segment = tmp_path / "r" / "1" / "volume.bin"
+        segment.write_bytes(b[:-1])
+        assert store.load(tmp_path / "r" / "1")[1] == a
+        with pytest.raises(MigrationError, match="checkpoint corrupt"):
+            store.load(tmp_path / "r" / "2")
+        segment.unlink()
+        for seq in (1, 2):
+            with pytest.raises(MigrationError, match="checkpoint corrupt"):
+                store.load(tmp_path / "r" / str(seq))
+
+
 class TestStoreIo:
     """Each run hashes its volume in full once, then only the bytes each slot
     appends, and writes each checkpoint's bytes to one file."""
@@ -622,7 +810,9 @@ class TestStoreIo:
         # s1 takes checkpoint 2 right after the corrupted delivery
         for seq in (2, 3, 4):
             manifest = json.loads((store / "r" / str(seq) / "manifest.json").read_text())
-            on_disk = (store / "r" / str(seq) / "volume.bin").read_bytes()
+            segment = store / "r" / str(manifest["segment"]) / "volume.bin"
+            on_disk = segment.read_bytes()[:manifest["length"]]
+            assert len(on_disk) == manifest["length"]
             assert manifest["digest"] == hashlib.sha256(on_disk).hexdigest()
         assert result.output_volume.content_digest == clean.output_volume.content_digest
         data = (store / "volumes" / volume.id / "data.bin").read_bytes()
@@ -649,18 +839,51 @@ class TestStoreIo:
         assert data == volume_content(app.name, make_input_bytes(7, app.name, 4096),
                                       app.work_total)
 
-    def test_data_volume_is_the_newest_checkpoint_file(self, tmp_path):
+    def test_data_volume_holds_the_input_until_completion(self, tmp_path):
         app = self._migrating_app()
         cfg = SimConfig(seed=7, **EXACT_CFG)
+        initial = make_input_bytes(7, app.name, 4096)
         data = tmp_path / "volumes" / f"{app.name}-in" / "data.bin"
-        shared = []
+        seen = []
 
         def factory(system):
-            # each slot after the first starts once the previous slot checkpointed
-            seqs = [int(d.name) for d in (tmp_path / "r").glob("[0-9]*")]
-            if seqs:
-                newest = tmp_path / "r" / str(max(seqs)) / "volume.bin"
-                shared.append(os.path.samefile(data, newest))
+            vol = VolumeStore(tmp_path).volume(f"{app.name}-in")
+            seen.append((data.read_bytes() == initial, vol.content_digest, vol.byte_size))
+            return make_backend(system, cfg)
+
+        volume = VolumeStore(tmp_path).create(f"{app.name}-in", initial)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        result = run_workflow(pool, app, volume, make_hardware(), factory, tmp_path,
+                              cfg=cfg, run_id="r")
+        assert result.outcome is Outcome.COMPLETED
+        assert seen == [(True, sha256_hex(initial), len(initial))] * 5
+        assert data.read_bytes() == volume_content(app.name, initial, app.work_total)
+        assert all(CheckpointStore(tmp_path).verify(tmp_path / "r" / str(seq))
+                   for seq in (1, 2, 3, 4))
+
+    def test_writes_each_checkpoint_once_plus_the_final_volume(self, tmp_path, monkeypatch):
+        app = self._migrating_app()
+        written = count_payload_writes(monkeypatch)
+        VolumeStore(tmp_path).create(f"{app.name}-in", make_input_bytes(7, app.name, 1 << 16))
+        written.clear()
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        result = run(pool, app, tmp_path, run_id="w")
+        assert result.outcome is Outcome.COMPLETED
+        lengths = [len(CheckpointStore(tmp_path).load(tmp_path / "w" / str(seq))[1])
+                   for seq in (1, 2, 3, 4)]
+        # the first checkpoint in full, then only what each later one appended
+        assert written == [lengths[0], *(b - a for a, b in zip(lengths, lengths[1:])),
+                           result.output_volume.byte_size]
+
+    def test_checkpoints_append_to_one_segment(self, tmp_path):
+        app = self._migrating_app()
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        segment = tmp_path / "r" / "1" / "volume.bin"
+        seen = []
+
+        def factory(system):
+            if segment.exists():
+                seen.append((segment.stat().st_ino, segment.read_bytes()))
             return make_backend(system, cfg)
 
         volume = VolumeStore(tmp_path).create(f"{app.name}-in",
@@ -669,57 +892,46 @@ class TestStoreIo:
         result = run_workflow(pool, app, volume, make_hardware(), factory, tmp_path,
                               cfg=cfg, run_id="r")
         assert result.outcome is Outcome.COMPLETED
-        assert shared == [True] * 4
-        # the final output is a new file; the checkpoint it replaced kept its bytes
-        assert not os.path.samefile(data, tmp_path / "r" / "4" / "volume.bin")
-        assert all(CheckpointStore(tmp_path).verify(tmp_path / "r" / str(seq))
-                   for seq in (1, 2, 3, 4))
+        # one file, never replaced, whose committed bytes never change
+        assert len(seen) == 4 and len({ino for ino, _ in seen}) == 1
+        assert all(b.startswith(a) and len(b) > len(a)
+                   for (_, a), (_, b) in zip(seen, seen[1:]))
+        cstore = CheckpointStore(tmp_path)
+        for seq, (_, held) in enumerate(seen, start=1):
+            manifest = json.loads((tmp_path / "r" / str(seq) / "manifest.json").read_text())
+            assert (manifest["segment"], manifest["length"]) == (1, len(held))
+            assert cstore.load(tmp_path / "r" / str(seq))[1] == held
+            assert sorted(p.name for p in (tmp_path / "r" / str(seq)).iterdir()) == \
+                (["manifest.json", "volume.bin"] if seq == 1 else ["manifest.json"])
 
-    def test_writes_each_checkpoint_once_plus_the_final_volume(self, tmp_path, monkeypatch):
-        import bee.orchestrator
-        import bee.storage
+    def test_migrating_benchmark_run_writes_one_volume_plus_tails(self, tmp_path,
+                                                                  monkeypatch):
+        # the shape of perfbench's sim-migrate: an 8 MiB volume, 16 slots that
+        # stall, then a resume from latest() that completes on 16 fresh systems
+        app = make_app(name="sim-migrate", work_total=6000.0, process_count=4)
+        cfg = SimConfig(seed=7)
+        volume = VolumeStore(tmp_path).create("input", make_input_bytes(7, app.name, 8 << 20))
+        written = count_payload_writes(monkeypatch)
 
-        written = []
-        real_write = bee.storage.write_new_file
+        def pass_of(prefix, **kwargs):
+            pool = make_pool(*(make_system(f"{prefix}{i:02d}", n_hosts=4, time_slot=60.0)
+                               for i in range(16)))
+            return run_workflow(pool, app, volume, make_hardware(),
+                                lambda s: make_backend(s, cfg), tmp_path, cfg=cfg,
+                                run_id="sim-migrate", **kwargs)
 
-        def counting_write(path, content):
-            written.append(len(content))
-            real_write(path, content)
-
-        monkeypatch.setattr(bee.storage, "write_new_file", counting_write)
-        monkeypatch.setattr(bee.orchestrator, "write_new_file", counting_write)
-        app = self._migrating_app()
-        VolumeStore(tmp_path).create(f"{app.name}-in", make_input_bytes(7, app.name, 1 << 16))
-        written.clear()
-        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
-        result = run(pool, app, tmp_path, run_id="w")
-        assert result.outcome is Outcome.COMPLETED
-        checkpoints = [(tmp_path / "w" / str(seq) / "volume.bin").stat().st_size
-                       for seq in (1, 2, 3, 4)]
-        assert sum(written) <= sum(checkpoints) + result.output_volume.byte_size
-
-    def test_refused_link_writes_the_same_store(self, tmp_path, monkeypatch):
-        app = self._migrating_app()
-        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
-
-        def stall(store):
-            assert run(pool, app, store, run_id="r").outcome is \
-                Outcome.STALLED_WITH_CHECKPOINT
-            return os.path.samefile(store / "volumes" / f"{app.name}-in" / "data.bin",
-                                    store / "r" / "3" / "volume.bin")
-
-        def tree(root):
-            return {str(p.relative_to(root)): p.read_bytes()
-                    for p in sorted(root.rglob("*")) if p.is_file()}
-
-        assert stall(tmp_path / "linked")
-
-        def refuse(src, dst, **kwargs):
-            raise PermissionError(f"cannot link {src}")
-
-        monkeypatch.setattr(os, "link", refuse)
-        assert not stall(tmp_path / "copied")
-        assert tree(tmp_path / "linked") == tree(tmp_path / "copied")
+        stalled = pass_of("a")
+        cstore = CheckpointStore(tmp_path)
+        ckpt, content = cstore.load(cstore.latest("sim-migrate"))
+        resumed = pass_of("b", resume_from=ckpt, resume_content=content)
+        assert (stalled.outcome, resumed.outcome) == \
+            (Outcome.STALLED_WITH_CHECKPOINT, Outcome.COMPLETED)
+        assert (ckpt.seq, len(resumed.history)) == (16, 13)
+        # one full volume per run_workflow call, the appended tails and the
+        # output; writing every checkpoint in full wrote 243 MiB
+        output = resumed.output_volume.byte_size
+        assert sum(written) <= 2 * output + (output - volume.byte_size) + output
+        assert sum(written) < 30 << 20
 
     def test_meta_json_rewritten_only_when_it_changes(self, tmp_path, monkeypatch):
         unchanged = []

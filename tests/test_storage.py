@@ -15,6 +15,7 @@ from bee.storage import (
     StorageError,
     VolumeStore,
     effective_bandwidth,
+    extend_file,
     iobench_table,
     model_io,
     sha256_hex,
@@ -185,39 +186,27 @@ class TestVolumeStore:
         assert (tmp_path / "older").read_bytes() == b"new"
         assert data.read_bytes() == b"again"
 
-    def test_same_digest_skips_payload_and_unchanged_meta(self, tmp_path):
+    def test_unchanged_meta_is_not_rewritten(self, tmp_path):
         store = VolumeStore(tmp_path)
         store.create("v1", b"bytes")
-        data = tmp_path / "volumes" / "v1" / "data.bin"
-        inode = data.stat().st_ino
-        os.link(data, tmp_path / "held")  # keeps the inode number from reuse
         store.attach("v1", "alpha")
         with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta:
             vol = store.write("v1", b"bytes", sha256_hex(b"bytes"))
-            assert data.stat().st_ino == inode
             assert meta.call_count == 0  # the record it would write is the one it read
             assert vol.location == "alpha" and store.volume("v1") == vol
             store.write("v1", b"other")
             assert meta.call_count == 1
         assert store.volume("v1").content_digest == sha256_hex(b"other")
 
-    def test_linked_write_shares_the_source_file(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"old")
-        data = tmp_path / "volumes" / "v1" / "data.bin"
-        first, second = tmp_path / "first", tmp_path / "second"
-        first.write_bytes(b"linked bytes")
-        second.write_bytes(b"more linked bytes")
-        vol = store.write("v1", b"linked bytes", None, first)
-        assert os.path.samefile(data, first)
-        assert vol.content_digest == sha256_hex(b"linked bytes")
-        # each later write makes data.bin a new file: the sources keep their bytes
-        store.write("v1", b"more linked bytes", None, second)
-        assert os.path.samefile(data, second)
-        store.write("v1", b"replaced")
-        assert first.read_bytes() == b"linked bytes"
-        assert second.read_bytes() == b"more linked bytes"
-        assert data.read_bytes() == b"replaced"
+    @pytest.mark.parametrize("held", [b"COMMITTED", b"COMMITTED+cut-off tail"])
+    def test_extend_file_writes_past_the_committed_bytes_only(self, tmp_path, held):
+        path = tmp_path / "segment"
+        path.write_bytes(held)
+        os.link(path, tmp_path / "same")
+        extend_file(path, len(b"committed"), b"committed, then appended")
+        # the upper-case prefix shows the committed bytes were not written;
+        # the link shows the file was extended in place, not replaced
+        assert (tmp_path / "same").read_bytes() == b"COMMITTED, then appended"
 
     def test_new_store_does_not_trust_meta_json(self, tmp_path):
         # a torn write left meta.json naming bytes that data.bin does not
@@ -237,7 +226,6 @@ CONTENTS = st.sampled_from([b"", b"x", b"y" * 40]) | st.binary(max_size=16)
 STORE_OPS = st.one_of(
     st.tuples(st.just("create"), VOLUME_IDS, CONTENTS),
     st.tuples(st.just("write"), VOLUME_IDS, CONTENTS, st.booleans()),
-    st.tuples(st.just("link"), VOLUME_IDS, CONTENTS, st.booleans()),
     st.tuples(st.just("attach"), VOLUME_IDS, st.sampled_from(["alpha", "beta"])),
     st.tuples(st.just("detach"), VOLUME_IDS),
     st.tuples(st.just("reopen")),
@@ -250,14 +238,12 @@ class TestVolumeStoreConsistency:
     @given(ops=st.lists(STORE_OPS, max_size=25))
     def test_meta_always_describes_data(self, ops):
         """After every operation meta.json matches data.bin, except on a volume
-        whose data.bin a crash tore until it is next written.  A file that a
-        write linked data.bin to keeps its bytes after every later operation."""
+        whose data.bin a crash tore until it is next written."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
             model: dict[str, tuple[bytes, str]] = {}  # id -> content, location
             torn: set[str] = set()
-            sources: dict[Path, bytes] = {}  # files a write linked, and their bytes
             for op in ops:
                 kind, vid = op[0], (op[1] if len(op) > 1 else None)
                 vol = None
@@ -278,16 +264,11 @@ class TestVolumeStoreConsistency:
                     store = VolumeStore(root)
                 elif vid not in model:
                     with pytest.raises(StorageError):
-                        getattr(store, "write" if kind == "link" else kind)(vid, *op[2:3])
+                        getattr(store, kind)(vid, *op[2:3])
                     continue
-                elif kind in ("write", "link"):
+                elif kind == "write":
                     digest = sha256_hex(op[2]) if op[3] else None
-                    source = None
-                    if kind == "link":
-                        source = root / f"source{len(sources)}"
-                        source.write_bytes(op[2])
-                        sources[source] = op[2]
-                    vol = store.write(vid, op[2], digest, source)
+                    vol = store.write(vid, op[2], digest)
                     model[vid] = (op[2], model[vid][1])
                     torn.discard(vid)
                 elif kind == "attach" and model[vid][1] == DETACHED:
@@ -310,8 +291,6 @@ class TestVolumeStoreConsistency:
                     assert data == content
                     assert (meta.content_digest, meta.byte_size, meta.location) == \
                         (sha256_hex(data), len(data), location)
-                for source, content in sources.items():
-                    assert source.read_bytes() == content
 
 
 class TestRunningDigest:
@@ -327,11 +306,13 @@ class TestRunningDigest:
             running = RunningDigest()
             x = base
             assert running.hexdigest(x) == hashlib.sha256(x).hexdigest()
+            assert running.extended == b""  # the empty bytes held at the start
             for tail in appends:
                 fed.clear()
-                x += tail
+                held, x = x, x + tail
                 assert running.hexdigest(x) == hashlib.sha256(x).hexdigest()
                 assert fed == [("update", len(tail))]  # the tail alone
+                assert running.extended is held
 
             if mutation == "flip_first":
                 y = bytes([x[0] ^ 0xFF]) + x[1:]
@@ -344,6 +325,7 @@ class TestRunningDigest:
             fed.clear()
             assert running.hexdigest(y) == hashlib.sha256(y).hexdigest()
             assert fed == [("new", len(y))]  # hashed in full
+            assert running.extended is None
 
             # the mutated bytes are now the prefix that later data extends
             fed.clear()

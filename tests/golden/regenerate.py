@@ -18,7 +18,7 @@ from test_golden import GOLDEN, dump  # noqa: E402
 
 
 def changed_components(old: dict, new: dict) -> dict[str, int]:
-    """Per component, the number of cases whose digest differs (or that exist on one side only)."""
+    """Per component, the number of cases whose digest differs or is on one side only."""
     counts: dict[str, int] = {}
     for name in old["cases"].keys() | new["cases"].keys():
         before, after = old["cases"].get(name, {}), new["cases"].get(name, {})

@@ -18,7 +18,7 @@ from bee.model import (
     NetworkSolution,
     ComputeSystem,
 )
-from bee.storage import StoragePlan
+from bee.storage import Chain, StoragePlan
 
 SIM_HPC = "sim-hpc"
 SIM_CLOUD_AWS = "sim-cloud-aws"
@@ -208,7 +208,7 @@ class Backend(abc.ABC):
         self.log = EventLog()
         self.stage = "backend"
         self._faults: list[FaultRule] = []
-        self.staged_volume = b""  # the data volume the app starts from
+        self.staged_volume = Chain()  # the data volume the app starts from
         self.progress_base = 0.0  # the progress that volume holds
 
     # -- bookkeeping ------------------------------------------------------
@@ -261,9 +261,9 @@ class Backend(abc.ABC):
 
     # -- data staging -------------------------------------------------------
 
-    def stage_volume(self, content: bytes) -> None:
+    def stage_volume(self, content: Chain | bytes) -> None:
         """Place the data volume on the system before the cluster comes up."""
-        self.staged_volume = content
+        self.staged_volume = Chain.of(content)
 
     def set_progress_base(self, progress: float) -> None:
         """Restore point: future progress accrues on top of this marker."""
@@ -335,7 +335,9 @@ class Backend(abc.ABC):
     def put_volume(self, ref: NodeRef, content: bytes) -> None: ...
 
     @abc.abstractmethod
-    def fetch_volume(self, ref: NodeRef) -> bytes: ...
+    def fetch_volume(self, ref: NodeRef) -> Chain:
+        """The data volume as the app has left it, as a chain that extends
+        the staged one wherever the app only appended to it."""
 
     @abc.abstractmethod
     def io_seconds(self, op: str, nbytes: int) -> float:

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from bee.model import AppSpec, ComputeSystem, HardwareConfig
-from bee.storage import StoragePlan
+from bee.storage import Chain, StoragePlan
 from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet
 from bee.backends.base import (
@@ -107,7 +107,7 @@ class LocalProcessBackend(Backend):
         assert self._app is not None and self._hardware is not None
         client = self._client(ref)
         client.call(cmd="put_volume",
-                    data_b64=base64.b64encode(self.staged_volume).decode())
+                    data_b64=base64.b64encode(bytes(self.staged_volume)).decode())
         rate = compute_rate(self._app, self._hardware, self.system,
                             self.capability().cpu_overhead_fraction)
         client.call(cmd="app_start", name=self._app.name, rate=rate,
@@ -146,10 +146,22 @@ class LocalProcessBackend(Backend):
         self.log.append(self.now(), "put_volume", ref.host_id, stage=self.stage,
                         nbytes=len(content))
 
-    def fetch_volume(self, ref: NodeRef) -> bytes:
+    def fetch_volume(self, ref: NodeRef) -> Chain:
+        """The agent's volume, checked once against the staged chain.
+
+        Bytes that extend the staged ones become the staged chain plus their
+        tail, so the run hashes and stores only the tail; any other bytes
+        become a chain of their own, hashed and stored in full.
+        """
         reply = self._client(ref).call(cmd="fetch_volume")
         self.log.append(self.now(), "fetch_volume", ref.host_id, stage=self.stage)
-        return base64.b64decode(reply["data_b64"])
+        data = base64.b64decode(reply["data_b64"])
+        offset = 0
+        for part in self.staged_volume.parts:
+            if not data.startswith(part, offset):
+                return Chain(data)
+            offset += len(part)
+        return self.staged_volume + data[offset:]
 
     def io_seconds(self, op: str, nbytes: int) -> float:
         # the toy work loop performs no separate I/O phase

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from bee.model import MB, WORK_QUANTUM, AppSpec, ComputeSystem, HardwareConfig, StorageSolution
-from bee.storage import StoragePlan, model_io
+from bee.storage import Chain, StoragePlan, model_io
 from bee.workload import append_output, progress_at
 from bee.backends.base import (
     Backend,
@@ -260,7 +260,7 @@ class SimHpcBackend(Backend):
         self.log.append(self._t, "put_volume", ref.host_id, stage=self.stage,
                         nbytes=len(content))
 
-    def fetch_volume(self, ref: NodeRef) -> bytes:
+    def fetch_volume(self, ref: NodeRef) -> Chain:
         content = append_output(self._app_name, self.staged_volume,
                                 self.progress_base, self.progress(ref))
         self.log.append(self._t, "fetch_volume", ref.host_id, stage=self.stage,

@@ -37,7 +37,7 @@ from bee.model import (
     to_json,
     validate,
 )
-from bee.storage import RunningDigest, VolumeStore, extend_file, sha256_hex, write_new_file
+from bee.storage import Chain, RunningDigest, VolumeStore, extend_file, sha256_hex, write_new_file
 from bee.workload import max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
@@ -140,11 +140,11 @@ class CheckpointStore:
 
     Checkpoint `seq` of a run is <root>/<run_id>/<seq>/manifest.json.  Its
     bytes are the first `length` bytes of the segment file
-    <root>/<run_id>/<segment>/volume.bin.  A save whose content extends the
-    bytes this instance last committed appends only the new tail to that
-    segment; any other save starts a segment of its own (segment == seq),
-    written in full.  So a directory holding only {manifest.json,
-    volume.bin} is a complete checkpoint.
+    <root>/<run_id>/<segment>/volume.bin.  A save whose content is a Chain
+    that extends the chain this instance last committed (or adopted) appends
+    only the new parts to that segment; any other save starts a segment of
+    its own (segment == seq), written in full.  So a directory holding only
+    {manifest.json, volume.bin} is a complete checkpoint.
 
     The manifest is written last and is the commit record.  Bytes past the
     committed length are the tail of a save cut off before its manifest, and
@@ -156,34 +156,49 @@ class CheckpointStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        # (run id, segment, content) of this instance's last committed save; the
-        # content is the caller's bytes object, held by reference, not copied
-        self._last: tuple[str, int, bytes] | None = None
+        # (run id, segment, content) of this instance's last committed save or
+        # adopted checkpoint; the chain is held by reference, not copied
+        self._last: tuple[str, int, Chain] | None = None
 
     def _dir(self, run_id: str, seq: int) -> Path:
         return self.root / run_id / str(seq)
 
-    def save(self, ckpt: Checkpoint, content: bytes, prefix: bytes | None = None) -> Path:
-        """Commit `content` as checkpoint `ckpt`; returns the manifest's directory.
-
-        `prefix`, when given, must be bytes that `content` is known to start
-        with.  Where it is the very object this store last committed, the
-        compare that tells whether `content` extends it is skipped.
-        """
+    def save(self, ckpt: Checkpoint, content: Chain | bytes) -> Path:
+        """Commit `content` as checkpoint `ckpt`; returns the manifest's directory."""
+        chain = Chain.of(content)
         self._drop_from(ckpt.run_id, ckpt.seq)
         d = self._dir(ckpt.run_id, ckpt.seq)
         d.mkdir(parents=True, exist_ok=True)
-        last_run, segment, committed = self._last or (None, 0, b"")
-        if last_run == ckpt.run_id and segment < ckpt.seq \
-                and (prefix is committed or content.startswith(committed)):
-            extend_file(self._dir(ckpt.run_id, segment) / "volume.bin", len(committed), content)
+        last_run, segment, committed = self._last or (None, 0, Chain())
+        if last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed):
+            extend_file(self._dir(ckpt.run_id, segment) / "volume.bin", len(committed), chain)
         else:
             segment = ckpt.seq
-            write_new_file(d / "volume.bin", content)
-        manifest = to_json(ckpt) | {"segment": segment, "length": len(content)}
+            write_new_file(d / "volume.bin", chain)
+        manifest = to_json(ckpt) | {"segment": segment, "length": len(chain)}
         (d / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
-        self._last = (ckpt.run_id, segment, content)
+        self._last = (ckpt.run_id, segment, chain)
         return d
+
+    def adopt(self, run_id: str, ckpt: Checkpoint, content: Chain) -> None:
+        """Let run `run_id`'s next save append to the segment of checkpoint `ckpt`.
+
+        `ckpt.digest` must be the SHA-256 of exactly `content`, checked by the
+        caller.  The segment is adopted only when this store's manifest for
+        (run_id, ckpt.seq) names that digest and len(content), and its segment
+        file holds at least that many bytes.  No save changes a committed
+        byte, so the segment then holds `content` as its first bytes.  In any
+        other case, such as a checkpoint copied from elsewhere, the next save
+        starts a segment of its own.
+        """
+        try:
+            m = self._manifest(self._dir(run_id, ckpt.seq))
+            size = (self._dir(run_id, m.segment) / "volume.bin").stat().st_size
+        except (OSError, ParseError):
+            return
+        if (m.run_id, m.seq, m.digest, m.length) == \
+                (run_id, ckpt.seq, ckpt.digest, len(content)) and size >= m.length:
+            self._last = (run_id, m.segment, content)
 
     def _drop_from(self, run_id: str, seq: int) -> None:
         """Remove the run's checkpoints with a seq >= `seq`, each manifest first."""
@@ -312,7 +327,7 @@ def monitor(cluster: Cluster, budget: float, guard: float,
 def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
                    run_id: str, seq: int, created_at: float,
                    running: RunningDigest | None = None
-                   ) -> tuple[Checkpoint, bytes, float, RunState]:
+                   ) -> tuple[Checkpoint, Chain, float, RunState]:
     """Pause the cluster and snapshot the data volume with a progress marker.
 
     Returns the checkpoint, its content, the simulated write duration, and the
@@ -336,14 +351,14 @@ def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
     ckpt = Checkpoint(run_id=run_id, seq=seq, progress=progress,
                       digest=running.hexdigest(content),
                       origin_system=cluster.system.id, created_at=created_at + duration)
-    # the digest has just checked which bytes the content extends
-    store.save(ckpt, content, running.extended)
+    store.save(ckpt, content)
     new_state = replace(state, phase=Phase.CHECKPOINTING, need_migration=True,
                         last_host_system=cluster.system.id)
     return ckpt, content, duration, new_state
 
 
-def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeSystem | None,
+def transfer_and_restore(ckpt: Checkpoint, content: Chain | bytes,
+                         from_system: ComputeSystem | None,
                          to_system: ComputeSystem, backend: Backend,
                          vstore: VolumeStore, volume_id: str,
                          running: RunningDigest | None = None) -> DataVolume:
@@ -365,7 +380,7 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
     for attempt in (1, 2):
         backend.charge(seconds, "data_transfer", to_system.hosts[0].id)
         fault = backend.take_fault("transfer", to_system.hosts[0].id)
-        candidate = content if fault is None else _corrupt(content)
+        candidate = content if fault is None else _corrupt(bytes(content))
         if running.hexdigest(candidate) == ckpt.digest:
             break
         backend.log.append(backend.now(), "transfer_digest_mismatch",
@@ -374,9 +389,7 @@ def transfer_and_restore(ckpt: Checkpoint, content: bytes, from_system: ComputeS
         raise MigrationError(
             f"checkpoint digest mismatch after retry while moving to {to_system.id}")
 
-    if vstore.volume(volume_id).location != "detached":
-        vstore.detach(volume_id)
-    vol = vstore.attach(volume_id, to_system.id)
+    vol = vstore.move(volume_id, to_system.id)
     backend.charge(0.0, "restore_checkpoint", to_system.hosts[0].id)
     return vol
 
@@ -427,15 +440,17 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                  store_dir: str | Path, *, cfg: SimConfig | None = None,
                  run_id: str | None = None, loop_pool: bool = False,
                  resume_from: Checkpoint | None = None,
-                 resume_content: bytes | None = None) -> RunResult:
+                 resume_content: Chain | bytes | None = None) -> RunResult:
     """Run the application across the pool until done, stalled, or failed.
 
-    Every hash of volume bytes goes through one RunningDigest that lives as
-    long as this call: each slot's checkpoint extends the bytes the previous
-    slot hashed, so only the appended tail is hashed again.  The checkpoint
-    store likewise appends only that tail to the run's segment.  A resume is
-    checked against its manifest digest before anything is stored; when the
-    store has no volume `data.id` yet, it is created from the checked bytes.
+    Volume contents travel as Chains.  Every hash of them goes through one
+    RunningDigest that lives as long as this call: each slot's checkpoint is
+    the chain the previous slot hashed plus the part the app appended, so
+    only that part is hashed again.  The checkpoint store likewise appends
+    only that part to the run's segment.  A resume is checked against its
+    manifest digest before anything is stored; when the store has no volume
+    `data.id` yet, it is created from the checked bytes, and when the store
+    holds the checkpoint's segment, the next checkpoint appends to it.
     The data volume's stored bytes are the input until the run completes,
     and its output after that.  A call that ends by an exception, an
     interrupt included, records phase `failed` before it re-raises.
@@ -454,6 +469,9 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     if resume_from is not None:
         if resume_content is None:
             raise OrchestratorError("resume requires the checkpoint content")
+        # one chain for the check, the store and staging, so that each later
+        # hash and append finds these bytes by identity
+        resume_content = Chain.of(resume_content)
         if running.hexdigest(resume_content) != resume_from.digest:
             raise MigrationError("checkpoint corrupt: content does not match manifest digest")
     status = _StatusWriter(Path(store_dir), run_id)
@@ -475,6 +493,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                              need_migration=resume_from.origin_system is not None,
                              last_host_system=resume_from.origin_system,
                              progress=resume_from.progress)
+            cstore.adopt(run_id, resume_from, ckpt_content)
             if not vstore.exists(data.id):
                 vstore.create(data.id, ckpt_content, digest=resume_from.digest)
             elif resume_from.progress >= work_total:
@@ -531,10 +550,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                             else vstore.content(data.id)
                         backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
                                        "load_initial_data", system.hosts[0].id)
-                        vol = vstore.volume(data.id)
-                        if vol.location != "detached":
-                            vstore.detach(data.id)
-                        vstore.attach(data.id, system.id)
+                        vstore.move(data.id, system.id)
                 except MigrationError:
                     state = replace(state, phase=Phase.FAILED, current_system=None)
                     return finish(Outcome.FAILED, None)

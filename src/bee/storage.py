@@ -30,35 +30,74 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class RunningDigest:
-    """SHA-256 of byte strings that mostly extend the one hashed before.
+class Chain:
+    """Volume bytes as an immutable chain of `bytes` parts: a base and the
+    tails appended to it (a rope, after Boehm, Atkinson and Plass).
 
-    It holds the last bytes it hashed and the hash state after them.  Data
-    that starts with those bytes is hashed by extending a copy of that state
-    with the tail alone; other data is hashed in full.  SHA-256 consumes its
-    input as a stream, so both paths give the digest of the whole data.  Only
-    immutable bytes are accepted, so the held prefix cannot change after the
-    check.  Being handed the very object it holds skips the prefix compare.
-    After each call, `extended` is the held bytes object that the data was
-    found to start with, or None where the data was hashed in full.
+    `chain + tail` makes a new chain that shares every part of this one and
+    copies no bytes.  Parts are `bytes` and are held in a tuple, so neither a
+    part nor a chain can change once made.  So a chain whose leading parts
+    are the very objects of another chain holds that chain's bytes followed
+    by more; `extends` proves it by identity, in O(parts) and without reading
+    a byte.  `bytes(chain)` joins the parts: use it only where a whole copy
+    is needed.
+    """
+
+    __slots__ = ("parts", "_len")
+
+    def __init__(self, *parts: bytes) -> None:
+        for part in parts:
+            if not isinstance(part, bytes):
+                raise TypeError(f"a chain holds bytes, not {type(part).__name__}")
+        self.parts = parts
+        self._len = sum(map(len, parts))
+
+    @classmethod
+    def of(cls, content: Chain | bytes) -> Chain:
+        """`content` itself if it is a chain, else a chain of that one part."""
+        return content if isinstance(content, Chain) else cls(content)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __add__(self, tail: bytes) -> Chain:
+        if not isinstance(tail, bytes):
+            return NotImplemented
+        return Chain(*self.parts, tail) if tail else self
+
+    def __bytes__(self) -> bytes:
+        return self.parts[0] if len(self.parts) == 1 else b"".join(self.parts)
+
+    def extends(self, other: Chain) -> bool:
+        """Whether this chain's leading parts are the very parts of `other`."""
+        n = len(other.parts)
+        return n <= len(self.parts) and all(a is b for a, b in zip(self.parts, other.parts))
+
+
+class RunningDigest:
+    """SHA-256 of volume contents that mostly extend the one hashed before.
+
+    It holds the chain it last hashed and the hash state after its bytes.  A
+    chain that extends the held one (see Chain.extends) is hashed by
+    extending a copy of that state with the new parts alone; anything else is
+    hashed in full.  SHA-256 consumes its input as a stream, so both paths
+    give the digest of the whole content.  Plain `bytes` are taken as a chain
+    of that one part; other types are refused.
     """
 
     def __init__(self) -> None:
-        self._data = b""
+        self._held = Chain()
         self._state = hashlib.sha256()
-        self.extended: bytes | None = None
 
-    def hexdigest(self, data: bytes) -> str:
-        if not isinstance(data, bytes):
-            raise TypeError(f"RunningDigest hashes bytes, not {type(data).__name__}")
-        if data is self._data or data.startswith(self._data):
-            state = self._state.copy()
-            state.update(memoryview(data)[len(self._data):])
-            self.extended = self._data
+    def hexdigest(self, content: Chain | bytes) -> str:
+        chain = Chain.of(content)
+        if chain.extends(self._held):
+            state, new = self._state.copy(), chain.parts[len(self._held.parts):]
         else:
-            state = hashlib.sha256(data)
-            self.extended = None
-        self._data, self._state = data, state
+            state, new = hashlib.sha256(), chain.parts
+        for part in new:
+            state.update(part)
+        self._held, self._state = chain, state
         return state.hexdigest()
 
 
@@ -139,7 +178,7 @@ def iobench_table(solution: StorageSolution, max_nodes: int = 32,
 # volume store
 
 
-def write_new_file(path: Path, content: bytes) -> None:
+def write_new_file(path: Path, content: Chain | bytes) -> None:
     """Write `content` to `path` as a new file; an existing one is unlinked first.
 
     Truncating a file in place makes ext4 (auto_da_alloc) flush its dirty
@@ -148,10 +187,11 @@ def write_new_file(path: Path, content: bytes) -> None:
     bytes it used to hold.
     """
     path.unlink(missing_ok=True)
-    path.write_bytes(content)
+    with open(path, "wb") as fh:
+        fh.writelines(Chain.of(content).parts)
 
 
-def extend_file(path: Path, committed: int, content: bytes) -> None:
+def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
     """Make the file at `path` hold `content`, whose first `committed` bytes it holds.
 
     Only the bytes past `committed` are written.  Whatever the file held past
@@ -161,7 +201,13 @@ def extend_file(path: Path, committed: int, content: bytes) -> None:
     with open(path, "r+b") as fh:
         fh.truncate(committed)
         fh.seek(committed)
-        fh.write(memoryview(content)[committed:])
+        skip = committed
+        for part in Chain.of(content).parts:
+            if skip < len(part):
+                fh.write(memoryview(part)[skip:])
+                skip = 0
+            else:
+                skip -= len(part)
 
 
 class VolumeStore:
@@ -180,11 +226,12 @@ class VolumeStore:
     def exists(self, volume_id: str) -> bool:
         return (self._dir(volume_id) / "meta.json").exists()
 
-    def create(self, volume_id: str, content: bytes, location: str = DETACHED,
+    def create(self, volume_id: str, content: Chain | bytes, location: str = DETACHED,
                digest: str | None = None) -> DataVolume:
         """A new volume holding `content`; `digest` is as for write()."""
         vol = DataVolume(id=volume_id, byte_size=len(content),
-                         content_digest=digest or sha256_hex(content), location=location)
+                         content_digest=digest or sha256_hex(bytes(content)),
+                         location=location)
         self._dir(volume_id).mkdir(parents=True, exist_ok=True)
         write_new_file(self._dir(volume_id) / "data.bin", content)
         self._write_meta(vol)
@@ -206,7 +253,8 @@ class VolumeStore:
             raise StorageError(f"no such volume: {volume_id}")
         return path.read_bytes()
 
-    def write(self, volume_id: str, content: bytes, digest: str | None = None) -> DataVolume:
+    def write(self, volume_id: str, content: Chain | bytes,
+              digest: str | None = None) -> DataVolume:
         """Replace the volume's bytes.
 
         `digest`, when given, must be the SHA-256 hex of exactly `content`,
@@ -216,7 +264,7 @@ class VolumeStore:
         vol = self.volume(volume_id)
         write_new_file(self._dir(volume_id) / "data.bin", content)
         new = replace(vol, byte_size=len(content),
-                      content_digest=digest or sha256_hex(content))
+                      content_digest=digest or sha256_hex(bytes(content)))
         if new != vol:
             self._write_meta(new)
         return new
@@ -230,6 +278,18 @@ class VolumeStore:
         vol = replace(vol, location=system_id)
         self._write_meta(vol)
         return vol
+
+    def move(self, volume_id: str, system_id: str) -> DataVolume:
+        """Attach the volume on `system_id`, wherever it was attached before.
+
+        One meta.json write in place of a detach and an attach, and none when
+        the volume is already there.
+        """
+        vol = self.volume(volume_id)
+        moved = replace(vol, location=system_id)
+        if moved != vol:
+            self._write_meta(moved)
+        return moved
 
     def detach(self, volume_id: str) -> DataVolume:
         vol = self.volume(volume_id)

@@ -56,19 +56,22 @@ def completed_units(progress: float) -> int:
     return int(progress)
 
 
-def append_output(app_name: str, base_bytes: bytes, base_progress: float,
-                  progress: float) -> bytes:
+def append_output(app_name: str, base_bytes, base_progress: float, progress: float):
     """Volume content once the app has advanced from base_progress to progress.
 
-    The new blocks are joined in slices of JOIN_BLOCKS, then the base and the
-    slices in one final join, which copies the base once.
+    The new blocks are joined in slices of JOIN_BLOCKS.  A `bytes` base and
+    the slices are then joined once, which copies the base once.  Any other
+    base, such as bee.storage.Chain, which shares its parts instead of
+    copying them, gets the joined slices appended with `+`.
     """
     start = completed_units(base_progress) + 1
     end = completed_units(progress)
     blocks = _hash_blocks(app_name, start, end)
     slices = [b"".join(islice(blocks, JOIN_BLOCKS))
               for _ in range(start, end + 1, JOIN_BLOCKS)]
-    return b"".join([base_bytes, *slices])
+    if isinstance(base_bytes, bytes):
+        return b"".join([base_bytes, *slices])
+    return base_bytes + b"".join(slices)
 
 
 def volume_content(app_name: str, initial: bytes, progress: float) -> bytes:

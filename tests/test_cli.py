@@ -210,6 +210,52 @@ class TestResumeCommand:
         assert code == EXIT_FAILED
         assert err.startswith("checkpoint corrupt") and err.count("\n") == 1
 
+    def test_resume_from_an_earlier_checkpoint_keeps_every_latest_verifying(
+            self, configs, capsys, monkeypatch):
+        from pathlib import Path
+
+        from bee.orchestrator import CheckpointStore
+
+        app = make_app(work_total=1000.0, process_count=2)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
+        store = configs.tmp_path / "store"
+        code, doc = run_json(capsys, ["run", *configs(app=app, pool=pool),
+                                      "--store", str(store), "--json"])
+        assert code == EXIT_STALLED
+        run_dir = Path(doc["checkpoint_path"]).parent
+        assert doc["checkpoint_path"] == str(run_dir / "3")
+
+        seen = []
+        real_save = CheckpointStore.save
+
+        def save_then_check(cstore, ckpt, content):
+            d = real_save(cstore, ckpt, content)
+            reader = CheckpointStore(store)
+            latest = reader.latest(ckpt.run_id)
+            seen.append((latest.name, reader.verify(latest)))
+            return d
+
+        monkeypatch.setattr(CheckpointStore, "save", save_then_check)
+        more = make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(5)))
+        code, resumed = run_json(capsys, ["resume", *configs(app=app, pool=more),
+                                          "--store", str(store), "--json",
+                                          "--checkpoint", str(run_dir / "1")])
+        assert code == EXIT_OK
+        assert seen == [("2", True), ("3", True), ("4", True), ("5", True)]
+        reader = CheckpointStore(store)
+        for seq in range(1, 6):
+            manifest = json.loads((run_dir / str(seq) / "manifest.json").read_text())
+            assert manifest["segment"] == 1  # the resume appended to its segment
+            assert reader.verify(run_dir / str(seq))
+
+        one_slot = make_pool(make_system("omega", time_slot=10_000.0))
+        code, straight = run_json(capsys, ["run", *configs(app=app, pool=one_slot),
+                                           "--store", str(configs.tmp_path / "straight"),
+                                           "--json"])
+        assert code == EXIT_OK
+        assert resumed["output_volume"]["content_digest"] == \
+            straight["output_volume"]["content_digest"]
+
     @pytest.mark.parametrize("store_name", ["store", "fresh"])
     def test_resume_hashes_the_checkpoint_once(self, configs, capsys, monkeypatch,
                                                store_name):

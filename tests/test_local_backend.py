@@ -164,6 +164,47 @@ def test_close_keeps_a_callers_workdir(tmp_path):
     assert (tmp_path / "work").is_dir()
 
 
+def test_fetched_volume_is_checked_once_against_the_staged_chain(tmp_path):
+    import base64
+    import hashlib
+
+    from bee.backends.base import NodeRef
+    from bee.orchestrator import Checkpoint
+    from bee.storage import Chain, RunningDigest
+
+    delivered = [b"staged input+tail", b"staged input+tail+more",
+                 b"rewritten input+tail+more"]
+
+    class FakeAgent:
+        def call(self, **request):
+            assert request == {"cmd": "fetch_volume"}
+            return {"ok": True, "data_b64": base64.b64encode(delivered[0]).decode()}
+
+    _, backend = _local_backend(tmp_path)
+    backend._client = lambda ref: FakeAgent()
+    staged = Chain(bytes(bytearray(b"staged input")))
+    backend.stage_volume(staged)
+    running, store = RunningDigest(), CheckpointStore(tmp_path / "store")
+    fetched = []
+    for seq in (1, 2, 3):
+        content = backend.fetch_volume(NodeRef("sys0-h0", 0, "c"))
+        assert bytes(content) == delivered.pop(0)
+        digest = running.hexdigest(content)
+        assert digest == hashlib.sha256(bytes(content)).hexdigest()
+        store.save(Checkpoint(run_id="r", seq=seq, progress=float(seq), digest=digest,
+                              origin_system="sys0", created_at=0.0), content)
+        backend.stage_volume(content)  # the next slot starts from this checkpoint
+        fetched.append(content)
+    # bytes that extend the staged ones share its parts; other bytes start over
+    assert fetched[0].parts[0] is staged.parts[0]
+    assert fetched[1].extends(fetched[0]) and not fetched[2].extends(fetched[1])
+    segments = [json.loads((tmp_path / "store" / "r" / str(seq) / "manifest.json")
+                           .read_text())["segment"] for seq in (1, 2, 3)]
+    assert segments == [1, 1, 3]
+    assert all(store.verify(tmp_path / "store" / "r" / str(seq)) for seq in (1, 2, 3))
+    backend.close()
+
+
 def _pids_naming(path: Path) -> set[int]:
     """Processes whose command line contains `path`, read from /proc."""
     key = str(path).encode()

@@ -2,13 +2,15 @@ import hashlib
 import json
 import math
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bee.model import MB, WORK_QUANTUM, quantize_work
-from bee.storage import VolumeStore, sha256_hex
+from bee.storage import Chain, RunningDigest, VolumeStore, sha256_hex
 from bee.workload import append_output, make_input_bytes, volume_content
 from bee.cluster import Cluster, deploy_cluster
 from bee.backends.base import NodeFailure
@@ -601,7 +603,7 @@ def crash_in_append(monkeypatch, call, half):
         calls.append(path)
         if len(calls) == call:
             if half:
-                content = content[:committed + (len(content) - committed) // 2]
+                content = bytes(content)[:committed + (len(content) - committed) // 2]
             real(path, committed, content)
             raise SimulatedCrash(path)
         real(path, committed, content)
@@ -611,7 +613,8 @@ def crash_in_append(monkeypatch, call, half):
 
 def checkpoint(seq, content, run_id="r"):
     return Checkpoint(run_id=run_id, seq=seq, progress=float(seq),
-                      digest=sha256_hex(content), origin_system="alpha", created_at=0.0)
+                      digest=sha256_hex(bytes(content)), origin_system="alpha",
+                      created_at=0.0)
 
 
 class TestSegment:
@@ -650,8 +653,9 @@ class TestSegment:
     @pytest.mark.parametrize("half", [False, True], ids=["whole_tail", "half_tail"])
     def test_same_store_commits_the_next_save_after_a_cut_off_append(self, tmp_path,
                                                                     monkeypatch, half):
-        a = make_input_bytes(7, "demo", 1000)
-        b, c = a + b"tail of two" * 10, a + b"tail of two" * 10 + b"three" * 30
+        a = Chain(make_input_bytes(7, "demo", 1000))
+        b = a + b"tail of two" * 10
+        c = b + b"three" * 30
         store = CheckpointStore(tmp_path)
         store.save(checkpoint(1, a), a)
         store.save(checkpoint(2, b), b)
@@ -665,9 +669,9 @@ class TestSegment:
 
         store.save(checkpoint(3, c), c)
         assert store.latest("r") == tmp_path / "r" / "3"
-        assert segment.read_bytes() == c  # the cut-off tail was cut off, not kept
+        assert segment.read_bytes() == bytes(c)  # the cut-off tail was cut off, not kept
         for seq, content in ((1, a), (2, b), (3, c)):
-            assert store.load(tmp_path / "r" / str(seq))[1] == content
+            assert store.load(tmp_path / "r" / str(seq))[1] == bytes(content)
             assert store.verify(tmp_path / "r" / str(seq))
 
     def test_reused_run_id_leaves_latest_loadable(self, tmp_path):
@@ -689,60 +693,144 @@ class TestSegment:
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "result.json",
                                                                       "state.json"]
 
-    def test_a_known_prefix_spares_only_the_compare(self, tmp_path):
-        class Watched(bytes):
-            compares = 0
-
-            def startswith(self, prefix):
-                Watched.compares += 1
-                return super().startswith(prefix)
-
-        a, other = b"first checkpoint", b"other bytes"
-        b = Watched(a + b" and its tail")
+    def test_only_the_committed_parts_prove_an_extension(self, tmp_path):
+        a = Chain(bytes(bytearray(b"first checkpoint")))
+        b = a + b" and its tail"
         store = CheckpointStore(tmp_path)
         store.save(checkpoint(1, a), a)
-        store.save(checkpoint(2, b), b, a)  # the committed object itself
-        assert Watched.compares == 0
-        # a prefix that is not the committed object proves nothing
-        c = Watched(other + b" and more")
-        store.save(checkpoint(3, c), c, other)
-        assert Watched.compares == 1
+        store.save(checkpoint(2, b), b)  # extends the committed chain
+        # equal bytes in other objects prove nothing: a segment of their own
+        c = Chain(bytes(bytearray(b"first checkpoint")), b" and its tail", b" and more")
+        store.save(checkpoint(3, c), c)
+        # so do plain bytes, which are a chain of one new part
+        d = bytes(c) + b"!"
+        store.save(checkpoint(4, d), d)
         segments = {seq: json.loads((tmp_path / "r" / str(seq) / "manifest.json")
-                                    .read_text())["segment"] for seq in (1, 2, 3)}
-        assert segments == {1: 1, 2: 1, 3: 3}
-        for seq, content in ((1, a), (2, b), (3, c)):
-            assert store.load(tmp_path / "r" / str(seq))[1] == content
+                                    .read_text())["segment"] for seq in (1, 2, 3, 4)}
+        assert segments == {1: 1, 2: 1, 3: 3, 4: 4}
+        for seq, content in ((1, a), (2, b), (3, c), (4, d)):
+            assert store.load(tmp_path / "r" / str(seq))[1] == bytes(content)
+            assert store.verify(tmp_path / "r" / str(seq))
 
-    def test_a_run_compares_each_checkpoint_once(self, tmp_path, monkeypatch):
+    def test_a_run_extends_each_checkpoint_by_identity(self, tmp_path, monkeypatch):
         known = []
         real_save = CheckpointStore.save
 
-        def spy(store, ckpt, content, prefix=None):
-            known.append(store._last is not None and prefix is store._last[2])
-            return real_save(store, ckpt, content, prefix)
+        def spy(store, ckpt, content):
+            known.append(store._last is not None and content.extends(store._last[2]))
+            return real_save(store, ckpt, content)
 
         monkeypatch.setattr(CheckpointStore, "save", spy)
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
         assert run(pool, self._migrating_app(), tmp_path, run_id="r").outcome is \
             Outcome.COMPLETED
-        # every save after the first is handed the bytes it extends
+        # every save after the first is handed a chain of the parts it committed
         assert known == [False, True, True, True]
 
     def test_missing_or_short_segment_is_a_corrupt_checkpoint(self, tmp_path):
-        a = b"first checkpoint"
+        a = Chain(b"first checkpoint")
         b = a + b" and its tail"
         store = CheckpointStore(tmp_path)
         store.save(checkpoint(1, a), a)
         store.save(checkpoint(2, b), b)
         segment = tmp_path / "r" / "1" / "volume.bin"
-        segment.write_bytes(b[:-1])
-        assert store.load(tmp_path / "r" / "1")[1] == a
+        segment.write_bytes(bytes(b)[:-1])
+        assert store.load(tmp_path / "r" / "1")[1] == bytes(a)
         with pytest.raises(MigrationError, match="checkpoint corrupt"):
             store.load(tmp_path / "r" / "2")
         segment.unlink()
         for seq in (1, 2):
             with pytest.raises(MigrationError, match="checkpoint corrupt"):
                 store.load(tmp_path / "r" / str(seq))
+
+
+    @pytest.mark.parametrize("damage", [None, "digest", "length", "short_segment"])
+    def test_resume_appends_to_its_segment_only_where_the_store_proves_it(
+            self, tmp_path, monkeypatch, damage):
+        app = self._migrating_app()
+        stalled = run(make_pool(*(make_system(f"a{i}", time_slot=100.0) for i in range(2))),
+                      app, tmp_path, run_id="r")
+        assert stalled.outcome is Outcome.STALLED_WITH_CHECKPOINT
+        ckpt, content = CheckpointStore(tmp_path).load(tmp_path / "r" / "2")
+        manifest_path = tmp_path / "r" / "2" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "digest":
+            manifest["digest"] = sha256_hex(b"other bytes")
+        elif damage == "length":
+            manifest["length"] -= 1
+        elif damage == "short_segment":
+            with open(tmp_path / "r" / "1" / "volume.bin", "r+b") as fh:
+                fh.truncate(len(content) - 1)
+        manifest_path.write_text(json.dumps(manifest))
+        written = count_payload_writes(monkeypatch)
+
+        resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
+                      app, tmp_path, run_id="r", resume_from=ckpt, resume_content=content)
+        assert resumed.outcome is Outcome.COMPLETED
+        assert resumed.output_volume.content_digest == sha256_hex(
+            volume_content(app.name, make_input_bytes(7, app.name, 4096), app.work_total))
+        cstore = CheckpointStore(tmp_path)
+        after = [json.loads((tmp_path / "r" / str(seq) / "manifest.json").read_text())
+                 for seq in (3, 4)]
+        assert all(cstore.verify(tmp_path / "r" / str(seq)) for seq in (3, 4))
+        if damage is None:
+            # the store's manifest proves that segment 1 holds the checked bytes
+            assert [m["segment"] for m in after] == [1, 1]
+            assert written[0] == after[0]["length"] - len(content)
+        else:
+            assert [m["segment"] for m in after] == [3, 3]
+            assert written[0] == after[0]["length"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.binary(max_size=64),
+           ops=st.lists(st.one_of(st.tuples(st.just("append"), st.binary(max_size=48)),
+                                  st.tuples(st.just("fresh"), st.binary(max_size=80)),
+                                  st.tuples(st.just("corrupt")),
+                                  st.tuples(st.just("reopen"))), max_size=12))
+    def test_chains_hash_and_commit_exactly_their_bytes(self, base, ops):
+        from bee.orchestrator import _corrupt
+
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            running, store = RunningDigest(), CheckpointStore(root)
+            current, committed = Chain(base), []  # committed: (checkpoint, bytes)
+
+            def commit(content):
+                digest = running.hexdigest(content)
+                assert digest == sha256_hex(bytes(content))
+                ckpt = Checkpoint(run_id="r", seq=len(committed) + 1, progress=0.0,
+                                  digest=digest, origin_system=None, created_at=0.0)
+                store.save(ckpt, content)
+                committed.append((ckpt, bytes(content)))
+                return json.loads((root / "r" / str(ckpt.seq) / "manifest.json")
+                                  .read_text())["segment"]
+
+            for op, *args in ops:
+                if op == "append":
+                    current = current + args[0]
+                    segment = commit(current)
+                    # a chain that extends the last commit, or the adopted
+                    # checkpoint, appends to its segment
+                    assert len(committed) == 1 or segment == previous_segment
+                elif op == "fresh":
+                    data = bytes(bytearray(b"fresh:" + args[0]))  # a new object
+                    segment = commit(data)  # plain bytes: one new part
+                    assert segment == len(committed)
+                    current = Chain(data)
+                elif op == "corrupt":  # a delivery that is refused, not stored
+                    delivered = _corrupt(bytes(current))
+                    assert running.hexdigest(delivered) == sha256_hex(delivered)
+                    continue
+                else:  # a resume: a new run's digest and store adopt the checkpoint
+                    running, store = RunningDigest(), CheckpointStore(root)
+                    if committed:
+                        assert running.hexdigest(current) == committed[-1][0].digest
+                        store.adopt("r", committed[-1][0], current)
+                    continue
+                previous_segment = segment
+                # no save changed a byte that an earlier commit covers
+                for ckpt, data in committed:
+                    assert store.load(root / "r" / str(ckpt.seq)) == (ckpt, data)
 
 
 class TestStoreIo:
@@ -927,11 +1015,16 @@ class TestStoreIo:
         assert (stalled.outcome, resumed.outcome) == \
             (Outcome.STALLED_WITH_CHECKPOINT, Outcome.COMPLETED)
         assert (ckpt.seq, len(resumed.history)) == (16, 13)
-        # one full volume per run_workflow call, the appended tails and the
-        # output; writing every checkpoint in full wrote 243 MiB
+        # the first checkpoint in full; then the tail of each later one, the
+        # resume's first (write 17) appended to the segment it resumed from;
+        # then the output.  Writing every checkpoint in full wrote 243 MiB.
         output = resumed.output_volume.byte_size
-        assert sum(written) <= 2 * output + (output - volume.byte_size) + output
-        assert sum(written) < 30 << 20
+        assert len(written) == 16 + 12 + 1
+        assert written[0] > volume.byte_size
+        assert 0 < max(written[1:-1]) < 64 << 10
+        assert written[-1] == output
+        assert sum(written) <= output + (output - volume.byte_size) + output
+        assert sum(written) < 17 << 20
 
     def test_meta_json_rewritten_only_when_it_changes(self, tmp_path, monkeypatch):
         unchanged = []
@@ -947,6 +1040,35 @@ class TestStoreIo:
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
         assert run(pool, app, tmp_path, run_id="m").outcome is Outcome.COMPLETED
         assert unchanged == []
+
+
+    def test_stall_then_resume_holds_one_volume_at_a_time(self, tmp_path):
+        app = self._migrating_app()
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        volume = VolumeStore(tmp_path).create(f"{app.name}-in",
+                                              make_input_bytes(7, app.name, 8 << 20))
+
+        def pass_of(prefix, n, **kwargs):
+            pool = make_pool(*(make_system(f"{prefix}{i}", time_slot=100.0) for i in range(n)))
+            return run_workflow(pool, app, volume, make_hardware(),
+                                lambda s: make_backend(s, cfg), tmp_path, cfg=cfg,
+                                run_id="r", **kwargs)
+
+        tracemalloc.start()
+        try:
+            stalled = pass_of("a", 2)
+            cstore = CheckpointStore(tmp_path)
+            ckpt, content = cstore.load(cstore.latest("r"))
+            resumed = pass_of("b", 3, resume_from=ckpt, resume_content=content)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stalled.outcome, resumed.outcome) == \
+            (Outcome.STALLED_WITH_CHECKPOINT, Outcome.COMPLETED)
+        # the volume read from the store, and later the one loaded from the
+        # checkpoint, each shared by every chain built on it; a copy of the
+        # whole volume per checkpoint peaked near three volumes
+        assert peak < 1.5 * volume.byte_size + (1 << 20)
 
 
 class TestOutputVolume:
@@ -1000,8 +1122,8 @@ class TestCheckpointOps:
         ckpt, content, duration, state = checkpoint_now(
             RunState(), cluster, store, "r", 1, created_at=backend.now())
         assert ckpt.progress == 10.0
-        assert content == volume_content("demo", b"input-bytes", 10.0)
-        assert ckpt.digest == sha256_hex(content)
+        assert bytes(content) == volume_content("demo", b"input-bytes", 10.0)
+        assert ckpt.digest == sha256_hex(bytes(content))
         assert state.need_migration and state.last_host_system == "alpha"
         assert store.verify(store.latest("r"))
 

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import bee.storage
 from bee.model import MB, DETACHED, StorageSolution
 from bee.storage import (
+    Chain,
     RunningDigest,
     StoragePlan,
     StorageError,
@@ -121,6 +123,19 @@ class TestVolumeStore:
         with pytest.raises(StorageError):
             store.detach("v1")
 
+    def test_move_writes_the_record_once(self, tmp_path):
+        store = VolumeStore(tmp_path)
+        vol = store.create("v1", b"payload")
+        with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta:
+            assert store.move("v1", "alpha").location == "alpha"  # from detached
+            assert store.move("v1", "beta").location == "beta"  # from another system
+            assert meta.call_count == 2
+            assert store.move("v1", "beta").location == "beta"
+            assert meta.call_count == 2  # already there: nothing to write
+        assert store.volume("v1") == replace(vol, location="beta")
+        with pytest.raises(StorageError):
+            store.attach("v1", "alpha")  # the single-writer rule still holds
+
     def test_round_trip_reads_identical(self, tmp_path):
         store = VolumeStore(tmp_path)
         store.create("v1", b"same bytes")
@@ -208,6 +223,24 @@ class TestVolumeStore:
         # the link shows the file was extended in place, not replaced
         assert (tmp_path / "same").read_bytes() == b"COMMITTED, then appended"
 
+    @pytest.mark.parametrize("committed", [0, 5, 9, 13, 24])
+    def test_extend_file_skips_the_committed_bytes_of_a_chain(self, tmp_path, committed):
+        whole = b"committed, then appended"
+        path = tmp_path / "segment"
+        path.write_bytes(whole[:committed].upper())
+        # part boundaries at 5, 9 and 13: the offset falls at and inside parts
+        extend_file(path, committed, Chain(whole[:5], whole[5:9], whole[9:13], whole[13:]))
+        assert path.read_bytes() == whole[:committed].upper() + whole[committed:]
+
+    def test_chain_is_written_part_by_part_as_a_new_file(self, tmp_path):
+        store = VolumeStore(tmp_path)
+        chain = Chain(b"base", b"+tail") + b"+more"
+        vol = store.create("v1", chain)
+        assert (vol.byte_size, vol.content_digest) == (14, sha256_hex(b"base+tail+more"))
+        vol = store.write("v1", chain + b"!")
+        assert (vol.byte_size, vol.content_digest) == (15, sha256_hex(b"base+tail+more!"))
+        assert store.content("v1") == b"base+tail+more!"
+
     def test_new_store_does_not_trust_meta_json(self, tmp_path):
         # a torn write left meta.json naming bytes that data.bin does not
         # hold; a store opened afterwards must write the payload again
@@ -293,63 +326,86 @@ class TestVolumeStoreConsistency:
                         (sha256_hex(data), len(data), location)
 
 
+def fresh(data: bytes) -> bytes:
+    """Equal bytes in a new object: equal content proves nothing by identity."""
+    return bytes(bytearray(data))
+
+
+class TestChain:
+    def test_append_shares_the_parts_and_copies_no_bytes(self):
+        base = fresh(b"base")
+        chain = Chain(base)
+        longer = chain + b"+tail"
+        assert (len(chain), len(longer)) == (4, 9)
+        assert longer.parts[0] is base and chain.parts == (base,)
+        assert bytes(longer) == b"base+tail"
+        assert bytes(chain) is base  # one part: no join
+        assert chain + b"" is chain
+        assert longer.extends(chain) and longer.extends(Chain()) and chain.extends(chain)
+        assert not chain.extends(longer)
+        assert not (Chain(fresh(b"base")) + b"+tail").extends(chain)
+        assert Chain.of(longer) is longer and Chain.of(base).parts == (base,)
+
+    @pytest.mark.parametrize("part", [bytearray(b"abc"), memoryview(b"abc"), "abc"])
+    def test_holds_only_bytes(self, part):
+        with pytest.raises(TypeError, match="bytes"):
+            Chain(part)
+        with pytest.raises(TypeError):
+            Chain(b"base") + part
+
+
 class TestRunningDigest:
     @settings(max_examples=200, deadline=None)
     @given(base=st.binary(min_size=1, max_size=300),
            appends=st.lists(st.binary(max_size=200), max_size=5),
-           mutation=st.sampled_from(["flip_first", "truncate", "same_length"]),
+           mutation=st.sampled_from(["flip_first", "truncate", "same_length", "equal_copy"]),
            data=st.data())
     def test_equals_sha256_and_rehashes_what_does_not_extend(self, base, appends,
                                                              mutation, data):
         fed: list = []
         with mock.patch.object(bee.storage, "hashlib", counting_hashlib(fed)):
             running = RunningDigest()
-            x = base
-            assert running.hexdigest(x) == hashlib.sha256(x).hexdigest()
-            assert running.extended == b""  # the empty bytes held at the start
+            x = Chain(base)
+            assert running.hexdigest(x) == hashlib.sha256(base).hexdigest()
             for tail in appends:
                 fed.clear()
-                held, x = x, x + tail
-                assert running.hexdigest(x) == hashlib.sha256(x).hexdigest()
-                assert fed == [("update", len(tail))]  # the tail alone
-                assert running.extended is held
+                x = x + tail
+                assert running.hexdigest(x) == hashlib.sha256(bytes(x)).hexdigest()
+                assert fed == ([("update", len(tail))] if tail else [])  # the tail alone
 
+            whole = bytes(x)
             if mutation == "flip_first":
-                y = bytes([x[0] ^ 0xFF]) + x[1:]
+                y = bytes([whole[0] ^ 0xFF]) + whole[1:]
             elif mutation == "truncate":
-                y = x[:data.draw(st.integers(0, len(x) - 1), label="keep")]
+                y = whole[:data.draw(st.integers(0, len(whole) - 1), label="keep")]
+            elif mutation == "same_length":
+                i = data.draw(st.integers(0, len(whole) - 1), label="index")
+                y = whole[:i] + bytes([whole[i] ^ data.draw(st.integers(1, 255), label="xor")]) \
+                    + whole[i + 1:]
             else:
-                i = data.draw(st.integers(0, len(x) - 1), label="index")
-                y = x[:i] + bytes([x[i] ^ data.draw(st.integers(1, 255), label="xor")]) \
-                    + x[i + 1:]
+                y = fresh(whole)
             fed.clear()
             assert running.hexdigest(y) == hashlib.sha256(y).hexdigest()
-            assert fed == [("new", len(y))]  # hashed in full
-            assert running.extended is None
+            assert fed == [("new", 0), ("update", len(y))]  # hashed in full
 
-            # the mutated bytes are now the prefix that later data extends
+            # the bytes object hashed last is now the part that later data extends
             fed.clear()
-            assert running.hexdigest(y + b"tail") == hashlib.sha256(y + b"tail").hexdigest()
+            assert running.hexdigest(Chain(y) + b"tail") == \
+                hashlib.sha256(y + b"tail").hexdigest()
             assert fed == [("update", 4)]
 
-    def test_the_held_object_skips_the_prefix_compare(self):
-        class Watched(bytes):
-            compares = 0
-
-            def startswith(self, prefix):
-                Watched.compares += 1
-                return super().startswith(prefix)
-
-        data = Watched(b"held bytes")
+    def test_only_the_held_parts_prove_an_extension(self):
+        held = Chain(fresh(b"held bytes"))
         fed: list = []
         with mock.patch.object(bee.storage, "hashlib", counting_hashlib(fed)):
             running = RunningDigest()
-            first = running.hexdigest(data)
-            assert Watched.compares == 1
+            first = running.hexdigest(held)
             fed.clear()
-            assert running.hexdigest(data) == first == hashlib.sha256(data).hexdigest()
-        assert Watched.compares == 1
-        assert fed == [("update", 0)]  # the same path as any append, with no tail
+            assert running.hexdigest(held) == first == hashlib.sha256(b"held bytes").hexdigest()
+            assert fed == []  # the very chain: nothing new to hash
+            equal = Chain(fresh(b"held bytes"), b"+tail")
+            assert running.hexdigest(equal) == hashlib.sha256(b"held bytes+tail").hexdigest()
+        assert fed == [("new", 0), ("update", 10), ("update", 5)]  # equal is not the same
 
     @pytest.mark.parametrize("data", [bytearray(b"abc"), memoryview(b"abc"), "abc"])
     def test_accepts_only_bytes(self, data):

@@ -23,7 +23,6 @@ from bee.model import (
     NetworkSolution,
     ParseError,
     ResourcePool,
-    RunState,
     StorageSolution,
     canonical_json,
     from_json,
@@ -31,18 +30,11 @@ from bee.model import (
     to_json,
     validate,
 )
-from bee.storage import DEFAULT_NFS_CAP, StorageError, VolumeStore, iobench_table
+from bee.storage import (DEFAULT_NFS_CAP, CheckpointStore, StorageError, VolumeStore,
+                         iobench_table, read_status, run_id_problem)
 from bee.workload import make_input_bytes
 from bee.netvirt.topology import build_topology, cost_of_trace, route
-from bee.orchestrator import (
-    CheckpointStore,
-    MigrationError,
-    Outcome,
-    RunResult,
-    derive_run_id,
-    run_id_problem,
-    run_workflow,
-)
+from bee.orchestrator import Outcome, RunResult, derive_run_id, run_workflow
 from bee.backends import BACKEND_KINDS, SIM_HPC, SimConfig, make_backend
 from bee.backends.scaling import replay_scaling
 
@@ -194,26 +186,25 @@ def _load_sim_config(args) -> SimConfig:
 def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=None) -> int:
     cfg = _load_sim_config(args)
     run_id = resume_from.run_id if resume_from is not None else derive_run_id(app, args.seed)
-    store = Path(args.store)
-    volume_id = f"{app.name}-data"
+    volume_id = f"{run_id}-data"
     if resume_from is not None:
         # run_workflow checks the checkpoint's bytes before the volume takes them
         volume = DataVolume(id=volume_id, byte_size=len(resume_content),
                             content_digest=resume_from.digest)
     else:
-        vstore = VolumeStore(store)
+        vstore = VolumeStore(args.store)
         if not vstore.exists(volume_id):
             vstore.create(volume_id, make_input_bytes(args.seed, app.name, args.input_size))
         volume = vstore.volume(volume_id)
 
     result = run_workflow(pool, app, volume, hardware,
-                          lambda system: make_backend(system, cfg), store,
+                          lambda system: make_backend(system, cfg), args.store,
                           cfg=cfg, run_id=run_id, loop_pool=args.loop_pool,
                           resume_from=resume_from, resume_content=resume_content)
 
     ckpt_path = None
     if result.outcome is Outcome.STALLED_WITH_CHECKPOINT:
-        latest = CheckpointStore(store).latest(run_id)
+        latest = CheckpointStore(args.store).latest(run_id)
         ckpt_path = str(latest) if latest else None
 
     doc = {"run_id": run_id, "checkpoint_path": ckpt_path} | to_json(result)
@@ -256,19 +247,6 @@ def cmd_resume(args) -> int:
                            resume_content=content)
 
 
-def _load_run_file(path: Path, cls: type) -> tuple[dict, object]:
-    """A JSON file a run writes into the store, as written and as parsed.
-
-    Torn or malformed content, as a reader can see mid-write, raises
-    ParseError naming the file.
-    """
-    try:
-        doc = load_json_file(path)
-        return doc, from_json(cls, doc, path.stem)
-    except (OSError, ParseError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
 @dataclass(frozen=True)
 class _ResultFile(RunResult):
     """result.json: the run result under the id of its run."""
@@ -281,18 +259,15 @@ def cmd_status(args) -> int:
     if problem:
         print(f"run_id: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    run_dir = Path(args.store) / args.run_id
-    state_path = run_dir / "state.json"
-    if not state_path.exists():
+    state, result = read_status(args.store, args.run_id, _ResultFile)
+    if state is None:
         print(f"no such run: {args.run_id}", file=sys.stderr)
         return EXIT_CONFIG
-    result_path = run_dir / "result.json"
-    written, state = _load_run_file(state_path, RunState)
-    doc = {"run_id": args.run_id, "state": written}
+    doc = {"run_id": args.run_id, "state": to_json(state)}
     lines = [f"run {args.run_id}: phase {state.phase.value}, "
              f"progress {state.progress:g}, slots {state.slots_consumed}"]
-    if result_path.exists():
-        doc["result"], result = _load_run_file(result_path, _ResultFile)
+    if result is not None:
+        doc["result"] = to_json(result)
         lines.append(f"  result: {result.outcome.value}")
     _emit(args, doc, lines)
     return EXIT_OK
@@ -417,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MigrationError, StorageError) as exc:  # a corrupt checkpoint, a damaged store
+    except StorageError as exc:  # a corrupt checkpoint, a damaged store
         print(exc, file=sys.stderr)
         return EXIT_FAILED
     except KeyboardInterrupt as exc:

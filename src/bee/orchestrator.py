@@ -10,11 +10,9 @@ persisted and the run reports stalled.
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -25,19 +23,16 @@ from bee.model import (
     ComputeSystem,
     DataVolume,
     HardwareConfig,
-    ParseError,
     Phase,
     ResourcePool,
     RunState,
     canonical_json,
-    from_json,
-    load_json_file,
     quantize_work,
-    run_state_to_dict,
     to_json,
     validate,
 )
-from bee.storage import Chain, RunningDigest, VolumeStore, extend_file, sha256_hex, write_new_file
+from bee.storage import (Chain, Checkpoint, CheckpointStore, MigrationError, RunningDigest,
+                         StatusWriter, VolumeStore, run_id_problem)
 from bee.workload import max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
@@ -55,10 +50,6 @@ class CheckpointUnsupported(OrchestratorError):
 
 
 class CheckpointWriteError(OrchestratorError):
-    pass
-
-
-class MigrationError(OrchestratorError):
     pass
 
 
@@ -93,180 +84,6 @@ class RunResult:
     outcome: Outcome
     output_volume: DataVolume | None
     history: tuple[SlotRecord, ...]
-
-
-# ---------------------------------------------------------------------------
-# checkpoint store: <store>/<run_id>/<seq>/manifest.json, bytes in segment files
-
-
-def run_id_problem(run_id: str) -> str | None:
-    """Why run_id cannot name a run's directory in the store, or None if it can.
-
-    A run id is one path component, so no run writes outside its store.
-    """
-    if run_id in ("", ".", "..") or any(c in run_id for c in "/\\\0"):
-        return f"not a single path component: {run_id!r}"
-    return None
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    run_id: str
-    seq: int
-    progress: float
-    digest: str
-    origin_system: str | None
-    created_at: float
-
-
-@dataclass(frozen=True)
-class _Manifest(Checkpoint):
-    """manifest.json: a checkpoint and where its bytes are, namely the first
-    `length` bytes of the segment file in the directory of seq `segment`.
-
-    The layout stays off Checkpoint, which is the same record wherever its
-    bytes are kept.
-    """
-
-    segment: int
-    length: int
-
-    def checkpoint(self) -> Checkpoint:
-        return Checkpoint(**{f.name: getattr(self, f.name) for f in fields(Checkpoint)})
-
-
-class CheckpointStore:
-    """Checkpoints as manifests over append-only segment files.
-
-    Checkpoint `seq` of a run is <root>/<run_id>/<seq>/manifest.json.  Its
-    bytes are the first `length` bytes of the segment file
-    <root>/<run_id>/<segment>/volume.bin.  A save whose content is a Chain
-    that extends the chain this instance last committed (or adopted) appends
-    only the new parts to that segment; any other save starts a segment of
-    its own (segment == seq), written in full.  So a directory holding only
-    {manifest.json, volume.bin} is a complete checkpoint.
-
-    The manifest is written last and is the commit record.  Bytes past the
-    committed length are the tail of a save cut off before its manifest, and
-    the next append cuts them off.  No save changes a byte that a committed
-    manifest covers: before writing anything, save k removes the run's
-    manifests with a seq >= k, which an earlier run of the same id left and
-    which may name a segment that this save rewrites or extends.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        # (run id, segment, content) of this instance's last committed save or
-        # adopted checkpoint; the chain is held by reference, not copied
-        self._last: tuple[str, int, Chain] | None = None
-
-    def _dir(self, run_id: str, seq: int) -> Path:
-        return self.root / run_id / str(seq)
-
-    def save(self, ckpt: Checkpoint, content: Chain | bytes) -> Path:
-        """Commit `content` as checkpoint `ckpt`; returns the manifest's directory."""
-        chain = Chain.of(content)
-        self._drop_from(ckpt.run_id, ckpt.seq)
-        d = self._dir(ckpt.run_id, ckpt.seq)
-        d.mkdir(parents=True, exist_ok=True)
-        last_run, segment, committed = self._last or (None, 0, Chain())
-        if last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed):
-            extend_file(self._dir(ckpt.run_id, segment) / "volume.bin", len(committed), chain)
-        else:
-            segment = ckpt.seq
-            write_new_file(d / "volume.bin", chain)
-        manifest = to_json(ckpt) | {"segment": segment, "length": len(chain)}
-        (d / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
-        self._last = (ckpt.run_id, segment, chain)
-        return d
-
-    def adopt(self, run_id: str, ckpt: Checkpoint, content: Chain) -> None:
-        """Let run `run_id`'s next save append to the segment of checkpoint `ckpt`.
-
-        `ckpt.digest` must be the SHA-256 of exactly `content`, checked by the
-        caller.  The segment is adopted only when this store's manifest for
-        (run_id, ckpt.seq) names that digest and len(content), and its segment
-        file holds at least that many bytes.  No save changes a committed
-        byte, so the segment then holds `content` as its first bytes.  In any
-        other case, such as a checkpoint copied from elsewhere, the next save
-        starts a segment of its own.
-        """
-        try:
-            m = self._manifest(self._dir(run_id, ckpt.seq))
-            size = (self._dir(run_id, m.segment) / "volume.bin").stat().st_size
-        except (OSError, ParseError):
-            return
-        if (m.run_id, m.seq, m.digest, m.length) == \
-                (run_id, ckpt.seq, ckpt.digest, len(content)) and size >= m.length:
-            self._last = (run_id, m.segment, content)
-
-    def _drop_from(self, run_id: str, seq: int) -> None:
-        """Remove the run's checkpoints with a seq >= `seq`, each manifest first."""
-        run_dir = self.root / run_id
-        if not run_dir.exists():
-            return
-        for d in run_dir.iterdir():
-            if d.name.isdigit() and int(d.name) >= seq and d.is_dir():
-                (d / "manifest.json").unlink(missing_ok=True)
-                shutil.rmtree(d)
-
-    def _manifest(self, d: Path) -> _Manifest:
-        m = from_json(_Manifest, load_json_file(d / "manifest.json"), "manifest")
-        problem = run_id_problem(m.run_id)
-        if problem:
-            raise ParseError(f"manifest.run_id: {problem}")
-        if m.seq < 1:
-            raise ParseError(f"manifest.seq: expected at least 1, got {m.seq}")
-        if not 1 <= m.segment <= m.seq:
-            raise ParseError(f"manifest.segment: expected 1 to seq ({m.seq}), got {m.segment}")
-        if m.length < 0:
-            raise ParseError(f"manifest.length: expected at least 0, got {m.length}")
-        return m
-
-    def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
-        """The checkpoint whose manifest is in directory `path`, and its bytes.
-
-        A checkpoint that starts its segment reads the volume.bin beside its
-        manifest, so such a directory loads wherever it is copied to.  A
-        missing or short segment raises MigrationError.
-        """
-        d = Path(path)
-        m = self._manifest(d)
-        segment = d if m.segment == m.seq else d.parent / str(m.segment)
-        try:
-            with open(segment / "volume.bin", "rb") as fh:
-                short = os.fstat(fh.fileno()).st_size < m.length
-                content = b"" if short else fh.read(m.length)
-        except FileNotFoundError:
-            short = True
-        if short:
-            raise MigrationError(f"checkpoint corrupt: segment {m.segment} does not "
-                                 f"hold the checkpoint's {m.length} bytes")
-        return m.checkpoint(), content
-
-    def verify(self, path: str | Path) -> bool:
-        ckpt, content = self.load(path)
-        return sha256_hex(content) == ckpt.digest
-
-    def latest(self, run_id: str) -> Path | None:
-        """The newest committed checkpoint of the run.
-
-        save() writes the manifest last, so a sequence whose manifest is
-        missing or does not parse was cut off mid-save and is skipped.
-        """
-        run_dir = self.root / run_id
-        if not run_dir.exists():
-            return None
-        seqs = sorted((int(p.name) for p in run_dir.iterdir()
-                       if p.is_dir() and p.name.isdigit()), reverse=True)
-        for seq in seqs:
-            d = self._dir(run_id, seq)
-            try:
-                self._manifest(d)
-            except (OSError, ParseError):
-                continue
-            return d
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +224,6 @@ def _corrupt(content: bytes) -> bytes:
 BackendFactory = Callable[[ComputeSystem], Backend]
 
 
-class _StatusWriter:
-    """state.json and result.json of one run.
-
-    A new writer removes the result.json of an earlier run of the same id,
-    so status never shows one run's state beside another's result.
-    """
-
-    def __init__(self, store_root: Path, run_id: str):
-        self.dir = store_root / run_id
-        self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / "result.json").unlink(missing_ok=True)
-        self.last = RunState()
-
-    def state(self, state: RunState) -> None:
-        self.last = state
-        (self.dir / "state.json").write_text(canonical_json(run_state_to_dict(state)),
-                                             encoding="utf-8")
-
-    def result(self, run_id: str, result: RunResult) -> None:
-        doc = {"run_id": run_id} | to_json(result)
-        (self.dir / "result.json").write_text(canonical_json(doc), encoding="utf-8")
-
-
 def derive_run_id(app: AppSpec, seed: int) -> str:
     digest = hashlib.sha256(f"{canonical_json(to_json(app))}:{seed}".encode()).hexdigest()
     return f"run-{digest[:12]}"
@@ -474,7 +268,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         resume_content = Chain.of(resume_content)
         if running.hexdigest(resume_content) != resume_from.digest:
             raise MigrationError("checkpoint corrupt: content does not match manifest digest")
-    status = _StatusWriter(Path(store_dir), run_id)
+    status = StatusWriter(store_dir, run_id)
     try:
         vstore = VolumeStore(store_dir)
         cstore = CheckpointStore(store_dir)
@@ -505,7 +299,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 vol = vstore.volume(data.id)
                 result = RunResult(Outcome.COMPLETED, vol, ())
                 status.state(replace(state, phase=Phase.COMPLETE, need_migration=False))
-                status.result(run_id, result)
+                status.result(result)
                 return result
         else:
             state = RunState()
@@ -519,7 +313,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         def finish(outcome: Outcome, volume: DataVolume | None) -> RunResult:
             result = RunResult(outcome, volume, tuple(history))
             status.state(state)
-            status.result(run_id, result)
+            status.result(result)
             return result
 
         while queue:

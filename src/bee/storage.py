@@ -1,25 +1,35 @@
-"""Shared-storage performance model and the content-addressed volume store.
+"""Shared-storage performance model, and the run store: every file a run leaves.
 
 Two sharing designs are modeled: a dedicated data image mounted on the master
 and re-exported to workers over the virtual network (flat, capped aggregate),
 and hypervisor directory passthrough (near-native, 10% write penalty).
+
+The run store is VolumeStore, CheckpointStore and StatusWriter; no other module
+names a file in it.  Every whole file is written by replace_file, which a
+killed process cannot tear; a segment's appends go through extend_file and
+are committed by the manifest written after them; read_record reads records.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
-from dataclasses import dataclass, replace
+import shutil
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from bee.model import (
     MB,
     DETACHED,
     DataVolume,
+    ParseError,
+    RunState,
     StorageSolution,
     canonical_json,
     from_json,
     load_json_file,
+    run_state_to_dict,
     to_json,
 )
 
@@ -115,6 +125,10 @@ class StorageError(RuntimeError):
     pass
 
 
+class MigrationError(StorageError):
+    """Checkpoint bytes that are missing, short, or not the bytes their manifest names."""
+
+
 def effective_bandwidth(plan: StoragePlan, node: int, op: str,
                         active_workers: int = 1) -> float:
     """Effective MB/s for one node doing `op` ("read"/"write").
@@ -175,20 +189,60 @@ def iobench_table(solution: StorageSolution, max_nodes: int = 32,
 
 
 # ---------------------------------------------------------------------------
-# volume store
+# the two write primitives and the one reader
 
 
-def write_new_file(path: Path, content: Chain | bytes) -> None:
-    """Write `content` to `path` as a new file; an existing one is unlinked first.
+def replace_file(path: Path, content: Chain | bytes) -> None:
+    """Make the file at `path` hold `content`: write <name>.tmp, then swap it in.
 
-    Truncating a file in place makes ext4 (auto_da_alloc) flush its dirty
-    pages first, which costs several times the write itself.  A crash
-    between unlink and write leaves the file missing, never silently short of
-    bytes it used to hold.
+    A process killed at any point leaves `path` whole, as it was or as it is
+    now; at most a .tmp is left, which the next write of `path` overwrites.
+    Nothing is fsynced, so a power loss can still lose or tear the write.
     """
-    path.unlink(missing_ok=True)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.writelines(Chain.of(content).parts)
+    _swap_in(tmp, path)
+
+
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2
+try:  # renameat2(2), in glibc since 2.28
+    _renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
+                           ctypes.c_uint)
+    _renameat2.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _renameat2 = None
+
+
+def _swap_in(tmp: Path, path: Path) -> None:
+    """Give `tmp` the name `path` in one step, which no reader or kill can split.
+
+    An existing `path` trades names with `tmp` (RENAME_EXCHANGE) and is then
+    removed.  ext4 (auto_da_alloc) writes out at once a file renamed over
+    another, which nearly doubled the sim-migrate benchmark's run time on an
+    ext4 disk; a swap is no such rename.  With nothing to swap with, or no
+    renameat2, os.replace renames.
+    """
+    if _renameat2 is not None and _renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD,
+                                             os.fsencode(path), _RENAME_EXCHANGE) == 0:
+        os.unlink(tmp)
+    else:
+        os.replace(tmp, path)
+
+
+def write_record(path: Path, doc) -> None:
+    """Write the JSON record `doc` to `path` (canonical JSON is ASCII)."""
+    replace_file(path, canonical_json(doc).encode())
+
+
+def read_record(cls, path: Path, name: str):
+    """The JSON record at `path` as a `cls` named `name`.  A missing file
+    raises FileNotFoundError, one that does not parse a ParseError naming it."""
+    try:
+        return from_json(cls, load_json_file(path), name)
+    except ParseError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
@@ -233,19 +287,18 @@ class VolumeStore:
                          content_digest=digest or sha256_hex(bytes(content)),
                          location=location)
         self._dir(volume_id).mkdir(parents=True, exist_ok=True)
-        write_new_file(self._dir(volume_id) / "data.bin", content)
+        replace_file(self._dir(volume_id) / "data.bin", content)
         self._write_meta(vol)
         return vol
 
     def _write_meta(self, vol: DataVolume) -> None:
-        (self._dir(vol.id) / "meta.json").write_text(
-            canonical_json(to_json(vol)), encoding="utf-8")
+        write_record(self._dir(vol.id) / "meta.json", to_json(vol))
 
     def volume(self, volume_id: str) -> DataVolume:
-        meta = self._dir(volume_id) / "meta.json"
-        if not meta.exists():
-            raise StorageError(f"no such volume: {volume_id}")
-        return from_json(DataVolume, load_json_file(meta), "volume")
+        try:
+            return read_record(DataVolume, self._dir(volume_id) / "meta.json", "volume")
+        except FileNotFoundError:
+            raise StorageError(f"no such volume: {volume_id}") from None
 
     def content(self, volume_id: str) -> bytes:
         path = self._dir(volume_id) / "data.bin"
@@ -262,7 +315,7 @@ class VolumeStore:
         meta.json is rewritten only when the record changes.
         """
         vol = self.volume(volume_id)
-        write_new_file(self._dir(volume_id) / "data.bin", content)
+        replace_file(self._dir(volume_id) / "data.bin", content)
         new = replace(vol, byte_size=len(content),
                       content_digest=digest or sha256_hex(bytes(content)))
         if new != vol:
@@ -306,3 +359,212 @@ class VolumeStore:
             raise StorageError(f"cannot snapshot detached volume {volume_id}")
         content = self.content(volume_id)
         return content, sha256_hex(content)
+
+
+# ---------------------------------------------------------------------------
+# runs: checkpoints in <store>/<run_id>/<seq>/, status in <store>/<run_id>/
+
+
+def run_id_problem(run_id: str) -> str | None:
+    """Why run_id cannot name a run's directory in the store, or None if it can.
+
+    A run id is one path component, so no run writes outside its store.
+    """
+    if run_id in ("", ".", "..") or any(c in run_id for c in "/\\\0"):
+        return f"not a single path component: {run_id!r}"
+    return None
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    run_id: str
+    seq: int
+    progress: float
+    digest: str
+    origin_system: str | None
+    created_at: float
+
+
+@dataclass(frozen=True)
+class _Manifest(Checkpoint):
+    """manifest.json: a checkpoint and where its bytes are, namely the first
+    `length` bytes of the segment file in the directory of seq `segment`.
+
+    The layout stays off Checkpoint, which is the same record wherever its
+    bytes are kept.
+    """
+
+    segment: int
+    length: int
+
+    def checkpoint(self) -> Checkpoint:
+        return Checkpoint(**{f.name: getattr(self, f.name) for f in fields(Checkpoint)})
+
+
+class CheckpointStore:
+    """Checkpoints as manifests over append-only segment files.
+
+    Checkpoint `seq` of a run is <root>/<run_id>/<seq>/manifest.json.  Its
+    bytes are the first `length` bytes of the segment file
+    <root>/<run_id>/<segment>/volume.bin.  A save whose content is a Chain
+    that extends the chain this instance last committed (or adopted) appends
+    only the new parts to that segment; any other save starts a segment of
+    its own (segment == seq), written in full.  So a directory holding only
+    {manifest.json, volume.bin} is a complete checkpoint.
+
+    The manifest is written last and is the commit record.  Bytes past the
+    committed length are the tail of a save cut off before its manifest, and
+    the next append cuts them off.  No save changes a byte that a committed
+    manifest covers: before writing anything, save k removes the run's
+    manifests with a seq >= k, which an earlier run of the same id left and
+    which may name a segment that this save rewrites or extends.
+    """
+
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        # (run id, segment, content) of this instance's last committed save or
+        # adopted checkpoint; the chain is held by reference, not copied
+        self._last: tuple[str, int, Chain] | None = None
+
+    def _dir(self, run_id: str, seq: int) -> Path:
+        return self.root / run_id / str(seq)
+
+    def save(self, ckpt: Checkpoint, content: Chain | bytes) -> Path:
+        """Commit `content` as checkpoint `ckpt`; returns the manifest's directory."""
+        chain = Chain.of(content)
+        self._drop_from(ckpt.run_id, ckpt.seq)
+        d = self._dir(ckpt.run_id, ckpt.seq)
+        d.mkdir(parents=True, exist_ok=True)
+        last_run, segment, committed = self._last or (None, 0, Chain())
+        if last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed):
+            extend_file(self._dir(ckpt.run_id, segment) / "volume.bin", len(committed), chain)
+        else:
+            segment = ckpt.seq
+            replace_file(d / "volume.bin", chain)
+        write_record(d / "manifest.json",
+                     to_json(ckpt) | {"segment": segment, "length": len(chain)})
+        self._last = (ckpt.run_id, segment, chain)
+        return d
+
+    def adopt(self, run_id: str, ckpt: Checkpoint, content: Chain) -> None:
+        """Let run `run_id`'s next save append to the segment of checkpoint `ckpt`.
+
+        `ckpt.digest` must be the SHA-256 of exactly `content`, checked by the
+        caller.  The segment is adopted only when this store's manifest for
+        (run_id, ckpt.seq) names that digest and len(content), and its segment
+        file holds at least that many bytes.  No save changes a committed
+        byte, so the segment then holds `content` as its first bytes.  In any
+        other case, such as a checkpoint copied from elsewhere, the next save
+        starts a segment of its own.
+        """
+        try:
+            m = self._manifest(self._dir(run_id, ckpt.seq))
+            size = (self._dir(run_id, m.segment) / "volume.bin").stat().st_size
+        except (OSError, ParseError):
+            return
+        if (m.run_id, m.seq, m.digest, m.length) == \
+                (run_id, ckpt.seq, ckpt.digest, len(content)) and size >= m.length:
+            self._last = (run_id, m.segment, content)
+
+    def _seqs(self, run_id: str) -> list[int]:
+        """The seqs of the run's checkpoint directories, newest first (scandir
+        knows each entry's type, so this lists the directory and stats nothing)."""
+        try:
+            with os.scandir(self.root / run_id) as entries:
+                return sorted((int(e.name) for e in entries if e.name.isdigit() and e.is_dir()),
+                              reverse=True)
+        except FileNotFoundError:
+            return []
+
+    def _drop_from(self, run_id: str, seq: int) -> None:
+        """Remove the run's checkpoints with a seq >= `seq`, each manifest first."""
+        for d in (self._dir(run_id, s) for s in self._seqs(run_id) if s >= seq):
+            (d / "manifest.json").unlink(missing_ok=True)
+            shutil.rmtree(d)
+
+    def _manifest(self, d: Path) -> _Manifest:
+        m = read_record(_Manifest, d / "manifest.json", "manifest")
+        problem = run_id_problem(m.run_id)
+        if problem:
+            raise ParseError(f"manifest.run_id: {problem}")
+        if m.seq < 1:
+            raise ParseError(f"manifest.seq: expected at least 1, got {m.seq}")
+        if not 1 <= m.segment <= m.seq:
+            raise ParseError(f"manifest.segment: expected 1 to seq ({m.seq}), got {m.segment}")
+        if m.length < 0:
+            raise ParseError(f"manifest.length: expected at least 0, got {m.length}")
+        return m
+
+    def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
+        """The checkpoint whose manifest is in directory `path`, and its bytes.
+
+        A checkpoint that starts its segment reads the volume.bin beside its
+        manifest, so such a directory loads wherever it is copied to.  A
+        missing or short segment raises MigrationError.
+        """
+        d = Path(path)
+        m = self._manifest(d)
+        segment = d if m.segment == m.seq else d.parent / str(m.segment)
+        try:
+            with open(segment / "volume.bin", "rb") as fh:
+                short = os.fstat(fh.fileno()).st_size < m.length
+                content = b"" if short else fh.read(m.length)
+        except FileNotFoundError:
+            short = True
+        if short:
+            raise MigrationError(f"checkpoint corrupt: segment {m.segment} does not "
+                                 f"hold the checkpoint's {m.length} bytes")
+        return m.checkpoint(), content
+
+    def verify(self, path: str | Path) -> bool:
+        ckpt, content = self.load(path)
+        return sha256_hex(content) == ckpt.digest
+
+    def latest(self, run_id: str) -> Path | None:
+        """The newest committed checkpoint of the run.
+
+        save() writes the manifest last, so a sequence whose manifest is
+        missing or does not parse was cut off mid-save and is skipped.
+        """
+        for seq in self._seqs(run_id):
+            d = self._dir(run_id, seq)
+            try:
+                self._manifest(d)
+            except (OSError, ParseError):
+                continue
+            return d
+        return None
+
+
+class StatusWriter:
+    """state.json and result.json of one run.  A new writer removes the
+    result.json of an earlier run of the same id, so status never shows one
+    run's state beside another's result."""
+
+    def __init__(self, store_root: str | Path, run_id: str):
+        self.run_id = run_id
+        self.dir = Path(store_root) / run_id
+        self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / "result.json").unlink(missing_ok=True)
+        self.last = RunState()
+
+    def state(self, state: RunState) -> None:
+        self.last = state
+        write_record(self.dir / "state.json", run_state_to_dict(state))
+
+    def result(self, result) -> None:
+        write_record(self.dir / "result.json", {"run_id": self.run_id} | to_json(result))
+
+
+def read_status(store_root: str | Path, run_id: str, result_cls: type):
+    """(state, result) of the run, each None until the run has written it.
+    `result_cls` parses StatusWriter.result's document: the result under its
+    run's `run_id`."""
+    run_dir = Path(store_root) / run_id
+    if not (run_dir / "state.json").exists():  # a run writes it first, never removes it
+        return None, None
+    state = read_record(RunState, run_dir / "state.json", "state")
+    try:
+        return state, read_record(result_cls, run_dir / "result.json", "result")
+    except FileNotFoundError:
+        return state, None

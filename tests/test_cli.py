@@ -1,9 +1,12 @@
 import json
+import sys
+import threading
 
 import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
-from bee.model import RunState, canonical_json, to_json
+from bee.model import Phase, RunState, canonical_json, to_json
+from bee.storage import StatusWriter
 from conftest import counting_hashlib, make_app, make_hardware, make_pool, make_system
 
 
@@ -89,10 +92,25 @@ class TestRunCommand:
         store = configs.tmp_path / "store"
         argv = ["run", *configs(), "--store", str(store)]
         assert main(argv) == EXIT_OK
-        (store / "volumes" / "demo-data" / "data.bin").unlink()
+        run_id = next(p.name for p in store.iterdir() if p.name.startswith("run-"))
+        (store / "volumes" / f"{run_id}-data" / "data.bin").unlink()
         capsys.readouterr()
         assert main(argv) == EXIT_FAILED
-        assert capsys.readouterr().err == "no such volume: demo-data\n"
+        assert capsys.readouterr().err == f"no such volume: {run_id}-data\n"
+
+    def test_equal_seeds_give_equal_outputs_in_a_reused_store(self, configs, capsys):
+        # the input volume is the run's own: an earlier seed's input in the
+        # same store is not taken for this seed's
+        argv = ["run", *configs(), "--json"]
+        code, fresh = run_json(capsys, [*argv, "--store", str(configs.tmp_path / "fresh"),
+                                        "--seed", "1"])
+        assert code == EXIT_OK
+        reused = str(configs.tmp_path / "reused")
+        assert run_json(capsys, [*argv, "--store", reused, "--seed", "0"])[0] == EXIT_OK
+        code, again = run_json(capsys, [*argv, "--store", reused, "--seed", "1"])
+        assert code == EXIT_OK
+        assert again["output_volume"]["content_digest"] == \
+            fresh["output_volume"]["content_digest"]
 
     def test_run_again_after_a_stall_matches_a_fresh_store(self, configs, capsys):
         # the stalled run's checkpoints must not become the next run's input
@@ -115,9 +133,9 @@ class TestRunCommand:
         store = configs.tmp_path / "store"
         argv = ["run", *configs(), "--store", str(store)]
         assert main(argv) == EXIT_OK
-        (store / "volumes" / "demo-data" / "data.bin").unlink()
-        assert main(argv) == EXIT_FAILED
         run_id = next(p.name for p in store.iterdir() if p.name.startswith("run-"))
+        (store / "volumes" / f"{run_id}-data" / "data.bin").unlink()
+        assert main(argv) == EXIT_FAILED
         capsys.readouterr()
         assert main(["status", run_id, "--store", str(store)]) == EXIT_OK
         out = capsys.readouterr().out
@@ -298,7 +316,7 @@ class TestResumeCommand:
         assert doc["history"] == []
         # the checkpoint is the output, and the data volume holds it
         assert doc["output_volume"]["content_digest"] == manifest["digest"]
-        assert (tmp_path / "store" / "volumes" / "demo-data" / "data.bin").read_bytes() == \
+        assert (tmp_path / "store" / "volumes" / "done-data" / "data.bin").read_bytes() == \
             content
 
 
@@ -342,6 +360,31 @@ class TestEnvOverrides:
 
 
 class TestStatusCommand:
+    def test_status_reads_whole_state_while_a_run_rewrites_it(self, tmp_path, capsys):
+        writer = StatusWriter(tmp_path, "r")
+        writer.state(RunState())
+        stop = threading.Event()
+
+        def rewrite():
+            slots = 0
+            while not stop.is_set():
+                slots += 1
+                writer.state(RunState(phase=Phase.RUNNING, slots_consumed=slots))
+
+        thread = threading.Thread(target=rewrite)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside each write and read
+        thread.start()
+        try:
+            codes = [main(["status", "r", "--store", str(tmp_path)]) for _ in range(300)]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        capsys.readouterr()
+        assert codes == [EXIT_OK] * len(codes)
+
     def test_status_reads_persisted_snapshot(self, configs, capsys):
         store = str(configs.tmp_path / "store")
         code, doc = run_json(capsys, ["run", *configs(), "--store", store, "--json"])

@@ -37,24 +37,24 @@ EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
 
 
 def count_payload_writes(monkeypatch) -> list[int]:
-    """The bytes of each payload write (a new file, or an extension) from now on."""
-    import bee.orchestrator
+    """The bytes of each payload write (a whole data.bin or volume.bin, or an
+    extension) from now on; JSON records are not payload."""
     import bee.storage
 
     written = []
-    real_write, real_extend = bee.storage.write_new_file, bee.storage.extend_file
+    real_replace, real_extend = bee.storage.replace_file, bee.storage.extend_file
 
-    def counting_write(path, content):
-        written.append(len(content))
-        real_write(path, content)
+    def counting_replace(path, content):
+        if path.suffix == ".bin":
+            written.append(len(content))
+        real_replace(path, content)
 
     def counting_extend(path, committed, content):
         written.append(len(content) - committed)
         real_extend(path, committed, content)
 
-    for module in (bee.storage, bee.orchestrator):
-        monkeypatch.setattr(module, "write_new_file", counting_write)
-    monkeypatch.setattr(bee.orchestrator, "extend_file", counting_extend)
+    monkeypatch.setattr(bee.storage, "replace_file", counting_replace)
+    monkeypatch.setattr(bee.storage, "extend_file", counting_extend)
     return written
 
 
@@ -594,9 +594,9 @@ class SimulatedCrash(Exception):
 def crash_in_append(monkeypatch, call, half):
     """Make the `call`-th append to a segment die, with all of its tail
     written or only half of it; the manifest after it is never written."""
-    import bee.orchestrator
+    import bee.storage
 
-    real = bee.orchestrator.extend_file
+    real = bee.storage.extend_file
     calls = []
 
     def extend(path, committed, content):
@@ -608,7 +608,7 @@ def crash_in_append(monkeypatch, call, half):
             raise SimulatedCrash(path)
         real(path, committed, content)
 
-    monkeypatch.setattr(bee.orchestrator, "extend_file", extend)
+    monkeypatch.setattr(bee.storage, "extend_file", extend)
 
 
 def checkpoint(seq, content, run_id="r"):

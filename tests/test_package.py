@@ -1,6 +1,8 @@
 """`import bee` is lazy: the package's names load their submodule on first use,
-and a relay agent loads nothing but the standard library and its own modules."""
+and a relay agent loads nothing but the standard library and its own modules.
+Only bee.storage names, writes or removes a file of the run store."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -82,3 +84,34 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         bee.no_such_name
     assert not hasattr(bee, "no_such_name")
+
+
+STORE_FILE_NAMES = {"state.json", "result.json", "manifest.json", "meta.json", "data.bin",
+                    "volume.bin"}
+STORE_WRITERS = {"replace_file", "write_record", "extend_file"}
+
+
+def _package_trees():
+    package = Path(bee.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        yield path.relative_to(package.parent).as_posix(), \
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_only_the_storage_module_names_a_store_file():
+    named = {(module, node.value) for module, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in STORE_FILE_NAMES}
+    assert {module for module, _ in named} == {"bee/storage.py"}
+    assert {name for _, name in named} == STORE_FILE_NAMES
+
+
+def test_orchestrator_imports_no_file_writer():
+    tree = dict(_package_trees())["bee/orchestrator.py"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+    assert not imported & ({"os", "shutil"} | STORE_WRITERS)

@@ -232,6 +232,15 @@ class TestVolumeStore:
         extend_file(path, committed, Chain(whole[:5], whole[5:9], whole[9:13], whole[13:]))
         assert path.read_bytes() == whole[:committed].upper() + whole[committed:]
 
+    def test_replace_file_swaps_a_new_file_in_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        bee.storage.replace_file(path, b"old")
+        os.link(path, tmp_path / "old")
+        bee.storage.replace_file(path, Chain(b"n", b"ew"))
+        # the link shows the old file was replaced whole, not written in place
+        assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "state.json"]
+
     def test_chain_is_written_part_by_part_as_a_new_file(self, tmp_path):
         store = VolumeStore(tmp_path)
         chain = Chain(b"base", b"+tail") + b"+more"
@@ -263,7 +272,13 @@ STORE_OPS = st.one_of(
     st.tuples(st.just("detach"), VOLUME_IDS),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), VOLUME_IDS, CONTENTS),
+    st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["create", "write", "attach",
+                                                            "detach"]), CONTENTS),
 )
+
+
+class Killed(Exception):
+    """Stands for this process being killed."""
 
 
 class TestVolumeStoreConsistency:
@@ -271,7 +286,8 @@ class TestVolumeStoreConsistency:
     @given(ops=st.lists(STORE_OPS, max_size=25))
     def test_meta_always_describes_data(self, ops):
         """After every operation meta.json matches data.bin, except on a volume
-        whose data.bin a crash tore until it is next written."""
+        whose data.bin another process's crash tore until it is next written.
+        A kill in the store's own writer leaves the store as it was."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
@@ -294,6 +310,15 @@ class TestVolumeStoreConsistency:
                         data.unlink()
                         data.write_bytes(op[2][:3])
                         torn.add(vid)
+                    store = VolumeStore(root)
+                elif kind == "kill":
+                    # this process dies in the store's first write of the
+                    # call, its temp file written but not yet renamed
+                    args = (op[3],) if op[2] in ("create", "write") else \
+                        ("gamma",) if op[2] == "attach" else ()
+                    with mock.patch.object(bee.storage, "_swap_in", side_effect=Killed), \
+                            pytest.raises((Killed, StorageError)):
+                        getattr(store, op[2])(vid, *args)
                     store = VolumeStore(root)
                 elif vid not in model:
                     with pytest.raises(StorageError):

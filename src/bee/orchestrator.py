@@ -246,8 +246,11 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     `data.id` yet, it is created from the checked bytes, and when the store
     holds the checkpoint's segment, the next checkpoint appends to it.
     The data volume's stored bytes are the input until the run completes,
-    and its output after that.  A call that ends by an exception, an
-    interrupt included, records phase `failed` before it re-raises.
+    and its output after that.  state.json is written twice per slot, as the
+    slot starts on its system (migrating or deploying) and as the app starts
+    running there, and once as the run ends; a call that ends by an
+    exception, an interrupt included, records phase `failed` before it
+    re-raises.
     """
     cfg = cfg or SimConfig()
     problems = validate(pool, app, hardware)
@@ -269,6 +272,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         if running.hexdigest(resume_content) != resume_from.digest:
             raise MigrationError("checkpoint corrupt: content does not match manifest digest")
     status = StatusWriter(store_dir, run_id)
+    state = RunState()
     try:
         vstore = VolumeStore(store_dir)
         cstore = CheckpointStore(store_dir)
@@ -301,8 +305,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 status.state(replace(state, phase=Phase.COMPLETE, need_migration=False))
                 status.result(result)
                 return result
-        else:
-            state = RunState()
 
         systems = {s.id: s for s in pool.systems}
         queue = deque(pool.systems)
@@ -353,8 +355,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
 
                 # deploy the virtual cluster; a slot that fails at any step below,
                 # before the app ran or while it ran, ends at the one exit after it
-                state = replace(state, phase=Phase.DEPLOYING)
-                status.state(state)
                 cname = f"{run_id}-s{len(history) + 1}"
                 cluster = outcome = None
                 try:
@@ -405,7 +405,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                                         slots_consumed=state.slots_consumed + 1,
                                         current_system=None)
                         wall += backend.now()
-                        status.state(state)
                         continue
 
                 # the slot failed: a slot the app never ran in passes to the next
@@ -421,7 +420,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                     return finish(Outcome.FAILED, None)
                 wall += backend.now()
                 no_progress_slots += 1
-                status.state(state)
 
         # pool exhausted with work remaining: persist the last checkpoint
         if ckpt is None:
@@ -434,5 +432,5 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         state = replace(state, phase=Phase.STALLED, current_system=None)
         return finish(Outcome.STALLED_WITH_CHECKPOINT, None)
     except BaseException:
-        status.state(replace(status.last, phase=Phase.FAILED, current_system=None))
+        status.state(replace(state, phase=Phase.FAILED, current_system=None))
         raise

@@ -546,10 +546,8 @@ class StatusWriter:
         self.dir = Path(store_root) / run_id
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "result.json").unlink(missing_ok=True)
-        self.last = RunState()
 
     def state(self, state: RunState) -> None:
-        self.last = state
         write_record(self.dir / "state.json", run_state_to_dict(state))
 
     def result(self, result) -> None:

@@ -81,6 +81,29 @@ class TestRunWorkflow:
         state = json.loads((tmp_path / "r1" / "state.json").read_text())
         assert state["need_migration"] is False
 
+    def test_state_is_written_as_each_slot_starts_and_runs_and_as_the_run_ends(
+            self, tmp_path, monkeypatch):
+        import bee.storage
+
+        written = []
+        real = bee.storage.write_record
+
+        def recording(path, doc):
+            if path.name == "state.json":
+                written.append((doc["phase"], doc["current_system"], doc["slots_consumed"]))
+            real(path, doc)
+
+        monkeypatch.setattr(bee.storage, "write_record", recording)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
+        result = run(pool, make_app(work_total=2.5 * 95.0, process_count=1), tmp_path,
+                     run_id="r")
+        assert result.outcome is Outcome.COMPLETED
+        # a checkpoint's progress is first written as the next slot starts
+        assert written == [("deploying", "s0", 0), ("running", "s0", 0),
+                           ("migrating", "s1", 1), ("running", "s1", 1),
+                           ("migrating", "s2", 2), ("running", "s2", 2),
+                           ("complete", None, 3)]
+
     def test_three_slot_trace_matches_hand_model(self, tmp_path):
         # Oracle: with zero virtualization overhead, one process, one vcpu and
         # unit compute rate the cluster earns exactly one work unit per second.

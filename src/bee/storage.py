@@ -207,7 +207,7 @@ def replace_file(path: Path, content: Chain | bytes) -> None:
 
 _AT_FDCWD, _RENAME_EXCHANGE = -100, 2
 try:  # renameat2(2), in glibc since 2.28
-    _renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    _renameat2 = ctypes.CDLL(None).renameat2
     _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
                            ctypes.c_uint)
     _renameat2.restype = ctypes.c_int
@@ -216,14 +216,11 @@ except (AttributeError, OSError, TypeError):
 
 
 def _swap_in(tmp: Path, path: Path) -> None:
-    """Give `tmp` the name `path` in one step, which no reader or kill can split.
-
-    An existing `path` trades names with `tmp` (RENAME_EXCHANGE) and is then
-    removed.  ext4 (auto_da_alloc) writes out at once a file renamed over
-    another, which nearly doubled the sim-migrate benchmark's run time on an
-    ext4 disk; a swap is no such rename.  With nothing to swap with, or no
-    renameat2, os.replace renames.
-    """
+    """Give `tmp` the name `path` in one step, which no reader or kill can split:
+    swap the two names (RENAME_EXCHANGE) and remove the old file, or, when
+    that fails for any reason, os.replace.  ext4 starts writing out a file
+    renamed over another (auto_da_alloc), which nearly doubled sim-migrate's
+    run time; a swap is no such rename, and so gives up that write-out."""
     if _renameat2 is not None and _renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD,
                                              os.fsencode(path), _RENAME_EXCHANGE) == 0:
         os.unlink(tmp)
@@ -559,9 +556,10 @@ def read_status(store_root: str | Path, run_id: str, result_cls: type):
     `result_cls` parses StatusWriter.result's document: the result under its
     run's `run_id`."""
     run_dir = Path(store_root) / run_id
-    if not (run_dir / "state.json").exists():  # a run writes it first, never removes it
+    try:  # a run writes state.json first and never removes it
+        state = read_record(RunState, run_dir / "state.json", "state")
+    except FileNotFoundError:
         return None, None
-    state = read_record(RunState, run_dir / "state.json", "state")
     try:
         return state, read_record(result_cls, run_dir / "result.json", "result")
     except FileNotFoundError:

@@ -241,6 +241,17 @@ class TestVolumeStore:
         assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "state.json"]
 
+    def test_replace_file_without_renameat2_renames_with_os_replace(self, tmp_path):
+        path = tmp_path / "state.json"
+        with mock.patch.object(bee.storage, "_renameat2", None), \
+                mock.patch.object(os, "replace", wraps=os.replace) as rename:
+            bee.storage.replace_file(path, b"old")
+            os.link(path, tmp_path / "old")
+            bee.storage.replace_file(path, Chain(b"n", b"ew"))
+        assert rename.call_count == 2
+        assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "state.json"]
+
     def test_chain_is_written_part_by_part_as_a_new_file(self, tmp_path):
         store = VolumeStore(tmp_path)
         chain = Chain(b"base", b"+tail") + b"+more"
@@ -272,9 +283,27 @@ STORE_OPS = st.one_of(
     st.tuples(st.just("detach"), VOLUME_IDS),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), VOLUME_IDS, CONTENTS),
-    st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["create", "write", "attach",
-                                                            "detach"]), CONTENTS),
+    # a kill in the call's first or second store write (create and write
+    # write data.bin, then meta.json; attach and detach write meta.json only)
+    st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["create", "write"]), CONTENTS,
+              st.sampled_from([0, 1])),
+    st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["attach", "detach"]),
+              st.just(b""), st.just(0)),
 )
+
+
+def killed_at(at: int):
+    """A stand-in for the writer's rename that kills the process at the
+    store write numbered `at` (from 0), its temp file written but not yet
+    renamed; the names renamed before it go into the returned list."""
+    real, done = bee.storage._swap_in, []
+
+    def swap_in(tmp, path):
+        if len(done) == at:
+            raise Killed
+        real(tmp, path)
+        done.append(path.name)
+    return swap_in, done
 
 
 class Killed(Exception):
@@ -286,13 +315,17 @@ class TestVolumeStoreConsistency:
     @given(ops=st.lists(STORE_OPS, max_size=25))
     def test_meta_always_describes_data(self, ops):
         """After every operation meta.json matches data.bin, except on a volume
-        whose data.bin another process's crash tore until it is next written.
-        A kill in the store's own writer leaves the store as it was."""
+        whose data.bin another process's crash tore, until it is next written,
+        and on one this process was killed on between the rename of data.bin
+        and that of meta.json (pinned below): there data.bin holds the new
+        bytes and meta.json the last whole record.  A kill before a call's
+        first rename leaves the store as it was."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
-            model: dict[str, tuple[bytes, str]] = {}  # id -> content, location
+            model: dict[str, tuple[bytes, str]] = {}  # id -> what meta.json describes
             torn: set[str] = set()
+            split: dict[str, bytes] = {}  # id -> data.bin, where meta.json is older
             for op in ops:
                 kind, vid = op[0], (op[1] if len(op) > 1 else None)
                 vol = None
@@ -300,6 +333,7 @@ class TestVolumeStoreConsistency:
                     vol = store.create(vid, op[2])
                     model[vid] = (op[2], DETACHED)
                     torn.discard(vid)
+                    split.pop(vid, None)
                 elif kind == "reopen":
                     store = VolumeStore(root)
                 elif kind == "crash":
@@ -310,16 +344,28 @@ class TestVolumeStoreConsistency:
                         data.unlink()
                         data.write_bytes(op[2][:3])
                         torn.add(vid)
+                        split.pop(vid, None)
                     store = VolumeStore(root)
                 elif kind == "kill":
-                    # this process dies in the store's first write of the
-                    # call, its temp file written but not yet renamed
-                    args = (op[3],) if op[2] in ("create", "write") else \
-                        ("gamma",) if op[2] == "attach" else ()
-                    with mock.patch.object(bee.storage, "_swap_in", side_effect=Killed), \
-                            pytest.raises((Killed, StorageError)):
-                        getattr(store, op[2])(vid, *args)
+                    method, content, at = op[2:]
+                    args = (content,) if method in ("create", "write") else \
+                        ("gamma",) if method == "attach" else ()
+                    swap_in, done = killed_at(at)
+                    with mock.patch.object(bee.storage, "_swap_in", swap_in):
+                        try:
+                            finished = getattr(store, method)(vid, *args)
+                        except (Killed, StorageError):
+                            finished = None
                     store = VolumeStore(root)
+                    if finished is not None:
+                        # a write of the bytes meta.json already names makes
+                        # one store write, so it ends before write 1
+                        model[vid] = (content, model[vid][1])
+                        torn.discard(vid)
+                        split.pop(vid, None)
+                    elif done == ["data.bin"] and vid in model:
+                        split[vid] = content
+                        torn.discard(vid)
                 elif vid not in model:
                     with pytest.raises(StorageError):
                         getattr(store, kind)(vid, *op[2:3])
@@ -329,6 +375,7 @@ class TestVolumeStoreConsistency:
                     vol = store.write(vid, op[2], digest)
                     model[vid] = (op[2], model[vid][1])
                     torn.discard(vid)
+                    split.pop(vid, None)
                 elif kind == "attach" and model[vid][1] == DETACHED:
                     vol = store.attach(vid, op[2])
                     model[vid] = (model[vid][0], op[2])
@@ -345,10 +392,23 @@ class TestVolumeStoreConsistency:
                     if other in torn:
                         continue
                     meta = store.volume(other)
-                    data = store.content(other)
-                    assert data == content
+                    assert store.content(other) == split.get(other, content)
                     assert (meta.content_digest, meta.byte_size, meta.location) == \
-                        (sha256_hex(data), len(data), location)
+                        (sha256_hex(content), len(content), location)
+
+    @pytest.mark.xfail(strict=True, reason="data.bin and meta.json are renamed one after "
+                       "the other, so a kill between them leaves meta.json naming the old "
+                       "bytes (ROADMAP item 4, left)")
+    def test_kill_between_data_and_meta_leaves_meta_describing_data(self, tmp_path):
+        store = VolumeStore(tmp_path)
+        store.create("v", b"old bytes")
+        swap_in, done = killed_at(1)
+        with mock.patch.object(bee.storage, "_swap_in", swap_in), pytest.raises(Killed):
+            store.write("v", b"new bytes, and more of them")
+        assert done == ["data.bin"]
+        store = VolumeStore(tmp_path)
+        meta, data = store.volume("v"), store.content("v")
+        assert (meta.byte_size, meta.content_digest) == (len(data), sha256_hex(data))
 
 
 def fresh(data: bytes) -> bytes:

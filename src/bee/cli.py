@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p)
     add_run_flags(p)
     p.add_argument("--checkpoint", required=True,
-                   help="checkpoint directory (contains manifest.json)")
+                   help="checkpoint <store>/<run-id>/<seq> as `bee run` prints it, read "
+                   "from the run directory's log (no such directory need exist)")
 
     p = sub.add_parser("status", help="show the persisted state of a run")
     p.add_argument("run_id")
@@ -241,17 +242,10 @@ def cmd_resume(args) -> int:
         _render_violations(args, violations)
         return EXIT_CONFIG
 
-    ckpt_dir = Path(args.checkpoint)
-    ckpt, content = CheckpointStore(ckpt_dir.parent).load(ckpt_dir)
+    ckpt_path = Path(args.checkpoint)
+    ckpt, content = CheckpointStore(ckpt_path.parent.parent).load(ckpt_path)
     return _run_and_render(args, pool, app, hardware, resume_from=ckpt,
                            resume_content=content)
-
-
-@dataclass(frozen=True)
-class _ResultFile(RunResult):
-    """result.json: the run result under the id of its run."""
-
-    run_id: str
 
 
 def cmd_status(args) -> int:
@@ -259,7 +253,7 @@ def cmd_status(args) -> int:
     if problem:
         print(f"run_id: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    state, result = read_status(args.store, args.run_id, _ResultFile)
+    state, result = read_status(args.store, args.run_id, RunResult)
     if state is None:
         print(f"no such run: {args.run_id}", file=sys.stderr)
         return EXIT_CONFIG
@@ -267,7 +261,7 @@ def cmd_status(args) -> int:
     lines = [f"run {args.run_id}: phase {state.phase.value}, "
              f"progress {state.progress:g}, slots {state.slots_consumed}"]
     if result is not None:
-        doc["result"] = to_json(result)
+        doc["result"] = {"run_id": args.run_id} | to_json(result)
         lines.append(f"  result: {result.outcome.value}")
     _emit(args, doc, lines)
     return EXIT_OK

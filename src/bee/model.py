@@ -327,7 +327,7 @@ def from_json(cls: Any, data: Any, path: str) -> Any:
 
 
 def run_state_to_dict(state: RunState) -> dict:
-    """The state.json document (kept as a name of its own for tracers to wrap)."""
+    """A run's state record (kept as a name of its own for tracers to wrap)."""
     return to_json(state)
 
 

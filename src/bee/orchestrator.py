@@ -242,13 +242,13 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     the chain the previous slot hashed plus the part the app appended, so
     only that part is hashed again.  The checkpoint store likewise appends
     only that part to the run's segment.  A resume is checked against its
-    manifest digest before anything is stored; when the store has no volume
+    checkpoint's digest before anything is stored; when the store has no volume
     `data.id` yet, it is created from the checked bytes, and when the store
     holds the checkpoint's segment, the next checkpoint appends to it.
     The data volume's stored bytes are the input until the run completes,
-    and its output after that.  state.json is written twice per slot, as the
-    slot starts on its system (migrating or deploying) and as the app starts
-    running there, and once as the run ends; a call that ends by an
+    and its output after that.  The run's state is recorded twice per slot,
+    as the slot starts on its system (migrating or deploying) and as the app
+    starts running there, and once as the run ends; a call that ends by an
     exception, an interrupt included, records phase `failed` before it
     re-raises.
     """
@@ -270,7 +270,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         # hash and append finds these bytes by identity
         resume_content = Chain.of(resume_content)
         if running.hexdigest(resume_content) != resume_from.digest:
-            raise MigrationError("checkpoint corrupt: content does not match manifest digest")
+            raise MigrationError("checkpoint corrupt: content does not match its digest")
     status = StatusWriter(store_dir, run_id)
     state = RunState()
     try:

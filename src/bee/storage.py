@@ -5,17 +5,16 @@ and re-exported to workers over the virtual network (flat, capped aggregate),
 and hypervisor directory passthrough (near-native, 10% write penalty).
 
 The run store is VolumeStore, CheckpointStore and StatusWriter; no other module
-names a file in it.  Every whole file is written by replace_file, which a
-killed process cannot tear; a segment's appends go through extend_file and
-are committed by the manifest written after them; read_record reads records.
+names a file in it.  Records are appended to logs by append_record, a volume's
+data.bin is written whole by replace_file, and segments grow by extend_file.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import os
-import shutil
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from bee.model import (
     StorageSolution,
     canonical_json,
     from_json,
-    load_json_file,
     run_state_to_dict,
     to_json,
 )
@@ -126,7 +124,7 @@ class StorageError(RuntimeError):
 
 
 class MigrationError(StorageError):
-    """Checkpoint bytes that are missing, short, or not the bytes their manifest names."""
+    """Checkpoint bytes that are missing, short, or not the bytes their commit names."""
 
 
 def effective_bandwidth(plan: StoragePlan, node: int, op: str,
@@ -189,7 +187,7 @@ def iobench_table(solution: StorageSolution, max_nodes: int = 32,
 
 
 # ---------------------------------------------------------------------------
-# the two write primitives and the one reader
+# the write primitives and the log readers
 
 
 def replace_file(path: Path, content: Chain | bytes) -> None:
@@ -228,30 +226,17 @@ def _swap_in(tmp: Path, path: Path) -> None:
         os.replace(tmp, path)
 
 
-def write_record(path: Path, doc) -> None:
-    """Write the JSON record `doc` to `path` (canonical JSON is ASCII)."""
-    replace_file(path, canonical_json(doc).encode())
-
-
-def read_record(cls, path: Path, name: str):
-    """The JSON record at `path` as a `cls` named `name`.  A missing file
-    raises FileNotFoundError, one that does not parse a ParseError naming it."""
-    try:
-        return from_json(cls, load_json_file(path), name)
-    except ParseError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
 def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
     """Make the file at `path` hold `content`, whose first `committed` bytes it holds.
 
-    Only the bytes past `committed` are written.  Whatever the file held past
-    that offset, such as the tail of a write cut off halfway, is cut off
-    first; the first `committed` bytes are never written.
+    Only the bytes past `committed` are written, and a missing file is
+    created.  Whatever the file held past that offset, such as the tail of a
+    write cut off halfway, is cut off first; the first `committed` bytes are
+    never written.  (ext4 writes a file truncated to 0 out as it is closed.)
     """
-    with open(path, "r+b") as fh:
-        fh.truncate(committed)
-        fh.seek(committed)
+    with open(path, "ab") as fh:  # O_APPEND: opened at the end, each write lands there
+        if fh.tell() != committed:
+            fh.truncate(committed)
         skip = committed
         for part in Chain.of(content).parts:
             if skip < len(part):
@@ -261,11 +246,60 @@ def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
                 skip -= len(part)
 
 
-class VolumeStore:
-    """Persistent volumes at <root>/volumes/<id>/{meta.json,data.bin}.
+def append_record(path: Path, doc) -> None:
+    """Append `doc` to the log at `path` as one line of canonical JSON (which
+    holds no newline), by one O_APPEND write.  A log whose last byte is not a
+    newline ends in a line torn by a killed writer, and is first cut back to
+    just after its last newline.  Nothing is fsynced."""
+    with open(path, "a+b", buffering=0) as fh:  # O_APPEND, opened at the end
+        end = fh.tell()
+        if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+            fh.truncate(os.pread(fh.fileno(), end, 0).rfind(b"\n") + 1)
+        fh.write((canonical_json(doc) + "\n").encode())
 
-    The digest is always the SHA-256 hex of data.bin; attach/detach only touch
-    metadata, so they can never change content.
+
+def read_log(path: Path, tail: int = 0) -> list[dict]:
+    """The records of the log at `path` (none if it is missing): its lines,
+    parsed, up to the first that lacks its newline or is not a JSON object,
+    where a killed writer stopped or a power loss left an unwritten tail.
+    With `tail`, the whole lines in its last `tail` bytes: these end as the
+    whole log's do, as long as nothing but its end was cut off."""
+    try:
+        with open(path, "rb") as fh:
+            start = max(0, fh.seek(0, os.SEEK_END) - tail) if tail else 0
+            fh.seek(start)
+            lines = fh.read().split(b"\n")[1 if start else 0:-1]
+    except FileNotFoundError:
+        return []
+    records = []
+    for line in lines:
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            break
+        if type(doc) is not dict:
+            break
+        records.append(doc)
+    return records
+
+
+_TAIL = 4096  # bytes read from a log's end for its last records
+
+
+def _parse(log: Path, cls, doc, name: str):
+    """`doc`, a record read from `log`, as a `cls` named `name`."""
+    try:
+        return from_json(cls, doc, name)
+    except ParseError as exc:
+        raise ParseError(f"cannot read {log}: {exc}") from None
+
+
+class VolumeStore:
+    """Persistent volumes at <root>/volumes/<id>/{data.bin,log}; the log's
+    last record, read from its last few KiB, describes the volume.
+
+    The digest is always the SHA-256 hex of data.bin; attach/detach only
+    append records, so they can never change content.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -274,8 +308,13 @@ class VolumeStore:
     def _dir(self, volume_id: str) -> Path:
         return self.root / "volumes" / volume_id
 
+    def _record(self, volume_id: str) -> dict | None:
+        log = self._dir(volume_id) / "log"
+        records = read_log(log, _TAIL) or read_log(log)
+        return records[-1] if records else None
+
     def exists(self, volume_id: str) -> bool:
-        return (self._dir(volume_id) / "meta.json").exists()
+        return self._record(volume_id) is not None
 
     def create(self, volume_id: str, content: Chain | bytes, location: str = DETACHED,
                digest: str | None = None) -> DataVolume:
@@ -289,13 +328,13 @@ class VolumeStore:
         return vol
 
     def _write_meta(self, vol: DataVolume) -> None:
-        write_record(self._dir(vol.id) / "meta.json", to_json(vol))
+        append_record(self._dir(vol.id) / "log", to_json(vol))
 
     def volume(self, volume_id: str) -> DataVolume:
-        try:
-            return read_record(DataVolume, self._dir(volume_id) / "meta.json", "volume")
-        except FileNotFoundError:
-            raise StorageError(f"no such volume: {volume_id}") from None
+        doc = self._record(volume_id)
+        if doc is None:
+            raise StorageError(f"no such volume: {volume_id}")
+        return _parse(self._dir(volume_id) / "log", DataVolume, doc, "volume")
 
     def content(self, volume_id: str) -> bytes:
         path = self._dir(volume_id) / "data.bin"
@@ -309,7 +348,7 @@ class VolumeStore:
 
         `digest`, when given, must be the SHA-256 hex of exactly `content`,
         computed or verified by the caller; it saves hashing the bytes again.
-        meta.json is rewritten only when the record changes.
+        A record is appended only when it differs from the last one.
         """
         vol = self.volume(volume_id)
         replace_file(self._dir(volume_id) / "data.bin", content)
@@ -332,8 +371,8 @@ class VolumeStore:
     def move(self, volume_id: str, system_id: str) -> DataVolume:
         """Attach the volume on `system_id`, wherever it was attached before.
 
-        One meta.json write in place of a detach and an attach, and none when
-        the volume is already there.
+        One record in place of a detach and an attach, and none when the
+        volume is already there.
         """
         vol = self.volume(volume_id)
         moved = replace(vol, location=system_id)
@@ -359,7 +398,7 @@ class VolumeStore:
 
 
 # ---------------------------------------------------------------------------
-# runs: checkpoints in <store>/<run_id>/<seq>/, status in <store>/<run_id>/
+# runs: one log per run at <store>/<run_id>/log, segments beside it
 
 
 def run_id_problem(run_id: str) -> str | None:
@@ -383,8 +422,8 @@ class Checkpoint:
 
 
 @dataclass(frozen=True)
-class _Manifest(Checkpoint):
-    """manifest.json: a checkpoint and where its bytes are, namely the first
+class _Commit(Checkpoint):
+    """A commit record: a checkpoint and where its bytes are, namely the first
     `length` bytes of the segment file in the directory of seq `segment`.
 
     The layout stays off Checkpoint, which is the same record wherever its
@@ -394,27 +433,41 @@ class _Manifest(Checkpoint):
     segment: int
     length: int
 
+    def __post_init__(self) -> None:
+        problem = run_id_problem(self.run_id)
+        if problem:
+            raise ParseError(f"commit.run_id: {problem}")
+        if self.seq < 1:
+            raise ParseError(f"commit.seq: expected at least 1, got {self.seq}")
+        if not 1 <= self.segment <= self.seq:
+            raise ParseError(f"commit.segment: expected 1 to seq ({self.seq}), "
+                             f"got {self.segment}")
+        if self.length < 0:
+            raise ParseError(f"commit.length: expected at least 0, got {self.length}")
+
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(**{f.name: getattr(self, f.name) for f in fields(Checkpoint)})
 
 
 class CheckpointStore:
-    """Checkpoints as manifests over append-only segment files.
+    """Checkpoints as commit records in the run's log over append-only segments.
 
-    Checkpoint `seq` of a run is <root>/<run_id>/<seq>/manifest.json.  Its
-    bytes are the first `length` bytes of the segment file
-    <root>/<run_id>/<segment>/volume.bin.  A save whose content is a Chain
-    that extends the chain this instance last committed (or adopted) appends
-    only the new parts to that segment; any other save starts a segment of
-    its own (segment == seq), written in full.  So a directory holding only
-    {manifest.json, volume.bin} is a complete checkpoint.
+    Checkpoint `seq` of a run is named <root>/<run_id>/<seq>; its record is
+    a `commit` in the log <root>/<run_id>/log, and its bytes are the first
+    `length` bytes of <root>/<run_id>/<segment>/volume.bin.  A save whose
+    content is a Chain that extends the chain this instance last committed
+    (or adopted) appends only the new parts to that segment and makes no
+    directory; any other save starts a segment of its own (segment == seq).
+    So a run directory copied whole loads wherever it is copied to.
 
-    The manifest is written last and is the commit record.  Bytes past the
-    committed length are the tail of a save cut off before its manifest, and
-    the next append cuts them off.  No save changes a byte that a committed
-    manifest covers: before writing anything, save k removes the run's
-    manifests with a seq >= k, which an earlier run of the same id left and
-    which may name a segment that this save rewrites or extends.
+    A commit is appended after the bytes it names; bytes past a committed
+    length are the tail of a save cut off before its commit, which the next
+    append cuts off.  The log is folded in order, and a later record
+    supersedes earlier commits: a `commit` the one of its seq, and `drop k`
+    every one with a seq >= k.  A save of seq k appends `drop k` before it
+    writes a byte, unless this instance's previous save was of the same run
+    and a lower seq: once per run.  So no live commit names a byte that a
+    save writes, since its seq, and so its segment, is below k.
     """
 
     def __init__(self, root: str | Path):
@@ -422,88 +475,76 @@ class CheckpointStore:
         # (run id, segment, content) of this instance's last committed save or
         # adopted checkpoint; the chain is held by reference, not copied
         self._last: tuple[str, int, Chain] | None = None
-
-    def _dir(self, run_id: str, seq: int) -> Path:
-        return self.root / run_id / str(seq)
+        # (run id, seq) of this instance's last save; a later seq needs no drop
+        self._saved: tuple[str, int] | None = None
 
     def save(self, ckpt: Checkpoint, content: Chain | bytes) -> Path:
-        """Commit `content` as checkpoint `ckpt`; returns the manifest's directory."""
+        """Commit `content` as checkpoint `ckpt`; returns the checkpoint's path."""
         chain = Chain.of(content)
-        self._drop_from(ckpt.run_id, ckpt.seq)
-        d = self._dir(ckpt.run_id, ckpt.seq)
-        d.mkdir(parents=True, exist_ok=True)
+        run_dir = self.root / ckpt.run_id
+        last_run, seq = self._saved or (None, 0)
+        if last_run != ckpt.run_id or ckpt.seq <= seq:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            append_record(run_dir / "log", {"drop": ckpt.seq})
+        self._saved = (ckpt.run_id, ckpt.seq)
         last_run, segment, committed = self._last or (None, 0, Chain())
-        if last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed):
-            extend_file(self._dir(ckpt.run_id, segment) / "volume.bin", len(committed), chain)
-        else:
-            segment = ckpt.seq
-            replace_file(d / "volume.bin", chain)
-        write_record(d / "manifest.json",
-                     to_json(ckpt) | {"segment": segment, "length": len(chain)})
+        if not (last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed)):
+            segment, committed = ckpt.seq, Chain()
+            (run_dir / str(segment)).mkdir(exist_ok=True)
+        extend_file(run_dir / str(segment) / "volume.bin", len(committed), chain)
+        append_record(run_dir / "log",
+                      {"commit": to_json(ckpt) | {"segment": segment, "length": len(chain)}})
         self._last = (ckpt.run_id, segment, chain)
-        return d
+        return run_dir / str(ckpt.seq)
 
     def adopt(self, run_id: str, ckpt: Checkpoint, content: Chain) -> None:
         """Let run `run_id`'s next save append to the segment of checkpoint `ckpt`.
 
         `ckpt.digest` must be the SHA-256 of exactly `content`, checked by the
-        caller.  The segment is adopted only when this store's manifest for
+        caller.  The segment is adopted only when this store's live commit of
         (run_id, ckpt.seq) names that digest and len(content), and its segment
         file holds at least that many bytes.  No save changes a committed
         byte, so the segment then holds `content` as its first bytes.  In any
         other case, such as a checkpoint copied from elsewhere, the next save
         starts a segment of its own.
         """
+        run_dir = self.root / run_id
         try:
-            m = self._manifest(self._dir(run_id, ckpt.seq))
-            size = (self._dir(run_id, m.segment) / "volume.bin").stat().st_size
-        except (OSError, ParseError):
+            m = self._commits(run_dir)[ckpt.seq]
+            size = (run_dir / str(m.segment) / "volume.bin").stat().st_size
+        except (KeyError, OSError, ParseError):
             return
-        if (m.run_id, m.seq, m.digest, m.length) == \
-                (run_id, ckpt.seq, ckpt.digest, len(content)) and size >= m.length:
+        if (m.run_id, m.digest, m.length) == (run_id, ckpt.digest, len(content)) \
+                and size >= m.length:
             self._last = (run_id, m.segment, content)
 
-    def _seqs(self, run_id: str) -> list[int]:
-        """The seqs of the run's checkpoint directories, newest first (scandir
-        knows each entry's type, so this lists the directory and stats nothing)."""
-        try:
-            with os.scandir(self.root / run_id) as entries:
-                return sorted((int(e.name) for e in entries if e.name.isdigit() and e.is_dir()),
-                              reverse=True)
-        except FileNotFoundError:
-            return []
-
-    def _drop_from(self, run_id: str, seq: int) -> None:
-        """Remove the run's checkpoints with a seq >= `seq`, each manifest first."""
-        for d in (self._dir(run_id, s) for s in self._seqs(run_id) if s >= seq):
-            (d / "manifest.json").unlink(missing_ok=True)
-            shutil.rmtree(d)
-
-    def _manifest(self, d: Path) -> _Manifest:
-        m = read_record(_Manifest, d / "manifest.json", "manifest")
-        problem = run_id_problem(m.run_id)
-        if problem:
-            raise ParseError(f"manifest.run_id: {problem}")
-        if m.seq < 1:
-            raise ParseError(f"manifest.seq: expected at least 1, got {m.seq}")
-        if not 1 <= m.segment <= m.seq:
-            raise ParseError(f"manifest.segment: expected 1 to seq ({m.seq}), got {m.segment}")
-        if m.length < 0:
-            raise ParseError(f"manifest.length: expected at least 0, got {m.length}")
-        return m
+    @staticmethod
+    def _commits(run_dir: Path) -> dict[int, _Commit]:
+        """The live commits of the run in `run_dir`, by seq (see the class)."""
+        log = run_dir / "log"
+        commits: dict[int, _Commit] = {}
+        for doc in read_log(log):
+            if "drop" in doc:
+                k = _parse(log, int, doc["drop"], "drop")
+                commits = {seq: m for seq, m in commits.items() if seq < k}
+            elif "commit" in doc:
+                m = _parse(log, _Commit, doc["commit"], "commit")
+                commits[m.seq] = m
+        return commits
 
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
-        """The checkpoint whose manifest is in directory `path`, and its bytes.
+        """The checkpoint named `path`, <run dir>/<seq>, and its bytes.
 
-        A checkpoint that starts its segment reads the volume.bin beside its
-        manifest, so such a directory loads wherever it is copied to.  A
-        missing or short segment raises MigrationError.
+        The run directory's log and segments are read, wherever the
+        directory is; `path` itself need not exist.  A missing or short
+        segment raises MigrationError.
         """
-        d = Path(path)
-        m = self._manifest(d)
-        segment = d if m.segment == m.seq else d.parent / str(m.segment)
+        path = Path(path)
+        m = self._commits(path.parent).get(int(path.name)) if path.name.isdigit() else None
+        if m is None:
+            raise FileNotFoundError(f"no checkpoint is committed at {path}")
         try:
-            with open(segment / "volume.bin", "rb") as fh:
+            with open(path.parent / str(m.segment) / "volume.bin", "rb") as fh:
                 short = os.fstat(fh.fileno()).st_size < m.length
                 content = b"" if short else fh.read(m.length)
         except FileNotFoundError:
@@ -518,49 +559,46 @@ class CheckpointStore:
         return sha256_hex(content) == ckpt.digest
 
     def latest(self, run_id: str) -> Path | None:
-        """The newest committed checkpoint of the run.
+        """The newest live checkpoint of the run, or None.
 
-        save() writes the manifest last, so a sequence whose manifest is
-        missing or does not parse was cut off mid-save and is skipped.
+        A save appends its commit last, so one cut off mid-save has none and
+        is not seen.
         """
-        for seq in self._seqs(run_id):
-            d = self._dir(run_id, seq)
-            try:
-                self._manifest(d)
-            except (OSError, ParseError):
-                continue
-            return d
-        return None
+        seqs = self._commits(self.root / run_id)
+        return self.root / run_id / str(max(seqs)) if seqs else None
 
 
 class StatusWriter:
-    """state.json and result.json of one run.  A new writer removes the
-    result.json of an earlier run of the same id, so status never shows one
-    run's state beside another's result."""
+    """The state and result records of one run, appended to the run's log.
+    A result counts until a state follows it, such as a later run's first,
+    so status never shows one run's state beside another's result."""
 
     def __init__(self, store_root: str | Path, run_id: str):
-        self.run_id = run_id
-        self.dir = Path(store_root) / run_id
-        self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / "result.json").unlink(missing_ok=True)
+        self.log = Path(store_root) / run_id / "log"
+        self.log.parent.mkdir(parents=True, exist_ok=True)
 
     def state(self, state: RunState) -> None:
-        write_record(self.dir / "state.json", run_state_to_dict(state))
+        append_record(self.log, {"state": run_state_to_dict(state)})
 
     def result(self, result) -> None:
-        write_record(self.dir / "result.json", {"run_id": self.run_id} | to_json(result))
+        append_record(self.log, {"result": to_json(result)})
 
 
 def read_status(store_root: str | Path, run_id: str, result_cls: type):
-    """(state, result) of the run, each None until the run has written it.
-    `result_cls` parses StatusWriter.result's document: the result under its
-    run's `run_id`."""
-    run_dir = Path(store_root) / run_id
-    try:  # a run writes state.json first and never removes it
-        state = read_record(RunState, run_dir / "state.json", "state")
-    except FileNotFoundError:
+    """(state, result) of the run: its last state, and the last result after
+    that, or None; read from the log's end unless no state is there.
+    `result_cls` parses StatusWriter.result's document."""
+    log = Path(store_root) / run_id / "log"
+    records = read_log(log, _TAIL)
+    if not any("state" in doc for doc in records):
+        records = read_log(log)
+    state = result = None
+    for doc in records:
+        if "state" in doc:
+            state, result = doc["state"], None
+        elif "result" in doc:
+            result = doc["result"]
+    if state is None:
         return None, None
-    try:
-        return state, read_record(result_cls, run_dir / "result.json", "result")
-    except FileNotFoundError:
-        return state, None
+    return (_parse(log, RunState, state, "state"),
+            None if result is None else _parse(log, result_cls, result, "result"))

@@ -20,6 +20,7 @@ from bee.model import (
     StorageSolution,
     SystemKind,
 )
+from bee.storage import read_log, read_status
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -32,6 +33,26 @@ def no_leftover_temp_dirs():
     yield
     left = sorted(entries() - before)
     assert not left, f"tests left {left} in {tempfile.gettempdir()}"
+
+
+def commit_record(run_dir: Path, seq: int) -> dict:
+    """The last commit record of checkpoint `seq` in the run's log."""
+    return [doc["commit"] for doc in read_log(run_dir / "log")
+            if "commit" in doc and doc["commit"]["seq"] == seq][-1]
+
+
+def segment_of(checkpoint: str | Path) -> Path:
+    """The segment file that holds the bytes of checkpoint <run dir>/<seq>."""
+    checkpoint = Path(checkpoint)
+    segment = commit_record(checkpoint.parent, int(checkpoint.name))["segment"]
+    return checkpoint.parent / str(segment) / "volume.bin"
+
+
+def run_state(store: Path, run_id: str):
+    """The run's last recorded state, as `bee status` reads it."""
+    from bee.orchestrator import RunResult
+
+    return read_status(store, run_id, RunResult)[0]
 
 
 def counting_hashlib(fed: list) -> types.SimpleNamespace:

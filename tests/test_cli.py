@@ -6,8 +6,9 @@ import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
 from bee.model import Phase, RunState, canonical_json, to_json
-from bee.storage import StatusWriter
-from conftest import counting_hashlib, make_app, make_hardware, make_pool, make_system
+from bee.storage import StatusWriter, append_record
+from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
+                      make_system, segment_of)
 
 
 @pytest.fixture
@@ -177,20 +178,16 @@ class TestResumeCommand:
             doc2["output_volume"]["content_digest"]
 
     def test_tampered_volume_exits_failed(self, configs, capsys):
-        from pathlib import Path
-
         app, store, ckpt = self._stall(configs, capsys)
-        volume = Path(ckpt) / "volume.bin"
+        volume = segment_of(ckpt)
         volume.write_bytes(b"tampered" + volume.read_bytes())
         code = main(["resume", *configs(app=app), "--store", store,
                      "--checkpoint", ckpt])
         assert code == EXIT_FAILED
 
     def test_tampered_checkpoint_creates_no_volume(self, configs, capsys):
-        from pathlib import Path
-
         app, _, ckpt = self._stall(configs, capsys)
-        volume = Path(ckpt) / "volume.bin"
+        volume = segment_of(ckpt)
         volume.write_bytes(b"tampered" + volume.read_bytes())
         fresh = configs.tmp_path / "fresh"
         code = main(["resume", *configs(app=app), "--store", str(fresh),
@@ -228,6 +225,34 @@ class TestResumeCommand:
         assert code == EXIT_FAILED
         assert err.startswith("checkpoint corrupt") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seq", [1, 2, 3])
+    def test_resume_from_any_checkpoint_path_that_latest_can_name(self, configs, capsys,
+                                                                  seq):
+        from pathlib import Path
+
+        app = make_app(work_total=1000.0, process_count=2)
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
+        store = configs.tmp_path / "store"
+        code, doc = run_json(capsys, ["run", *configs(app=app, pool=pool),
+                                      "--store", str(store), "--json"])
+        assert code == EXIT_STALLED
+        run_dir = Path(doc["checkpoint_path"]).parent
+        assert doc["checkpoint_path"] == str(run_dir / "3")
+        # checkpoints 2 and 3 only append to segment 1: they have no directory
+        assert sorted(p.name for p in run_dir.iterdir()) == ["1", "log"]
+        more = make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(5)))
+        code, resumed = run_json(capsys, ["resume", *configs(app=app, pool=more),
+                                          "--store", str(store), "--json",
+                                          "--checkpoint", str(run_dir / str(seq))])
+        assert code == EXIT_OK
+        one_slot = make_pool(make_system("omega", time_slot=10_000.0))
+        code, straight = run_json(capsys, ["run", *configs(app=app, pool=one_slot),
+                                           "--store", str(configs.tmp_path / "straight"),
+                                           "--json"])
+        assert code == EXIT_OK
+        assert resumed["output_volume"]["content_digest"] == \
+            straight["output_volume"]["content_digest"]
+
     def test_resume_from_an_earlier_checkpoint_keeps_every_latest_verifying(
             self, configs, capsys, monkeypatch):
         from pathlib import Path
@@ -262,8 +287,7 @@ class TestResumeCommand:
         assert seen == [("2", True), ("3", True), ("4", True), ("5", True)]
         reader = CheckpointStore(store)
         for seq in range(1, 6):
-            manifest = json.loads((run_dir / str(seq) / "manifest.json").read_text())
-            assert manifest["segment"] == 1  # the resume appended to its segment
+            assert commit_record(run_dir, seq)["segment"] == 1  # the resume appended to it
             assert reader.verify(run_dir / str(seq))
 
         one_slot = make_pool(make_system("omega", time_slot=10_000.0))
@@ -277,12 +301,10 @@ class TestResumeCommand:
     @pytest.mark.parametrize("store_name", ["store", "fresh"])
     def test_resume_hashes_the_checkpoint_once(self, configs, capsys, monkeypatch,
                                                store_name):
-        from pathlib import Path
-
         import bee.storage
 
         app, _, ckpt = self._stall(configs, capsys)
-        size = (Path(ckpt) / "volume.bin").stat().st_size
+        size = segment_of(ckpt).stat().st_size
         fed = []
         monkeypatch.setattr(bee.storage, "hashlib", counting_hashlib(fed))
         big_pool = make_pool(make_system("omega", time_slot=1000.0))
@@ -301,17 +323,17 @@ class TestResumeCommand:
 
         app = make_app(work_total=20.0, process_count=2)
         content = volume_content(app.name, b"", 20.0)
-        ckpt_dir = tmp_path / "done-ckpt"
-        ckpt_dir.mkdir()
-        (ckpt_dir / "volume.bin").write_bytes(content)
+        run_dir = tmp_path / "elsewhere" / "done"  # a run directory outside the store
+        (run_dir / "1").mkdir(parents=True)
+        (run_dir / "1" / "volume.bin").write_bytes(content)
         manifest = {"run_id": "done", "seq": 1, "progress": 20.0,
                     "digest": hashlib.sha256(content).hexdigest(),
                     "origin_system": "alpha", "created_at": 1.0,
                     "segment": 1, "length": len(content)}
-        (ckpt_dir / "manifest.json").write_text(json.dumps(manifest))
+        append_record(run_dir / "log", {"commit": manifest})
         code, doc = run_json(capsys, ["resume", *configs(app=app),
                                       "--store", str(tmp_path / "store"), "--json",
-                                      "--checkpoint", str(ckpt_dir)])
+                                      "--checkpoint", str(run_dir / "1")])
         assert code == EXIT_OK
         assert doc["history"] == []
         # the checkpoint is the output, and the data volume holds it
@@ -328,9 +350,10 @@ class TestResumeCommand:
         code, doc = run_json(capsys, ["run", *configs(app=app), "--store", str(store),
                                       "--seed", "3", "--json"])
         assert code == EXIT_STALLED
-        manifest = Path(doc["checkpoint_path"]) / "manifest.json"
-        manifest.write_text(json.dumps(json.loads(manifest.read_text())
-                                       | {"run_id": "../../escaped"}))
+        ckpt = Path(doc["checkpoint_path"])
+        append_record(ckpt.parent / "log",
+                      {"commit": commit_record(ckpt.parent, int(ckpt.name))
+                       | {"run_id": "../../escaped"}})
 
         def outside_store():
             return {p for p in configs.tmp_path.rglob("*")
@@ -340,7 +363,7 @@ class TestResumeCommand:
         code = main(["resume", *configs(app=app), "--store", str(store), "--seed", "3",
                      "--checkpoint", doc["checkpoint_path"]])
         assert code == EXIT_CONFIG
-        assert "manifest.run_id" in capsys.readouterr().err
+        assert "commit.run_id" in capsys.readouterr().err
         assert outside_store() == before
 
 
@@ -399,24 +422,30 @@ class TestStatusCommand:
 
     def test_run_id_outside_the_store_exits_config(self, tmp_path, capsys):
         (tmp_path / "escaped").mkdir()
-        (tmp_path / "escaped" / "state.json").write_text(
-            canonical_json(to_json(RunState())), encoding="utf-8")
+        append_record(tmp_path / "escaped" / "log", {"state": to_json(RunState())})
         assert main(["status", "../escaped", "--store", str(tmp_path / "store")]) == \
             EXIT_CONFIG
         assert "run_id" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("torn", ["state.json", "result.json"])
-    def test_torn_run_file_exits_config(self, tmp_path, capsys, torn):
+    @pytest.mark.parametrize("torn", ["state", "result"])
+    def test_torn_last_record_is_skipped_and_a_malformed_one_exits_config(self, tmp_path,
+                                                                         capsys, torn):
+        # a torn last line is where a killed writer stopped: status reads the
+        # records before it; a whole record that is malformed exits 64
         run_dir = tmp_path / "r"
         run_dir.mkdir()
-        (run_dir / "state.json").write_text(canonical_json(to_json(RunState())),
-                                            encoding="utf-8")
-        (run_dir / torn).write_text('{"phase":', encoding="utf-8")
+        append_record(run_dir / "log", {"state": to_json(RunState())})
+        with open(run_dir / "log", "a", encoding="utf-8") as fh:
+            fh.write(f'{{"{torn}":{{"phase":')
+        assert main(["status", "r", "--store", str(tmp_path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == \
+            {"run_id": "r", "state": to_json(RunState())}
+        append_record(run_dir / "log", {torn: {"phase": "torn"}})
         assert main(["status", "r", "--store", str(tmp_path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and torn in err[0]
+        assert len(err) == 1 and str(run_dir / "log") in err[0]
         assert "Traceback" not in captured.err
 
 

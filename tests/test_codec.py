@@ -30,7 +30,8 @@ from bee.model import (
     to_json,
 )
 from bee.orchestrator import Checkpoint, RunResult, SlotRecord
-from conftest import make_app, make_hardware, make_pool, make_system
+from bee.storage import append_record
+from conftest import commit_record, make_app, make_hardware, make_pool, make_system, run_state
 
 CODEC_TYPES = [ResourcePool, ComputeSystem, AppSpec, HardwareConfig, DataVolume, RunState,
                SimConfig, SlotRecord, RunResult, Checkpoint, ScalingRow]
@@ -219,22 +220,25 @@ def _stalled_run(tmp_path, capsys):
 def test_malformed_state_and_manifest_fields_exit_64(tmp_path, capsys):
     argv, store, run = _stalled_run(tmp_path, capsys)
     run_dir = tmp_path / "store" / run["run_id"]
-    # a copy of the run's checkpoints, so the segment that the latest one
+    # a copy of the run directory, so the segment that the latest checkpoint
     # names stays beside it
     checkpoint = Path(run["checkpoint_path"])
     ckpt_dir = tmp_path / "ckpt" / checkpoint.name
     shutil.copytree(checkpoint.parent, ckpt_dir.parent)
-    state = json.loads((run_dir / "state.json").read_text())
-    manifest = json.loads((ckpt_dir / "manifest.json").read_text())
+    run_log, ckpt_log = (run_dir / "log").read_bytes(), (ckpt_dir.parent / "log").read_bytes()
+    state = run_state(tmp_path / "store", run["run_id"])
+    manifest = commit_record(ckpt_dir.parent, int(ckpt_dir.name))
     assert manifest["segment"] < manifest["seq"]  # the latest extends an earlier one
     bad = []
-    for field, doc in _mutations("state", state):
-        (run_dir / "state.json").write_text(json.dumps(doc))
+    for field, doc in _mutations("state", to_json(state)):
+        (run_dir / "log").write_bytes(run_log)
+        append_record(run_dir / "log", {"state": doc})  # the malformed record is the last
         code, _, err = _bee(capsys, ["status", run["run_id"], "--store", store])
         if code != 0 and not (code == EXIT_CONFIG and _one_line_error(err, field)):
             bad.append((field, code, err))
-    for i, (field, doc) in enumerate(_mutations("manifest", manifest)):
-        (ckpt_dir / "manifest.json").write_text(json.dumps(doc))
+    for i, (field, doc) in enumerate(_mutations("commit", manifest)):
+        (ckpt_dir.parent / "log").write_bytes(ckpt_log)
+        append_record(ckpt_dir.parent / "log", {"commit": doc})
         code, _, err = _bee(capsys, ["resume", *argv, "--store", str(tmp_path / f"r{i}"),
                                      "--checkpoint", str(ckpt_dir)])
         if code not in (0, 1, 2) and not (code == EXIT_CONFIG and _one_line_error(err, field)):

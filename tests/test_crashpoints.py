@@ -4,11 +4,11 @@ it gives the output of the run that was never killed.
 
 After ALICE (Pillai et al., OSDI 2014) and CrashMonkey (Mohan et al., OSDI
 2018), at the level of the application's write calls: every store write goes
-through bee.storage.replace_file or bee.storage.extend_file, so patching those
-two enumerates every crash point.
+through bee.storage.replace_file (a volume's data.bin), bee.storage.extend_file
+(a checkpoint segment) or bee.storage.append_record (a record, appended to a
+run's or a volume's log), so patching those three enumerates every crash point.
 """
 
-import json
 from unittest import mock
 
 import pytest
@@ -16,15 +16,15 @@ import pytest
 import bee.storage
 from bee.backends import SimConfig, make_backend
 from bee.cli import EXIT_OK, main
+from bee.model import canonical_json
 from bee.orchestrator import Outcome, run_workflow
-from bee.storage import CheckpointStore, VolumeStore, sha256_hex
+from bee.storage import CheckpointStore, VolumeStore, read_log, sha256_hex
 from bee.workload import make_input_bytes
-from conftest import make_app, make_hardware, make_pool, make_system
+from conftest import make_app, make_hardware, make_pool, make_system, run_state
 
 CFG = SimConfig(seed=7, backend="sim-hpc", cpu_overhead_fraction=0.0)
 APP = make_app(work_total=240.0, process_count=1)  # two checkpoints, then completion
-STORE_FILES = {"state.json", "result.json", "meta.json", "data.bin", "manifest.json",
-               "volume.bin"}
+STORE_FILES = {"log", "data.bin", "volume.bin"}
 
 
 class Killed(Exception):
@@ -32,21 +32,24 @@ class Killed(Exception):
 
 
 class Kill:
-    """Counts the calls to the store's two write primitives.  Call `at` is
+    """Counts the calls to the store's three write primitives.  Call `at` is
     cut off in `mode`, and every later call raises without writing, since a
     killed process writes nothing more:
       before  raise without writing;
-      torn    replace_file leaves only its temp file, half written, and
-              extend_file writes half the tail; then raise;
+      torn    replace_file leaves only its temp file, half written,
+              extend_file writes half the tail, and append_record half
+              the line; then raise;
       after   write, then raise.
     """
 
     def __init__(self, monkeypatch, at=None, mode=None):
         self.calls, self.at, self.mode, self.dead = 0, at, mode, False
         self.names: set[str] = set()
-        self.real_replace, self.real_extend = bee.storage.replace_file, bee.storage.extend_file
+        self.real_replace, self.real_extend, self.real_append = \
+            bee.storage.replace_file, bee.storage.extend_file, bee.storage.append_record
         monkeypatch.setattr(bee.storage, "replace_file", self.replace_file)
         monkeypatch.setattr(bee.storage, "extend_file", self.extend_file)
+        monkeypatch.setattr(bee.storage, "append_record", self.append_record)
 
     def _cut_here(self, path) -> bool:
         if self.dead:
@@ -76,6 +79,17 @@ class Kill:
         self.real_extend(path, committed, content)
         raise Killed(path)
 
+    def append_record(self, path, doc):
+        if not self._cut_here(path):
+            return self.real_append(path, doc)
+        if self.mode == "torn":
+            line = (canonical_json(doc) + "\n").encode()
+            with open(path, "ab") as fh:
+                fh.write(line[:len(line) // 2])
+        else:
+            self.real_append(path, doc)
+        raise Killed(path)
+
 
 def run(store, **kwargs):
     pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
@@ -88,10 +102,16 @@ def fresh_store(path):
     return path
 
 
+def assert_logs_whole(store):
+    """Every line of every log that ends in a newline parses: a kill tears at
+    most a log's last line, which has none, and the next append cuts it off."""
+    for log in store.rglob("log"):
+        assert len(read_log(log)) == log.read_bytes().count(b"\n"), log
+
+
 def assert_reads_whole(store):
-    for path in store.rglob("*.json"):
-        json.loads(path.read_text(encoding="utf-8"))
-    if (store / "r" / "state.json").exists():
+    assert_logs_whole(store)
+    if run_state(store, "r") is not None:
         assert main(["status", "r", "--store", str(store)]) == EXIT_OK
     cstore = CheckpointStore(store)
     latest = cstore.latest("r")
@@ -100,7 +120,7 @@ def assert_reads_whole(store):
 
 def recover(store):
     """Resume from the latest checkpoint, or run again without one: until the
-    first manifest, data.bin is still the input."""
+    first commit, data.bin is still the input."""
     cstore = CheckpointStore(store)
     latest = cstore.latest("r")
     if latest is None:
@@ -136,4 +156,6 @@ def test_run_killed_at_any_store_write_recovers_the_same_output(tmp_path, monkey
         assert vstore.volume("in") == result.output_volume
         assert sha256_hex(vstore.content("in")) == digest, at
         assert cstore.verify(cstore.latest("r")), at
+        assert run_state(store, "r").phase.value == "complete", at
+        assert_logs_whole(store)
     capsys.readouterr()

@@ -20,7 +20,7 @@ from bee.workload import volume_content
 from bee.orchestrator import CheckpointStore, Outcome, SlotEnd, run_workflow
 from bee.backends import SimConfig, make_backend
 from bee.backends.local import LocalProcessBackend
-from conftest import make_app, make_hardware, make_pool, make_system
+from conftest import commit_record, make_app, make_hardware, make_pool, make_system, run_state
 
 # Per-slot progress is (slot - guard) * processes * rate: 114 for the
 # simulator, 76 for the local backend, so 150 units always needs a migration.
@@ -198,8 +198,7 @@ def test_fetched_volume_is_checked_once_against_the_staged_chain(tmp_path):
     # bytes that extend the staged ones share its parts; other bytes start over
     assert fetched[0].parts[0] is staged.parts[0]
     assert fetched[1].extends(fetched[0]) and not fetched[2].extends(fetched[1])
-    segments = [json.loads((tmp_path / "store" / "r" / str(seq) / "manifest.json")
-                           .read_text())["segment"] for seq in (1, 2, 3)]
+    segments = [commit_record(tmp_path / "store" / "r", seq)["segment"] for seq in (1, 2, 3)]
     assert segments == [1, 1, 3]
     assert all(store.verify(tmp_path / "store" / "r" / str(seq)) for seq in (1, 2, 3))
     backend.close()
@@ -237,9 +236,11 @@ def _local_run_mid_slot(tmp_path) -> subprocess.Popen:
                            stderr=subprocess.PIPE, text=True)
     deadline = time.monotonic() + 30
     while True:
-        states = [p.read_text() for p in (tmp_path / "store").glob("*/state.json")]
+        states = [run_state(tmp_path / "store", p.parent.name)
+                  for p in (tmp_path / "store").glob("*/log")]
         agents = _pids_naming(tmp_path) - {bee.pid}
-        if len(agents) >= 2 and any('"phase":"running"' in s for s in states):
+        if len(agents) >= 2 and any(s is not None and s.phase.value == "running"
+                                    for s in states):
             return bee  # mid-slot: deployed, and the app is running
         if bee.poll() is not None or time.monotonic() > deadline:
             bee.kill()

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
-import json
 import math
+import os
 import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bee.model import MB, WORK_QUANTUM, quantize_work
-from bee.storage import Chain, RunningDigest, VolumeStore, sha256_hex
+from bee.storage import (Chain, RunningDigest, VolumeStore, append_record, read_log,
+                         sha256_hex)
 from bee.workload import append_output, make_input_bytes, volume_content
 from bee.cluster import Cluster, deploy_cluster
 from bee.backends.base import NodeFailure
@@ -31,7 +34,8 @@ from bee.orchestrator import (
     transfer_and_restore,
 )
 from bee.backends import SimConfig, make_backend
-from conftest import counting_hashlib, make_app, make_hardware, make_pool, make_system
+from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
+                      make_system, run_state)
 
 EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
 
@@ -58,6 +62,32 @@ def count_payload_writes(monkeypatch) -> list[int]:
     return written
 
 
+_made: list[str] | None = None  # what the audit hook records, while a test records
+
+
+def _record_creation(event, args):
+    if _made is None or not isinstance(args[0], (str, bytes, os.PathLike)):
+        return  # not recording, or opening a descriptor
+    if event == "open" and args[2] & os.O_CREAT and not os.path.exists(args[0]):
+        _made.append(os.fsdecode(args[0]))
+    elif event == "os.mkdir" and not os.path.exists(args[0]):
+        _made.append(os.fsdecode(args[0]) + "/")
+
+
+sys.addaudithook(_record_creation)
+
+
+@contextlib.contextmanager
+def _creations():
+    """The files (and directories, as "<path>/") created inside the block, in order."""
+    global _made
+    _made = made = []
+    try:
+        yield made
+    finally:
+        _made = None
+
+
 def run(pool, app, store, seed=7, cfg=None, **kwargs):
     cfg = cfg or SimConfig(seed=seed, **EXACT_CFG)
     vstore = VolumeStore(store)
@@ -78,22 +108,23 @@ class TestRunWorkflow:
         assert result.history[0].ended_by is SlotEnd.COMPLETION
         # migration machinery never engaged: no checkpoint directories exist
         assert CheckpointStore(tmp_path).latest("r1") is None
-        state = json.loads((tmp_path / "r1" / "state.json").read_text())
-        assert state["need_migration"] is False
+        assert run_state(tmp_path, "r1").need_migration is False
 
     def test_state_is_written_as_each_slot_starts_and_runs_and_as_the_run_ends(
             self, tmp_path, monkeypatch):
         import bee.storage
 
         written = []
-        real = bee.storage.write_record
+        real = bee.storage.append_record
 
         def recording(path, doc):
-            if path.name == "state.json":
-                written.append((doc["phase"], doc["current_system"], doc["slots_consumed"]))
+            if "state" in doc:
+                state = doc["state"]
+                written.append((state["phase"], state["current_system"],
+                                state["slots_consumed"]))
             real(path, doc)
 
-        monkeypatch.setattr(bee.storage, "write_record", recording)
+        monkeypatch.setattr(bee.storage, "append_record", recording)
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
         result = run(pool, make_app(work_total=2.5 * 95.0, process_count=1), tmp_path,
                      run_id="r")
@@ -324,16 +355,16 @@ class TestRunWorkflow:
         assert (failed.slot_duration_used > 0) is fatal
         stops = [e for e in backends["first"].log.events if e.kind == "stop"]
         assert len(stops) == (0 if case == "deploy" else 1)
-        state = json.loads((tmp_path / "r" / "state.json").read_text())
+        state = run_state(tmp_path, "r")
         if fatal:
             assert result.outcome is Outcome.FAILED and len(result.history) == 1
-            assert (state["phase"], state["slots_consumed"], state["current_system"]) == \
+            assert (state.phase.value, state.slots_consumed, state.current_system) == \
                 ("failed", 1, None)
             assert vstore.volume("v").location == "detached"
         else:
             assert result.outcome is Outcome.COMPLETED
             assert [r.ended_by for r in result.history[1:]] == [SlotEnd.COMPLETION]
-            assert (state["phase"], state["slots_consumed"]) == ("complete", 2)
+            assert (state.phase.value, state.slots_consumed) == ("complete", 2)
 
     @pytest.mark.parametrize("backend_kind,system_kind", [
         ("sim-hpc", "hpc"),
@@ -377,7 +408,7 @@ class TestRunWorkflow:
         app = make_app(work_total=300.0, process_count=1)
         run(pool, app, tmp_path, run_id="mf")
         latest = CheckpointStore(tmp_path).latest("mf")
-        manifest = json.loads((latest / "manifest.json").read_text())
+        manifest = commit_record(tmp_path / "mf", int(latest.name))
         assert set(manifest) == {"run_id", "seq", "progress", "digest",
                                  "origin_system", "created_at", "segment", "length"}
         assert manifest["run_id"] == "mf" and manifest["origin_system"] == "beta"
@@ -393,8 +424,7 @@ class TestRunWorkflow:
                          make_system("beta", time_slot=100.0))
         app = make_app(work_total=150.0, process_count=1)
         result = run(pool, app, tmp_path, run_id="sc")
-        state = json.loads((tmp_path / "sc" / "state.json").read_text())
-        assert state["slots_consumed"] == len(result.history)
+        assert run_state(tmp_path, "sc").slots_consumed == len(result.history)
 
     def test_conservation_and_order_random_suite(self, tmp_path):
         rng = random.Random(99)
@@ -579,12 +609,13 @@ class TestCheckpointStore:
         committed = store.latest("torn")
         assert committed == tmp_path / "torn" / "1"
 
-        # a save cut off between volume.bin and manifest.json
+        # a save cut off between volume.bin and its commit record
         cut = tmp_path / "torn" / "2"
         cut.mkdir()
         (cut / "volume.bin").write_bytes(b"partial volume")
         assert store.latest("torn") == committed
-        (cut / "manifest.json").write_text('{"run_id":', encoding="utf-8")
+        with open(tmp_path / "torn" / "log", "ab") as fh:
+            fh.write(b'{"commit":{"run_id":')
         assert store.latest("torn") == committed
 
         ckpt, content = store.load(store.latest("torn"))
@@ -615,16 +646,18 @@ class SimulatedCrash(Exception):
 
 
 def crash_in_append(monkeypatch, call, half):
-    """Make the `call`-th append to a segment die, with all of its tail
-    written or only half of it; the manifest after it is never written."""
+    """Make the `call`-th append to a segment (past its first write) die, with
+    all of its tail written or only half of it; the commit after it is never
+    written."""
     import bee.storage
 
     real = bee.storage.extend_file
     calls = []
 
     def extend(path, committed, content):
-        calls.append(path)
-        if len(calls) == call:
+        if committed:
+            calls.append(path)
+        if committed and len(calls) == call:
             if half:
                 content = bytes(content)[:committed + (len(content) - committed) // 2]
             real(path, committed, content)
@@ -641,7 +674,7 @@ def checkpoint(seq, content, run_id="r"):
 
 
 class TestSegment:
-    """No save changes a byte that a committed manifest covers, wherever a
+    """No save changes a byte that a live commit covers, wherever a
     save is cut off and whichever run reuses the run id."""
 
     def _migrating_app(self):
@@ -665,8 +698,8 @@ class TestSegment:
         ckpt, content = cstore.load(store / "r" / "2")
         assert ckpt.seq == 2 and cstore.verify(store / "r" / "2")
         assert (store / "r" / "1" / "volume.bin").stat().st_size > len(content)
-        state = json.loads((store / "r" / "state.json").read_text())
-        assert (state["phase"], state["progress"]) == ("failed", ckpt.progress)
+        state = run_state(store, "r")
+        assert (state.phase.value, state.progress) == ("failed", ckpt.progress)
 
         resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
                       app, store, run_id="r", resume_from=ckpt, resume_content=content)
@@ -713,8 +746,7 @@ class TestSegment:
         assert ckpt.progress == second.history[0].progress_delta
         assert content == volume_content(app.name, make_input_bytes(7, app.name, 4096),
                                          ckpt.progress)
-        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "result.json",
-                                                                      "state.json"]
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
 
     def test_only_the_committed_parts_prove_an_extension(self, tmp_path):
         a = Chain(bytes(bytearray(b"first checkpoint")))
@@ -728,8 +760,8 @@ class TestSegment:
         # so do plain bytes, which are a chain of one new part
         d = bytes(c) + b"!"
         store.save(checkpoint(4, d), d)
-        segments = {seq: json.loads((tmp_path / "r" / str(seq) / "manifest.json")
-                                    .read_text())["segment"] for seq in (1, 2, 3, 4)}
+        segments = {seq: commit_record(tmp_path / "r", seq)["segment"]
+                    for seq in (1, 2, 3, 4)}
         assert segments == {1: 1, 2: 1, 3: 3, 4: 4}
         for seq, content in ((1, a), (2, b), (3, c), (4, d)):
             assert store.load(tmp_path / "r" / str(seq))[1] == bytes(content)
@@ -775,8 +807,7 @@ class TestSegment:
                       app, tmp_path, run_id="r")
         assert stalled.outcome is Outcome.STALLED_WITH_CHECKPOINT
         ckpt, content = CheckpointStore(tmp_path).load(tmp_path / "r" / "2")
-        manifest_path = tmp_path / "r" / "2" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        manifest = commit_record(tmp_path / "r", 2)
         if damage == "digest":
             manifest["digest"] = sha256_hex(b"other bytes")
         elif damage == "length":
@@ -784,7 +815,7 @@ class TestSegment:
         elif damage == "short_segment":
             with open(tmp_path / "r" / "1" / "volume.bin", "r+b") as fh:
                 fh.truncate(len(content) - 1)
-        manifest_path.write_text(json.dumps(manifest))
+        append_record(tmp_path / "r" / "log", {"commit": manifest})  # it supersedes commit 2
         written = count_payload_writes(monkeypatch)
 
         resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
@@ -793,11 +824,10 @@ class TestSegment:
         assert resumed.output_volume.content_digest == sha256_hex(
             volume_content(app.name, make_input_bytes(7, app.name, 4096), app.work_total))
         cstore = CheckpointStore(tmp_path)
-        after = [json.loads((tmp_path / "r" / str(seq) / "manifest.json").read_text())
-                 for seq in (3, 4)]
+        after = [commit_record(tmp_path / "r", seq) for seq in (3, 4)]
         assert all(cstore.verify(tmp_path / "r" / str(seq)) for seq in (3, 4))
         if damage is None:
-            # the store's manifest proves that segment 1 holds the checked bytes
+            # the store's commit proves that segment 1 holds the checked bytes
             assert [m["segment"] for m in after] == [1, 1]
             assert written[0] == after[0]["length"] - len(content)
         else:
@@ -825,8 +855,7 @@ class TestSegment:
                                   digest=digest, origin_system=None, created_at=0.0)
                 store.save(ckpt, content)
                 committed.append((ckpt, bytes(content)))
-                return json.loads((root / "r" / str(ckpt.seq) / "manifest.json")
-                                  .read_text())["segment"]
+                return commit_record(root / "r", ckpt.seq)["segment"]
 
             for op, *args in ops:
                 if op == "append":
@@ -920,7 +949,7 @@ class TestStoreIo:
         assert [r.ended_by for r in result.history] == [r.ended_by for r in clean.history]
         # s1 takes checkpoint 2 right after the corrupted delivery
         for seq in (2, 3, 4):
-            manifest = json.loads((store / "r" / str(seq) / "manifest.json").read_text())
+            manifest = commit_record(store / "r", seq)
             segment = store / "r" / str(manifest["segment"]) / "volume.bin"
             on_disk = segment.read_bytes()[:manifest["length"]]
             assert len(on_disk) == manifest["length"]
@@ -939,7 +968,8 @@ class TestStoreIo:
         resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
                       app, tmp_path, run_id="r", resume_from=ckpt, resume_content=content)
         assert resumed.outcome is Outcome.COMPLETED
-        seqs = sorted(int(d.name) for d in (tmp_path / "r").iterdir() if d.is_dir())
+        seqs = sorted({doc["commit"]["seq"] for doc in read_log(tmp_path / "r" / "log")
+                       if "commit" in doc})
         assert seqs == [1, 2, 3, 4]
         # no later write of the data volume touched a checkpoint's bytes
         assert all(cstore.verify(tmp_path / "r" / str(seq)) for seq in seqs)
@@ -1009,11 +1039,52 @@ class TestStoreIo:
                    for (_, a), (_, b) in zip(seen, seen[1:]))
         cstore = CheckpointStore(tmp_path)
         for seq, (_, held) in enumerate(seen, start=1):
-            manifest = json.loads((tmp_path / "r" / str(seq) / "manifest.json").read_text())
+            manifest = commit_record(tmp_path / "r", seq)
             assert (manifest["segment"], manifest["length"]) == (1, len(held))
             assert cstore.load(tmp_path / "r" / str(seq))[1] == held
-            assert sorted(p.name for p in (tmp_path / "r" / str(seq)).iterdir()) == \
-                (["manifest.json", "volume.bin"] if seq == 1 else ["manifest.json"])
+        # a checkpoint that only appends a tail makes no directory
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
+        assert sorted(p.name for p in (tmp_path / "r" / "1").iterdir()) == ["volume.bin"]
+
+    @staticmethod
+    def _stall_then_resume(store, slots):
+        """The shape of perfbench's sim-migrate on a small volume: `slots`
+        slots that stall, then a resume from latest() that completes on
+        `slots` fresh systems; returns the files and directories it made."""
+        app = make_app(name="sim-migrate", work_total=1.5 * 95.0 * slots, process_count=1)
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        volume = VolumeStore(store).create("input", make_input_bytes(7, app.name, 4096))
+
+        def pass_of(prefix, **kwargs):
+            pool = make_pool(*(make_system(f"{prefix}{i:02d}", time_slot=100.0)
+                               for i in range(slots)))
+            return run_workflow(pool, app, volume, make_hardware(),
+                                lambda s: make_backend(s, cfg), store, cfg=cfg,
+                                run_id="sim-migrate", **kwargs)
+
+        with _creations() as made:
+            stalled = pass_of("a")
+            cstore = CheckpointStore(store)
+            ckpt, content = cstore.load(cstore.latest("sim-migrate"))
+            resumed = pass_of("b", resume_from=ckpt, resume_content=content)
+        assert (stalled.outcome, resumed.outcome) == \
+            (Outcome.STALLED_WITH_CHECKPOINT, Outcome.COMPLETED)
+        assert (ckpt.seq, len(resumed.history)) == (slots, (slots + 1) // 2)
+        return [p.removeprefix(f"{store}/") for p in made]
+
+    def test_migrating_run_makes_the_same_few_files_whatever_its_slots(self, tmp_path):
+        made = self._stall_then_resume(tmp_path / "few", 4)
+        # a record is an append to a log, and a checkpoint that only adds a
+        # tail makes no directory; the one temporary file is data.bin's as
+        # the run completes, which replaces the input whole
+        assert made == ["sim-migrate/", "sim-migrate/log", "sim-migrate/1/",
+                        "sim-migrate/1/volume.bin", "volumes/input/data.bin.tmp"]
+        assert self._stall_then_resume(tmp_path / "many", 16) == made
+        listing = [sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+                   for root in (tmp_path / "few", tmp_path / "many")]
+        assert listing[0] == listing[1] == [
+            "sim-migrate", "sim-migrate/1", "sim-migrate/1/volume.bin", "sim-migrate/log",
+            "volumes", "volumes/input", "volumes/input/data.bin", "volumes/input/log"]
 
     def test_migrating_benchmark_run_writes_one_volume_plus_tails(self, tmp_path,
                                                                   monkeypatch):

@@ -86,9 +86,8 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(bee, "no_such_name")
 
 
-STORE_FILE_NAMES = {"state.json", "result.json", "manifest.json", "meta.json", "data.bin",
-                    "volume.bin"}
-STORE_WRITERS = {"replace_file", "write_record", "extend_file"}
+STORE_FILE_NAMES = {"log", "data.bin", "volume.bin"}
+STORE_WRITERS = {"replace_file", "append_record", "extend_file"}
 
 
 def _package_trees():

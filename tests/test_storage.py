@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bee.storage
-from bee.model import MB, DETACHED, StorageSolution
+from bee.model import MB, DETACHED, StorageSolution, canonical_json, to_json
 from bee.storage import (
     Chain,
     RunningDigest,
     StoragePlan,
     StorageError,
     VolumeStore,
+    append_record,
     effective_bandwidth,
     extend_file,
     iobench_table,
     model_io,
+    read_log,
     sha256_hex,
 )
 from conftest import counting_hashlib
@@ -182,9 +184,31 @@ class TestVolumeStore:
 
     def test_store_layout(self, tmp_path):
         store = VolumeStore(tmp_path)
-        store.create("vol-9", b"bytes")
-        assert (tmp_path / "volumes" / "vol-9" / "meta.json").exists()
+        vol = store.create("vol-9", b"bytes")
+        assert read_log(tmp_path / "volumes" / "vol-9" / "log") == [to_json(vol)]
         assert (tmp_path / "volumes" / "vol-9" / "data.bin").read_bytes() == b"bytes"
+        assert sorted(p.name for p in (tmp_path / "volumes" / "vol-9").iterdir()) == \
+            ["data.bin", "log"]
+
+    def test_volume_reads_only_the_end_of_its_log(self, tmp_path, monkeypatch):
+        store = VolumeStore(tmp_path)
+        store.create("v1", b"payload")
+        for i in range(600):
+            store.move("v1", f"system-{i}")
+        log = tmp_path / "volumes" / "v1" / "log"
+        assert log.stat().st_size > 16 * bee.storage._TAIL
+        real = bee.storage.read_log
+
+        def tail_only(path, tail=0):
+            assert tail, "the whole log was read"
+            return real(path, tail)
+
+        monkeypatch.setattr(bee.storage, "read_log", tail_only)
+        assert store.volume("v1").location == "system-599"
+        with open(log, "ab") as fh:
+            fh.write(b'{"byte_size":7,"con')  # a torn last line
+        assert store.volume("v1").location == "system-599"
+        assert store.exists("v1")
 
     def test_payload_written_as_new_file(self, tmp_path):
         # a hard link to the old data.bin keeps the old bytes: the file was
@@ -233,16 +257,16 @@ class TestVolumeStore:
         assert path.read_bytes() == whole[:committed].upper() + whole[committed:]
 
     def test_replace_file_swaps_a_new_file_in_and_leaves_no_temp_file(self, tmp_path):
-        path = tmp_path / "state.json"
+        path = tmp_path / "data.bin"
         bee.storage.replace_file(path, b"old")
         os.link(path, tmp_path / "old")
         bee.storage.replace_file(path, Chain(b"n", b"ew"))
         # the link shows the old file was replaced whole, not written in place
         assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "state.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "old"]
 
     def test_replace_file_without_renameat2_renames_with_os_replace(self, tmp_path):
-        path = tmp_path / "state.json"
+        path = tmp_path / "data.bin"
         with mock.patch.object(bee.storage, "_renameat2", None), \
                 mock.patch.object(os, "replace", wraps=os.replace) as rename:
             bee.storage.replace_file(path, b"old")
@@ -250,7 +274,7 @@ class TestVolumeStore:
             bee.storage.replace_file(path, Chain(b"n", b"ew"))
         assert rename.call_count == 2
         assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "state.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "old"]
 
     def test_chain_is_written_part_by_part_as_a_new_file(self, tmp_path):
         store = VolumeStore(tmp_path)
@@ -262,7 +286,7 @@ class TestVolumeStore:
         assert store.content("v1") == b"base+tail+more!"
 
     def test_new_store_does_not_trust_meta_json(self, tmp_path):
-        # a torn write left meta.json naming bytes that data.bin does not
+        # a torn write left the volume's record naming bytes that data.bin does not
         # hold; a store opened afterwards must write the payload again
         first = VolumeStore(tmp_path)
         vol = first.create("v1", b"complete payload")
@@ -284,7 +308,7 @@ STORE_OPS = st.one_of(
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), VOLUME_IDS, CONTENTS),
     # a kill in the call's first or second store write (create and write
-    # write data.bin, then meta.json; attach and detach write meta.json only)
+    # write data.bin, then append a record; attach and detach only append)
     st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["create", "write"]), CONTENTS,
               st.sampled_from([0, 1])),
     st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["attach", "detach"]),
@@ -292,18 +316,22 @@ STORE_OPS = st.one_of(
 )
 
 
-def killed_at(at: int):
-    """A stand-in for the writer's rename that kills the process at the
-    store write numbered `at` (from 0), its temp file written but not yet
-    renamed; the names renamed before it go into the returned list."""
-    real, done = bee.storage._swap_in, []
+def killed_at(monkeypatch, at: int) -> list[str]:
+    """Kill the process at the store write numbered `at` (from 0), before that
+    write changes a file; the names written before it go into the returned
+    list."""
+    real_replace, real_append, done = bee.storage.replace_file, bee.storage.append_record, []
 
-    def swap_in(tmp, path):
-        if len(done) == at:
-            raise Killed
-        real(tmp, path)
-        done.append(path.name)
-    return swap_in, done
+    def write(real):
+        def killable(path, *args):
+            if len(done) == at:
+                raise Killed
+            real(path, *args)
+            done.append(path.name)
+        return killable
+    monkeypatch.setattr(bee.storage, "replace_file", write(real_replace))
+    monkeypatch.setattr(bee.storage, "append_record", write(real_append))
+    return done
 
 
 class Killed(Exception):
@@ -314,18 +342,18 @@ class TestVolumeStoreConsistency:
     @settings(max_examples=150, deadline=None)
     @given(ops=st.lists(STORE_OPS, max_size=25))
     def test_meta_always_describes_data(self, ops):
-        """After every operation meta.json matches data.bin, except on a volume
-        whose data.bin another process's crash tore, until it is next written,
-        and on one this process was killed on between the rename of data.bin
-        and that of meta.json (pinned below): there data.bin holds the new
-        bytes and meta.json the last whole record.  A kill before a call's
-        first rename leaves the store as it was."""
+        """After every operation the volume's record matches data.bin, except
+        on a volume whose data.bin another process's crash tore, until it is
+        next written, and on one this process was killed on between the rename
+        of data.bin and the append of its record (pinned below): there
+        data.bin holds the new bytes and the log's last record is the old one.
+        A kill before a call's first write leaves the store as it was."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
-            model: dict[str, tuple[bytes, str]] = {}  # id -> what meta.json describes
+            model: dict[str, tuple[bytes, str]] = {}  # id -> what the record describes
             torn: set[str] = set()
-            split: dict[str, bytes] = {}  # id -> data.bin, where meta.json is older
+            split: dict[str, bytes] = {}  # id -> data.bin, where the record is older
             for op in ops:
                 kind, vid = op[0], (op[1] if len(op) > 1 else None)
                 vol = None
@@ -350,15 +378,15 @@ class TestVolumeStoreConsistency:
                     method, content, at = op[2:]
                     args = (content,) if method in ("create", "write") else \
                         ("gamma",) if method == "attach" else ()
-                    swap_in, done = killed_at(at)
-                    with mock.patch.object(bee.storage, "_swap_in", swap_in):
+                    with pytest.MonkeyPatch.context() as patch:
+                        done = killed_at(patch, at)
                         try:
                             finished = getattr(store, method)(vid, *args)
                         except (Killed, StorageError):
                             finished = None
                     store = VolumeStore(root)
                     if finished is not None:
-                        # a write of the bytes meta.json already names makes
+                        # a write of the bytes the record already names makes
                         # one store write, so it ends before write 1
                         model[vid] = (content, model[vid][1])
                         torn.discard(vid)
@@ -397,20 +425,71 @@ class TestVolumeStoreConsistency:
                         (sha256_hex(content), len(content), location)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="data.bin and meta.json are renamed one after the other, so a "
-                       "kill between them leaves meta.json naming the old bytes (ROADMAP "
-                       "item 4, left)")
-    def test_kill_between_data_and_meta_leaves_meta_describing_data(self, tmp_path):
+                       reason="data.bin is renamed, then the volume's record appended, so a "
+                       "kill between them leaves the record naming the old bytes (ROADMAP "
+                       "item 3, left)")
+    def test_kill_between_data_and_meta_leaves_meta_describing_data(self, tmp_path,
+                                                                    monkeypatch):
         store = VolumeStore(tmp_path)
         store.create("v", b"old bytes")
-        swap_in, done = killed_at(1)
-        with mock.patch.object(bee.storage, "_swap_in", swap_in), pytest.raises(Killed):
+        done = killed_at(monkeypatch, 1)
+        with pytest.raises(Killed):
             store.write("v", b"new bytes, and more of them")
+        monkeypatch.undo()
         if done != ["data.bin"]:  # not the case pinned here: fail outright
-            pytest.fail(f"killed after renaming {done}")
+            pytest.fail(f"killed after writing {done}")
         store = VolumeStore(tmp_path)
         meta, data = store.volume("v"), store.content("v")
         assert (meta.byte_size, meta.content_digest) == (len(data), sha256_hex(data))
+
+
+RECORD = st.dictionaries(st.text(max_size=6),
+                         st.none() | st.booleans() | st.integers() | st.text(max_size=12),
+                         max_size=3)
+
+
+class TestLog:
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(RECORD, min_size=1, max_size=8), cut=st.integers(min_value=0),
+           new=RECORD, tail=st.sampled_from([1, 16, 64, 4096]))
+    def test_reader_takes_the_whole_lines_before_any_cut(self, records, cut, new, tail):
+        """Cut a log at any byte: the reader returns exactly the records whose
+        lines are whole, the volume's reader, which reads the log's end, the
+        last of them, and an append after the cut adds its record."""
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(bee.storage, "_TAIL", tail):
+            store = VolumeStore(tmp)
+            log = Path(tmp) / "volumes" / "v" / "log"
+            log.parent.mkdir(parents=True)
+            for doc in records:
+                append_record(log, doc)
+            data = log.read_bytes()
+            assert data == "".join(canonical_json(doc) + "\n" for doc in records).encode()
+            log.write_bytes(data[:cut % (len(data) + 1)])
+            whole = records[:log.read_bytes().count(b"\n")]
+            assert read_log(log) == whole
+            assert store._record("v") == (whole[-1] if whole else None)
+            append_record(log, new)
+            assert read_log(log) == whole + [new]
+            assert store._record("v") == new
+
+    def test_unsynced_tail_is_where_the_reader_stops(self, tmp_path):
+        # after a power loss an unwritten tail can read back as zeros or as
+        # garbage; the reader stops there and the next append cuts it off
+        log = tmp_path / "log"
+        append_record(log, {"state": 1})
+        for tail in (b"\0" * 40, b'{"state":2}garbage\0'):
+            with open(log, "ab") as fh:
+                fh.write(tail)
+            assert read_log(log) == [{"state": 1}]
+            append_record(log, {"state": 3})
+            assert read_log(log) == [{"state": 1}, {"state": 3}]
+            log.write_bytes(b'{"state":1}\n')
+
+    def test_a_line_that_is_not_an_object_ends_the_records(self, tmp_path):
+        log = tmp_path / "log"
+        log.write_bytes(b'{"a":1}\n[2]\n{"a":3}\n')
+        assert read_log(log) == [{"a": 1}]
 
 
 def fresh(data: bytes) -> bytes:

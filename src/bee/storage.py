@@ -251,11 +251,15 @@ def append_record(path: Path, doc) -> None:
     holds no newline), by one O_APPEND write.  A log whose last byte is not a
     newline ends in a line torn by a killed writer, and is first cut back to
     just after its last newline.  Nothing is fsynced."""
-    with open(path, "a+b", buffering=0) as fh:  # O_APPEND, opened at the end
-        end = fh.tell()
-        if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
-            fh.truncate(os.pread(fh.fileno(), end, 0).rfind(b"\n") + 1)
-        fh.write((canonical_json(doc) + "\n").encode())
+    line = (canonical_json(doc) + "\n").encode()
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        end = os.fstat(fd).st_size
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            os.ftruncate(fd, os.pread(fd, end, 0).rfind(b"\n") + 1)
+        os.write(fd, line)
+    finally:
+        os.close(fd)
 
 
 def read_log(path: Path, tail: int = 0) -> list[dict]:
@@ -283,7 +287,7 @@ def read_log(path: Path, tail: int = 0) -> list[dict]:
     return records
 
 
-_TAIL = 4096  # bytes read from a log's end for its last records
+_TAIL = 512  # bytes read from a log's end for its last few records
 
 
 def _parse(log: Path, cls, doc, name: str):
@@ -296,7 +300,7 @@ def _parse(log: Path, cls, doc, name: str):
 
 class VolumeStore:
     """Persistent volumes at <root>/volumes/<id>/{data.bin,log}; the log's
-    last record, read from its last few KiB, describes the volume.
+    last record, read from its last few hundred bytes, describes the volume.
 
     The digest is always the SHA-256 hex of data.bin; attach/detach only
     append records, so they can never change content.
@@ -510,7 +514,7 @@ class CheckpointStore:
         """
         run_dir = self.root / run_id
         try:
-            m = self._commits(run_dir)[ckpt.seq]
+            m = _parse(run_dir / "log", _Commit, self._commits(run_dir)[ckpt.seq], "commit")
             size = (run_dir / str(m.segment) / "volume.bin").stat().st_size
         except (KeyError, OSError, ParseError):
             return
@@ -519,17 +523,21 @@ class CheckpointStore:
             self._last = (run_id, m.segment, content)
 
     @staticmethod
-    def _commits(run_dir: Path) -> dict[int, _Commit]:
-        """The live commits of the run in `run_dir`, by seq (see the class)."""
-        log = run_dir / "log"
-        commits: dict[int, _Commit] = {}
+    def _commits(run_dir: Path) -> dict[int, dict]:
+        """The live commit records of the run in `run_dir` by seq (see the
+        class), checked no further than their seq: a caller parses the one
+        it uses."""
+        log, commits = run_dir / "log", {}
         for doc in read_log(log):
             if "drop" in doc:
                 k = _parse(log, int, doc["drop"], "drop")
-                commits = {seq: m for seq, m in commits.items() if seq < k}
+                commits = {seq: c for seq, c in commits.items() if seq < k}
             elif "commit" in doc:
-                m = _parse(log, _Commit, doc["commit"], "commit")
-                commits[m.seq] = m
+                c = doc["commit"]
+                seq = c.get("seq") if type(c) is dict else None
+                if type(seq) is not int:  # no commit: parsing it says why
+                    _parse(log, _Commit, c, "commit")
+                commits[seq] = c
         return commits
 
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
@@ -540,9 +548,10 @@ class CheckpointStore:
         segment raises MigrationError.
         """
         path = Path(path)
-        m = self._commits(path.parent).get(int(path.name)) if path.name.isdigit() else None
-        if m is None:
+        doc = self._commits(path.parent).get(int(path.name)) if path.name.isdigit() else None
+        if doc is None:
             raise FileNotFoundError(f"no checkpoint is committed at {path}")
+        m = _parse(path.parent / "log", _Commit, doc, "commit")
         try:
             with open(path.parent / str(m.segment) / "volume.bin", "rb") as fh:
                 short = os.fstat(fh.fileno()).st_size < m.length

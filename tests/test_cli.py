@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
-from bee.model import Phase, RunState, canonical_json, to_json
+from bee.model import Phase, RunState, to_json
 from bee.storage import StatusWriter, append_record
 from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
                       make_system, segment_of)

@@ -428,10 +428,9 @@ class TestStatusCommand:
         assert "run_id" in capsys.readouterr().err
 
     @pytest.mark.parametrize("torn", ["state", "result"])
-    def test_torn_last_record_is_skipped_and_a_malformed_one_exits_config(self, tmp_path,
-                                                                         capsys, torn):
+    def test_torn_last_record_is_skipped(self, tmp_path, capsys, torn):
         # a torn last line is where a killed writer stopped: status reads the
-        # records before it; a whole record that is malformed exits 64
+        # records before it
         run_dir = tmp_path / "r"
         run_dir.mkdir()
         append_record(run_dir / "log", {"state": to_json(RunState())})
@@ -440,7 +439,15 @@ class TestStatusCommand:
         assert main(["status", "r", "--store", str(tmp_path), "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == \
             {"run_id": "r", "state": to_json(RunState())}
-        append_record(run_dir / "log", {torn: {"phase": "torn"}})
+
+    @pytest.mark.parametrize("torn", ["state.json", "result.json"])
+    def test_torn_run_file_exits_config(self, tmp_path, capsys, torn):
+        # the log's state and result records replace the files of these
+        # names; a whole record whose document is malformed exits 64
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        append_record(run_dir / "log", {"state": to_json(RunState())})
+        append_record(run_dir / "log", {torn.removesuffix(".json"): {"phase": "torn"}})
         assert main(["status", "r", "--store", str(tmp_path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""

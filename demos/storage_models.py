@@ -37,12 +37,13 @@ print()
 print("volume lifecycle: the data image moves between systems intact")
 with tempfile.TemporaryDirectory(prefix="bee-volumes-") as root:
     store = VolumeStore(root)
-    vol = store.create("results", b"simulation output " * 1000)
+    output = b"simulation output " * 1000
+    vol = store.create("results", output)
     print(f"  created  {vol.id}: {vol.byte_size} bytes, digest {vol.content_digest[:12]}...")
     vol = store.attach("results", "cluster-a")
     snapshot, digest = store.snapshot("results")
     print(f"  attached to {vol.location}; snapshot digest {digest[:12]}...")
-    store.write("results", b"later writes change the live volume")
+    store.write("results", output + b"later writes grow the live volume")
     print(f"  live digest now {store.volume('results').content_digest[:12]}... "
           f"(snapshot unchanged: {digest[:12]}...)")
     store.detach("results")

@@ -31,7 +31,7 @@ from bee.model import (
     validate,
 )
 from bee.storage import (DEFAULT_NFS_CAP, CheckpointStore, StorageError, VolumeStore,
-                         iobench_table, read_status, run_id_problem)
+                         iobench_table, read_status, run_id_problem, sha256_hex)
 from bee.workload import make_input_bytes
 from bee.netvirt.topology import build_topology, cost_of_trace, route
 from bee.orchestrator import Outcome, RunResult, derive_run_id, run_workflow
@@ -190,13 +190,15 @@ def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=
     volume_id = f"{run_id}-data"
     if resume_from is not None:
         # run_workflow checks the checkpoint's bytes before the volume takes them
-        volume = DataVolume(id=volume_id, byte_size=len(resume_content),
-                            content_digest=resume_from.digest)
+        content, digest = resume_content, resume_from.digest
     else:
+        # describe the input, not the volume: a completed run appended its output
+        content = make_input_bytes(args.seed, app.name, args.input_size)
+        digest = sha256_hex(content)
         vstore = VolumeStore(args.store)
         if not vstore.exists(volume_id):
-            vstore.create(volume_id, make_input_bytes(args.seed, app.name, args.input_size))
-        volume = vstore.volume(volume_id)
+            vstore.create(volume_id, content, digest=digest)
+    volume = DataVolume(id=volume_id, byte_size=len(content), content_digest=digest)
 
     result = run_workflow(pool, app, volume, hardware,
                           lambda system: make_backend(system, cfg), args.store,

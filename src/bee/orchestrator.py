@@ -32,7 +32,7 @@ from bee.model import (
     validate,
 )
 from bee.storage import (Chain, Checkpoint, CheckpointStore, MigrationError, RunningDigest,
-                         StatusWriter, VolumeStore, run_id_problem)
+                         StatusWriter, StorageError, VolumeStore, run_id_problem)
 from bee.workload import max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
@@ -185,7 +185,7 @@ def transfer_and_restore(ckpt: Checkpoint, content: Chain | bytes,
     digest mismatch is retried once before giving up.  The delivered bytes
     are hashed through `running`, the run's digest, or in full without one.
     The data volume moves to the target system; its stored bytes stay the
-    run's input until the run completes.
+    run's input until the run completes and appends its output to them.
     """
     running = running or RunningDigest()
     if from_system is not None:
@@ -245,8 +245,10 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     checkpoint's digest before anything is stored; when the store has no volume
     `data.id` yet, it is created from the checked bytes, and when the store
     holds the checkpoint's segment, the next checkpoint appends to it.
-    The data volume's stored bytes are the input until the run completes,
-    and its output after that.  The run's state is recorded twice per slot,
+    A fresh run's input is the first `data.byte_size` bytes of volume
+    `data.id`, checked against `data.content_digest`; the stored bytes stay
+    the input, and the run appends its output to them as it completes.
+    The run's state is recorded twice per slot,
     as the slot starts on its system (migrating or deploying) and as the app
     starts running there, and once as the run ends; a call that ends by an
     exception, an interrupt included, records phase `failed` before it
@@ -278,8 +280,13 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         cstore = CheckpointStore(store_dir)
         work_total = quantize_work(app.work_total)
 
-        if resume_from is None and not vstore.exists(data.id):
-            raise OrchestratorError(f"input volume {data.id} not found in store")
+        if resume_from is None:
+            if not vstore.exists(data.id):
+                raise OrchestratorError(f"input volume {data.id} not found in store")
+            initial = vstore.content(data.id)[:data.byte_size]
+            if running.hexdigest(initial) != data.content_digest:
+                raise StorageError(f"volume {data.id}: its first {data.byte_size} bytes "
+                                   "are not the run's input")
 
         ckpt = resume_from
         ckpt_content = resume_content
@@ -342,8 +349,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                     else:
                         # a resume from a checkpoint without an origin stages its
                         # checked bytes; a fresh run stages the input
-                        content = ckpt_content if ckpt_content is not None \
-                            else vstore.content(data.id)
+                        content = ckpt_content if ckpt_content is not None else initial
                         backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
                                        "load_initial_data", system.hosts[0].id)
                         vstore.move(data.id, system.id)
@@ -424,11 +430,10 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         # pool exhausted with work remaining: persist the last checkpoint
         if ckpt is None:
             seq += 1
-            content = vstore.content(data.id)
             ckpt = Checkpoint(run_id=run_id, seq=seq, progress=state.progress,
-                              digest=running.hexdigest(content),
+                              digest=data.content_digest,
                               origin_system=state.last_host_system, created_at=wall)
-            cstore.save(ckpt, content)
+            cstore.save(ckpt, initial)
         state = replace(state, phase=Phase.STALLED, current_system=None)
         return finish(Outcome.STALLED_WITH_CHECKPOINT, None)
     except BaseException:

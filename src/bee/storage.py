@@ -5,13 +5,12 @@ and re-exported to workers over the virtual network (flat, capped aggregate),
 and hypervisor directory passthrough (near-native, 10% write penalty).
 
 The run store is VolumeStore, CheckpointStore and StatusWriter; no other module
-names a file in it.  Records are appended to logs by append_record, a volume's
-data.bin is written whole by replace_file, and segments grow by extend_file.
+names a file in it, and none is ever renamed.  Records are appended to logs by
+append_record; a volume's data.bin and a segment only grow, by extend_file.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
@@ -190,42 +189,6 @@ def iobench_table(solution: StorageSolution, max_nodes: int = 32,
 # the write primitives and the log readers
 
 
-def replace_file(path: Path, content: Chain | bytes) -> None:
-    """Make the file at `path` hold `content`: write <name>.tmp, then swap it in.
-
-    A process killed at any point leaves `path` whole, as it was or as it is
-    now; at most a .tmp is left, which the next write of `path` overwrites.
-    Nothing is fsynced, so a power loss can still lose or tear the write.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.writelines(Chain.of(content).parts)
-    _swap_in(tmp, path)
-
-
-_AT_FDCWD, _RENAME_EXCHANGE = -100, 2
-try:  # renameat2(2), in glibc since 2.28
-    _renameat2 = ctypes.CDLL(None).renameat2
-    _renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
-                           ctypes.c_uint)
-    _renameat2.restype = ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _renameat2 = None
-
-
-def _swap_in(tmp: Path, path: Path) -> None:
-    """Give `tmp` the name `path` in one step, which no reader or kill can split:
-    swap the two names (RENAME_EXCHANGE) and remove the old file, or, when
-    that fails for any reason, os.replace.  ext4 starts writing out a file
-    renamed over another (auto_da_alloc), which nearly doubled sim-migrate's
-    run time; a swap is no such rename, and so gives up that write-out."""
-    if _renameat2 is not None and _renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD,
-                                             os.fsencode(path), _RENAME_EXCHANGE) == 0:
-        os.unlink(tmp)
-    else:
-        os.replace(tmp, path)
-
-
 def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
     """Make the file at `path` hold `content`, whose first `committed` bytes it holds.
 
@@ -288,6 +251,22 @@ def read_log(path: Path, tail: int = 0) -> list[dict]:
 
 
 _TAIL = 512  # bytes read from a log's end for its last few records
+_BLOCK = 1 << 20  # bytes per read when a file is compared with a chain
+
+
+def _starts_with(fh, size: int, chain: Chain) -> bool:
+    """Whether the next `size` bytes of the file `fh` are the first `size`
+    bytes of `chain`, read in blocks into one buffer: neither is copied whole."""
+    buf = bytearray(min(size, _BLOCK))
+    for part in chain.parts:
+        view = memoryview(part)[:size]
+        for at in range(0, len(view), _BLOCK):
+            block = view[at:at + _BLOCK]
+            if fh.readinto(memoryview(buf)[:len(block)]) < len(block) \
+                    or not buf.startswith(block):
+                return False
+        size -= len(view)
+    return size == 0
 
 
 def _parse(log: Path, cls, doc, name: str):
@@ -302,7 +281,8 @@ class VolumeStore:
     """Persistent volumes at <root>/volumes/<id>/{data.bin,log}; the log's
     last record, read from its last few hundred bytes, describes the volume.
 
-    The digest is always the SHA-256 hex of data.bin; attach/detach only
+    data.bin only grows, as a segment does: the volume is its first
+    `byte_size` bytes, and the digest their SHA-256 hex.  attach/detach only
     append records, so they can never change content.
     """
 
@@ -322,12 +302,16 @@ class VolumeStore:
 
     def create(self, volume_id: str, content: Chain | bytes, location: str = DETACHED,
                digest: str | None = None) -> DataVolume:
-        """A new volume holding `content`; `digest` is as for write()."""
+        """A new volume holding `content`; `digest` is as for write().  An id
+        that already has a record is refused."""
+        if self.exists(volume_id):
+            raise StorageError(f"volume {volume_id} already exists")
         vol = DataVolume(id=volume_id, byte_size=len(content),
                          content_digest=digest or sha256_hex(bytes(content)),
                          location=location)
         self._dir(volume_id).mkdir(parents=True, exist_ok=True)
-        replace_file(self._dir(volume_id) / "data.bin", content)
+        # a data.bin already there is what a create killed before its record left
+        extend_file(self._dir(volume_id) / "data.bin", 0, content)
         self._write_meta(vol)
         return vol
 
@@ -340,27 +324,45 @@ class VolumeStore:
             raise StorageError(f"no such volume: {volume_id}")
         return _parse(self._dir(volume_id) / "log", DataVolume, doc, "volume")
 
+    def _open_data(self, vol: DataVolume):
+        """The volume's data.bin, open for reading; it holds the committed bytes."""
+        try:
+            fh = open(self._dir(vol.id) / "data.bin", "rb")
+        except FileNotFoundError:
+            raise StorageError(f"no such volume: {vol.id}") from None
+        if os.fstat(fh.fileno()).st_size < vol.byte_size:
+            fh.close()
+            raise StorageError(f"volume {vol.id}: data.bin holds fewer than its "
+                               f"{vol.byte_size} committed bytes")
+        return fh
+
     def content(self, volume_id: str) -> bytes:
-        path = self._dir(volume_id) / "data.bin"
-        if not path.exists():
-            raise StorageError(f"no such volume: {volume_id}")
-        return path.read_bytes()
+        vol = self.volume(volume_id)
+        with self._open_data(vol) as fh:
+            return fh.read(vol.byte_size)
 
     def write(self, volume_id: str, content: Chain | bytes,
               digest: str | None = None) -> DataVolume:
-        """Replace the volume's bytes.
+        """Extend the volume to `content`: append the bytes past its committed
+        length, then a record.  Content that does not begin with the committed
+        bytes is refused, and content equal to them writes nothing.
 
         `digest`, when given, must be the SHA-256 hex of exactly `content`,
         computed or verified by the caller; it saves hashing the bytes again.
-        A record is appended only when it differs from the last one.
         """
-        vol = self.volume(volume_id)
-        replace_file(self._dir(volume_id) / "data.bin", content)
-        new = replace(vol, byte_size=len(content),
-                      content_digest=digest or sha256_hex(bytes(content)))
-        if new != vol:
-            self._write_meta(new)
-        return new
+        vol, chain = self.volume(volume_id), Chain.of(content)
+        with self._open_data(vol) as fh:
+            extends = _starts_with(fh, vol.byte_size, chain)
+        if not extends:
+            raise StorageError(f"volume {volume_id}: the content written does not begin "
+                               f"with its {vol.byte_size} committed bytes")
+        if len(chain) == vol.byte_size:
+            return vol
+        extend_file(self._dir(volume_id) / "data.bin", vol.byte_size, chain)
+        vol = replace(vol, byte_size=len(chain),
+                      content_digest=digest or sha256_hex(bytes(chain)))
+        self._write_meta(vol)
+        return vol
 
     def attach(self, volume_id: str, system_id: str) -> DataVolume:
         vol = self.volume(volume_id)
@@ -471,7 +473,8 @@ class CheckpointStore:
     every one with a seq >= k.  A save of seq k appends `drop k` before it
     writes a byte, unless this instance's previous save was of the same run
     and a lower seq: once per run.  So no live commit names a byte that a
-    save writes, since its seq, and so its segment, is below k.
+    save writes, since its seq, and so its segment, is below k; and right
+    after `drop k` the save removes every segment numbered k or more.
     """
 
     def __init__(self, root: str | Path):
@@ -490,6 +493,10 @@ class CheckpointStore:
         if last_run != ckpt.run_id or ckpt.seq <= seq:
             run_dir.mkdir(parents=True, exist_ok=True)
             append_record(run_dir / "log", {"drop": ckpt.seq})
+            for entry in os.scandir(run_dir):  # segments no live commit can name
+                if entry.name.isdecimal() and int(entry.name) >= ckpt.seq:
+                    Path(entry.path, "volume.bin").unlink(missing_ok=True)
+                    os.rmdir(entry.path)
         self._saved = (ckpt.run_id, ckpt.seq)
         last_run, segment, committed = self._last or (None, 0, Chain())
         if not (last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed)):

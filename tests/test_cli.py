@@ -130,6 +130,39 @@ class TestRunCommand:
         assert again["output_volume"]["content_digest"] == \
             fresh["output_volume"]["content_digest"]
 
+    def test_run_again_after_a_completed_run_matches_a_fresh_store(self, configs, capsys):
+        # the completed run's output, appended to its input, must not become
+        # the next run's input
+        argv = ["run", *configs(), "--seed", "1", "--json"]
+        store = str(configs.tmp_path / "store")
+        digests = []
+        for target in (store, store, str(configs.tmp_path / "fresh")):
+            code, doc = run_json(capsys, [*argv, "--store", target])
+            assert code == EXIT_OK
+            digests.append(doc["output_volume"]["content_digest"])
+        assert digests[0] == digests[1] == digests[2]
+
+    @pytest.mark.parametrize("first, then, why", [
+        # the smaller input is the stored one's prefix, but its output does
+        # not extend the stored output
+        ("4096", "1024", "does not begin with its"),
+        # the larger input's bytes are not the stored volume's first bytes
+        ("1024", "4096", "are not the run's input"),
+    ])
+    def test_other_input_size_in_a_reused_store_exits_failed_with_one_line(
+            self, configs, capsys, first, then, why):
+        argv = ["run", *configs(), "--seed", "1", "--json"]
+        store = str(configs.tmp_path / "store")
+        code, done = run_json(capsys, [*argv, "--store", store, "--input-size", first])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, "--store", store, "--input-size", then]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and why in err
+        # the volume keeps what the first run stored
+        code, again = run_json(capsys, [*argv, "--store", store, "--input-size", first])
+        assert code == EXIT_OK and again == done
+
     def test_run_that_ends_without_a_result_reports_failed(self, configs, capsys):
         store = configs.tmp_path / "store"
         argv = ["run", *configs(), "--store", str(store)]

@@ -4,12 +4,11 @@ it gives the output of the run that was never killed.
 
 After ALICE (Pillai et al., OSDI 2014) and CrashMonkey (Mohan et al., OSDI
 2018), at the level of the application's write calls: every store write goes
-through bee.storage.replace_file (a volume's data.bin), bee.storage.extend_file
-(a checkpoint segment) or bee.storage.append_record (a record, appended to a
-run's or a volume's log), so patching those three enumerates every crash point.
+through bee.storage.extend_file (a volume's data.bin or a checkpoint segment,
+written past its committed length) or bee.storage.append_record (a record,
+appended to a run's or a volume's log), so patching those two enumerates every
+crash point.
 """
-
-from unittest import mock
 
 import pytest
 
@@ -32,22 +31,19 @@ class Killed(Exception):
 
 
 class Kill:
-    """Counts the calls to the store's three write primitives.  Call `at` is
+    """Counts the calls to the store's two write primitives.  Call `at` is
     cut off in `mode`, and every later call raises without writing, since a
     killed process writes nothing more:
       before  raise without writing;
-      torn    replace_file leaves only its temp file, half written,
-              extend_file writes half the tail, and append_record half
-              the line; then raise;
+      torn    extend_file writes half the tail, and append_record half the
+              line; then raise;
       after   write, then raise.
     """
 
     def __init__(self, monkeypatch, at=None, mode=None):
         self.calls, self.at, self.mode, self.dead = 0, at, mode, False
         self.names: set[str] = set()
-        self.real_replace, self.real_extend, self.real_append = \
-            bee.storage.replace_file, bee.storage.extend_file, bee.storage.append_record
-        monkeypatch.setattr(bee.storage, "replace_file", self.replace_file)
+        self.real_extend, self.real_append = bee.storage.extend_file, bee.storage.append_record
         monkeypatch.setattr(bee.storage, "extend_file", self.extend_file)
         monkeypatch.setattr(bee.storage, "append_record", self.append_record)
 
@@ -60,16 +56,6 @@ class Kill:
         if self.dead and self.mode == "before":
             raise Killed(path)
         return self.dead
-
-    def replace_file(self, path, content):
-        if not self._cut_here(path):
-            return self.real_replace(path, content)
-        if self.mode == "torn":
-            with mock.patch.object(bee.storage, "_swap_in"):  # the rename never happens
-                self.real_replace(path, bytes(content)[:len(content) // 2])
-        else:
-            self.real_replace(path, content)
-        raise Killed(path)
 
     def extend_file(self, path, committed, content):
         if not self._cut_here(path):

@@ -41,23 +41,17 @@ EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
 
 
 def count_payload_writes(monkeypatch) -> list[int]:
-    """The bytes of each payload write (a whole data.bin or volume.bin, or an
-    extension) from now on; JSON records are not payload."""
+    """The bytes of each payload write (an extension of a data.bin or a
+    volume.bin) from now on; JSON records are not payload."""
     import bee.storage
 
     written = []
-    real_replace, real_extend = bee.storage.replace_file, bee.storage.extend_file
-
-    def counting_replace(path, content):
-        if path.suffix == ".bin":
-            written.append(len(content))
-        real_replace(path, content)
+    real_extend = bee.storage.extend_file
 
     def counting_extend(path, committed, content):
         written.append(len(content) - committed)
         real_extend(path, committed, content)
 
-    monkeypatch.setattr(bee.storage, "replace_file", counting_replace)
     monkeypatch.setattr(bee.storage, "extend_file", counting_extend)
     return written
 
@@ -72,6 +66,8 @@ def _record_creation(event, args):
         _made.append(os.fsdecode(args[0]))
     elif event == "os.mkdir" and not os.path.exists(args[0]):
         _made.append(os.fsdecode(args[0]) + "/")
+    elif event == "os.rename":  # os.replace raises this event too
+        _made.append(f"rename {os.fsdecode(args[0])} -> {os.fsdecode(args[1])}")
 
 
 sys.addaudithook(_record_creation)
@@ -79,7 +75,8 @@ sys.addaudithook(_record_creation)
 
 @contextlib.contextmanager
 def _creations():
-    """The files (and directories, as "<path>/") created inside the block, in order."""
+    """The files (and directories, as "<path>/") created inside the block, and
+    each rename (as "rename <old> -> <new>"), in order."""
     global _made
     _made = made = []
     try:
@@ -748,6 +745,17 @@ class TestSegment:
                                          ckpt.progress)
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
 
+    def test_save_after_a_drop_removes_the_superseded_segments(self, tmp_path):
+        first = CheckpointStore(tmp_path)
+        first.save(checkpoint(1, b"one"), b"one")
+        first.save(checkpoint(2, b"two"), b"two")  # does not extend: segment 2
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "2", "log"]
+        second = CheckpointStore(tmp_path)
+        second.save(checkpoint(1, b"again"), b"again")  # drop 1, then segment 1 anew
+        assert second.latest("r") == tmp_path / "r" / "1"
+        assert second.load(tmp_path / "r" / "1")[1] == b"again"
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
+
     def test_only_the_committed_parts_prove_an_extension(self, tmp_path):
         a = Chain(bytes(bytearray(b"first checkpoint")))
         b = a + b" and its tail"
@@ -1012,9 +1020,10 @@ class TestStoreIo:
         assert result.outcome is Outcome.COMPLETED
         lengths = [len(CheckpointStore(tmp_path).load(tmp_path / "w" / str(seq))[1])
                    for seq in (1, 2, 3, 4)]
-        # the first checkpoint in full, then only what each later one appended
+        # the first checkpoint in full, then only what each later one
+        # appended, then the output's tail past the input
         assert written == [lengths[0], *(b - a for a, b in zip(lengths, lengths[1:])),
-                           result.output_volume.byte_size]
+                           result.output_volume.byte_size - (1 << 16)]
 
     def test_checkpoints_append_to_one_segment(self, tmp_path):
         app = self._migrating_app()
@@ -1074,11 +1083,11 @@ class TestStoreIo:
 
     def test_migrating_run_makes_the_same_few_files_whatever_its_slots(self, tmp_path):
         made = self._stall_then_resume(tmp_path / "few", 4)
-        # a record is an append to a log, and a checkpoint that only adds a
-        # tail makes no directory; the one temporary file is data.bin's as
-        # the run completes, which replaces the input whole
+        # a record is an append to a log, a checkpoint that only adds a tail
+        # makes no directory, and the completed run appends its output to
+        # data.bin: no temporary file and no rename
         assert made == ["sim-migrate/", "sim-migrate/log", "sim-migrate/1/",
-                        "sim-migrate/1/volume.bin", "volumes/input/data.bin.tmp"]
+                        "sim-migrate/1/volume.bin"]
         assert self._stall_then_resume(tmp_path / "many", 16) == made
         listing = [sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
                    for root in (tmp_path / "few", tmp_path / "many")]
@@ -1111,14 +1120,15 @@ class TestStoreIo:
         assert (ckpt.seq, len(resumed.history)) == (16, 13)
         # the first checkpoint in full; then the tail of each later one, the
         # resume's first (write 17) appended to the segment it resumed from;
-        # then the output.  Writing every checkpoint in full wrote 243 MiB.
+        # then the output's tail past the input.  Writing every checkpoint in
+        # full wrote 243 MiB, and writing the output whole 16.4 MiB.
         output = resumed.output_volume.byte_size
         assert len(written) == 16 + 12 + 1
         assert written[0] > volume.byte_size
         assert 0 < max(written[1:-1]) < 64 << 10
-        assert written[-1] == output
-        assert sum(written) <= output + (output - volume.byte_size) + output
-        assert sum(written) < 17 << 20
+        assert written[-1] == output - volume.byte_size
+        assert sum(written) <= output + (output - volume.byte_size)
+        assert sum(written) < 9 << 20
 
     def test_meta_json_rewritten_only_when_it_changes(self, tmp_path, monkeypatch):
         unchanged = []

@@ -87,7 +87,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 STORE_FILE_NAMES = {"log", "data.bin", "volume.bin"}
-STORE_WRITERS = {"replace_file", "append_record", "extend_file"}
+STORE_WRITERS = {"append_record", "extend_file"}
 
 
 def _package_trees():
@@ -114,3 +114,20 @@ def test_orchestrator_imports_no_file_writer():
         elif isinstance(node, ast.ImportFrom):
             imported |= {node.module} | {alias.name for alias in node.names}
     assert not imported & ({"os", "shutil"} | STORE_WRITERS)
+
+
+def test_no_module_imports_ctypes():
+    # the store writes through the os module alone; a call into the C library,
+    # such as a rename swap, would need ctypes
+    importers = set()
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module or ""}
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.add(module)
+    assert not importers

@@ -151,10 +151,10 @@ class TestVolumeStore:
         store.create("v1", b"before")
         store.attach("v1", "alpha")
         snap, digest = store.snapshot("v1")
-        store.write("v1", b"after")
+        store.write("v1", b"before, then after")
         assert snap == b"before"
         assert digest == sha256_hex(b"before")
-        assert store.volume("v1").content_digest == sha256_hex(b"after")
+        assert store.volume("v1").content_digest == sha256_hex(b"before, then after")
 
     def test_snapshot_of_empty_volume(self, tmp_path):
         store = VolumeStore(tmp_path)
@@ -179,8 +179,21 @@ class TestVolumeStore:
     def test_write_changes_digest(self, tmp_path):
         store = VolumeStore(tmp_path)
         before = store.create("v1", b"one")
-        after = store.write("v1", b"two")
+        after = store.write("v1", b"one, two")
         assert before.content_digest != after.content_digest
+        assert (after.byte_size, after.content_digest) == (8, sha256_hex(b"one, two"))
+
+    @pytest.mark.parametrize("content", [b"two", b"on", b"onE, two", Chain(b"o", b"x")])
+    def test_write_that_does_not_extend_is_refused_and_changes_nothing(self, tmp_path,
+                                                                     content):
+        store = VolumeStore(tmp_path)
+        vol = store.create("v1", b"one")
+        data, log = (tmp_path / "volumes" / "v1" / name for name in ("data.bin", "log"))
+        before = data.read_bytes(), log.read_bytes()
+        with pytest.raises(StorageError, match="does not begin with its 3 committed bytes"):
+            store.write("v1", content)
+        assert (data.read_bytes(), log.read_bytes()) == before
+        assert store.volume("v1") == vol
 
     def test_store_layout(self, tmp_path):
         store = VolumeStore(tmp_path)
@@ -211,31 +224,44 @@ class TestVolumeStore:
         assert store.exists("v1")
 
     def test_payload_written_as_new_file(self, tmp_path):
-        # a hard link to the old data.bin keeps the old bytes: the file was
-        # replaced, not truncated and rewritten in place
+        # data.bin is made once and only grows: a hard link to it sees the
+        # appended tail, and a second create of the id is refused
         store = VolumeStore(tmp_path)
         store.create("v1", b"old bytes")
         data = tmp_path / "volumes" / "v1" / "data.bin"
-        os.link(data, tmp_path / "old")
-        store.write("v1", b"new")
-        assert (tmp_path / "old").read_bytes() == b"old bytes"
-        assert data.read_bytes() == b"new"
-        os.link(data, tmp_path / "older")
-        store.create("v1", b"again")
-        assert (tmp_path / "older").read_bytes() == b"new"
-        assert data.read_bytes() == b"again"
+        os.link(data, tmp_path / "same")
+        store.write("v1", b"old bytes, new tail")
+        assert (tmp_path / "same").read_bytes() == data.read_bytes() == b"old bytes, new tail"
+        with pytest.raises(StorageError, match="already exists"):
+            store.create("v1", b"again")
+        assert data.read_bytes() == b"old bytes, new tail"
+        assert store.content("v1") == b"old bytes, new tail"
+
+    def test_create_cuts_back_what_a_create_killed_before_its_record_left(self, tmp_path):
+        store = VolumeStore(tmp_path)
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        data.parent.mkdir(parents=True)
+        data.write_bytes(b"left by a killed create")
+        vol = store.create("v1", b"fresh")
+        assert data.read_bytes() == store.content("v1") == b"fresh"
+        assert vol.content_digest == sha256_hex(b"fresh")
 
     def test_unchanged_meta_is_not_rewritten(self, tmp_path):
         store = VolumeStore(tmp_path)
         store.create("v1", b"bytes")
         store.attach("v1", "alpha")
-        with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta:
-            vol = store.write("v1", b"bytes", sha256_hex(b"bytes"))
-            assert meta.call_count == 0  # the record it would write is the one it read
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta, \
+                mock.patch.object(bee.storage, "extend_file",
+                                  wraps=bee.storage.extend_file) as extend:
+            vol = store.write("v1", Chain(b"by", b"tes"), sha256_hex(b"bytes"))
+            # the committed content again: no byte and no record is appended
+            assert (meta.call_count, extend.call_count) == (0, 0)
             assert vol.location == "alpha" and store.volume("v1") == vol
-            store.write("v1", b"other")
-            assert meta.call_count == 1
-        assert store.volume("v1").content_digest == sha256_hex(b"other")
+            assert data.read_bytes() == b"bytes"
+            store.write("v1", b"bytes and more")
+            assert (meta.call_count, extend.call_count) == (1, 1)
+        assert store.volume("v1").content_digest == sha256_hex(b"bytes and more")
 
     @pytest.mark.parametrize("held", [b"COMMITTED", b"COMMITTED+cut-off tail"])
     def test_extend_file_writes_past_the_committed_bytes_only(self, tmp_path, held):
@@ -256,26 +282,6 @@ class TestVolumeStore:
         extend_file(path, committed, Chain(whole[:5], whole[5:9], whole[9:13], whole[13:]))
         assert path.read_bytes() == whole[:committed].upper() + whole[committed:]
 
-    def test_replace_file_swaps_a_new_file_in_and_leaves_no_temp_file(self, tmp_path):
-        path = tmp_path / "data.bin"
-        bee.storage.replace_file(path, b"old")
-        os.link(path, tmp_path / "old")
-        bee.storage.replace_file(path, Chain(b"n", b"ew"))
-        # the link shows the old file was replaced whole, not written in place
-        assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "old"]
-
-    def test_replace_file_without_renameat2_renames_with_os_replace(self, tmp_path):
-        path = tmp_path / "data.bin"
-        with mock.patch.object(bee.storage, "_renameat2", None), \
-                mock.patch.object(os, "replace", wraps=os.replace) as rename:
-            bee.storage.replace_file(path, b"old")
-            os.link(path, tmp_path / "old")
-            bee.storage.replace_file(path, Chain(b"n", b"ew"))
-        assert rename.call_count == 2
-        assert (path.read_bytes(), (tmp_path / "old").read_bytes()) == (b"new", b"old")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "old"]
-
     def test_chain_is_written_part_by_part_as_a_new_file(self, tmp_path):
         store = VolumeStore(tmp_path)
         chain = Chain(b"base", b"+tail") + b"+more"
@@ -286,29 +292,69 @@ class TestVolumeStore:
         assert store.content("v1") == b"base+tail+more!"
 
     def test_new_store_does_not_trust_meta_json(self, tmp_path):
-        # a torn write left the volume's record naming bytes that data.bin does not
-        # hold; a store opened afterwards must write the payload again
+        # data.bin was cut short behind the store's back, so the volume's
+        # record names bytes that it does not hold: a store opened afterwards
+        # reads and writes neither, and changes nothing
         first = VolumeStore(tmp_path)
         vol = first.create("v1", b"complete payload")
         data = tmp_path / "volumes" / "v1" / "data.bin"
         data.write_bytes(b"compl")
         second = VolumeStore(tmp_path)
         assert second.volume("v1") == vol
-        second.write("v1", b"complete payload", vol.content_digest)
-        assert data.read_bytes() == b"complete payload"
+        with pytest.raises(StorageError, match="fewer than its 16 committed bytes"):
+            second.content("v1")
+        with pytest.raises(StorageError, match="fewer than its 16 committed bytes"):
+            second.write("v1", b"complete payload, extended")
+        assert data.read_bytes() == b"compl"
+        assert second.volume("v1") == vol
 
+    def test_bytes_past_the_committed_length_are_not_content(self, tmp_path):
+        # a write killed after its append and before its record
+        store = VolumeStore(tmp_path)
+        store.create("v1", b"committed")
+        data = tmp_path / "volumes" / "v1" / "data.bin"
+        with open(data, "ab") as fh:
+            fh.write(b" and a tail no record names")
+        assert store.content("v1") == b"committed"
+        assert store.write("v1", b"committed").byte_size == 9
+        vol = store.write("v1", b"committed, extended")
+        assert data.read_bytes() == store.content("v1") == b"committed, extended"
+        assert vol.content_digest == sha256_hex(b"committed, extended")
+
+    @settings(max_examples=200, deadline=None)
+    @given(held=st.binary(max_size=40), keep=st.integers(0, 40), tail=st.binary(max_size=8),
+           cuts=st.lists(st.integers(0, 48), max_size=4), size=st.integers(0, 40),
+           block=st.integers(1, 9), flip=st.integers(0, 47))
+    def test_prefix_check_agrees_with_a_whole_compare(self, held, keep, tail, cuts, size,
+                                                       block, flip):
+        # the file holds `size` bytes and is read in blocks of `block` bytes;
+        # the chain may be shorter, differ in one byte, and have its part
+        # boundaries anywhere in the blocks
+        whole = held[:keep] + tail
+        if flip < len(whole) and flip % 3 == 0:
+            whole = whole[:flip] + bytes([whole[flip] ^ 1]) + whole[flip + 1:]
+        bounds = sorted({min(c, len(whole)) for c in cuts} | {0, len(whole)})
+        chain = Chain(*(whole[a:b] for a, b in zip(bounds, bounds[1:])))
+        size = min(size, len(held))
+        with tempfile.TemporaryFile() as fh, \
+                mock.patch.object(bee.storage, "_BLOCK", block):
+            fh.write(held)
+            fh.seek(0)
+            assert bee.storage._starts_with(fh, size, chain) == \
+                (len(whole) >= size and whole[:size] == held[:size])
 
 VOLUME_IDS = st.sampled_from(["a", "b"])
 CONTENTS = st.sampled_from([b"", b"x", b"y" * 40]) | st.binary(max_size=16)
 STORE_OPS = st.one_of(
     st.tuples(st.just("create"), VOLUME_IDS, CONTENTS),
-    st.tuples(st.just("write"), VOLUME_IDS, CONTENTS, st.booleans()),
+    # the model's content plus a tail (as a chain of the two), or any bytes
+    st.tuples(st.just("write"), VOLUME_IDS, CONTENTS, st.booleans(), st.booleans()),
     st.tuples(st.just("attach"), VOLUME_IDS, st.sampled_from(["alpha", "beta"])),
     st.tuples(st.just("detach"), VOLUME_IDS),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), VOLUME_IDS, CONTENTS),
     # a kill in the call's first or second store write (create and write
-    # write data.bin, then append a record; attach and detach only append)
+    # extend data.bin, then append a record; attach and detach only append)
     st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["create", "write"]), CONTENTS,
               st.sampled_from([0, 1])),
     st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["attach", "detach"]),
@@ -320,7 +366,7 @@ def killed_at(monkeypatch, at: int) -> list[str]:
     """Kill the process at the store write numbered `at` (from 0), before that
     write changes a file; the names written before it go into the returned
     list."""
-    real_replace, real_append, done = bee.storage.replace_file, bee.storage.append_record, []
+    real_extend, real_append, done = bee.storage.extend_file, bee.storage.append_record, []
 
     def write(real):
         def killable(path, *args):
@@ -329,7 +375,7 @@ def killed_at(monkeypatch, at: int) -> list[str]:
             real(path, *args)
             done.append(path.name)
         return killable
-    monkeypatch.setattr(bee.storage, "replace_file", write(real_replace))
+    monkeypatch.setattr(bee.storage, "extend_file", write(real_extend))
     monkeypatch.setattr(bee.storage, "append_record", write(real_append))
     return done
 
@@ -342,44 +388,41 @@ class TestVolumeStoreConsistency:
     @settings(max_examples=150, deadline=None)
     @given(ops=st.lists(STORE_OPS, max_size=25))
     def test_meta_always_describes_data(self, ops):
-        """After every operation the volume's record matches data.bin, except
-        on a volume whose data.bin another process's crash tore, until it is
-        next written, and on one this process was killed on between the rename
-        of data.bin and the append of its record (pinned below): there
-        data.bin holds the new bytes and the log's last record is the old one.
-        A kill before a call's first write leaves the store as it was."""
+        """After every operation each volume's record matches its content,
+        and a volume without a record does not exist.  A write that does not
+        extend the content, and a create of an existing id, raise
+        StorageError and change nothing; a kill anywhere in a call leaves the
+        volume as it was before the call or as the call left it."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
             model: dict[str, tuple[bytes, str]] = {}  # id -> what the record describes
-            torn: set[str] = set()
-            split: dict[str, bytes] = {}  # id -> data.bin, where the record is older
             for op in ops:
                 kind, vid = op[0], (op[1] if len(op) > 1 else None)
                 vol = None
-                if kind == "create":
+                if kind == "create" and vid in model:
+                    with pytest.raises(StorageError, match="already exists"):
+                        store.create(vid, op[2])
+                elif kind == "create":
                     vol = store.create(vid, op[2])
                     model[vid] = (op[2], DETACHED)
-                    torn.discard(vid)
-                    split.pop(vid, None)
                 elif kind == "reopen":
                     store = VolumeStore(root)
                 elif kind == "crash":
-                    # another process died mid-write of data.bin, which it
-                    # replaces as a new file, then this process restarted
+                    # another process was killed mid-append: bytes past the
+                    # committed length; then this process restarted
                     if vid in model:
-                        data = root / "volumes" / vid / "data.bin"
-                        data.unlink()
-                        data.write_bytes(op[2][:3])
-                        torn.add(vid)
-                        split.pop(vid, None)
+                        with open(root / "volumes" / vid / "data.bin", "ab") as fh:
+                            fh.write(op[2][:3] or b"!")
                     store = VolumeStore(root)
                 elif kind == "kill":
                     method, content, at = op[2:]
+                    if method == "write" and vid in model:
+                        content = model[vid][0] + content
                     args = (content,) if method in ("create", "write") else \
                         ("gamma",) if method == "attach" else ()
                     with pytest.MonkeyPatch.context() as patch:
-                        done = killed_at(patch, at)
+                        killed_at(patch, at)
                         try:
                             finished = getattr(store, method)(vid, *args)
                         except (Killed, StorageError):
@@ -387,23 +430,23 @@ class TestVolumeStoreConsistency:
                     store = VolumeStore(root)
                     if finished is not None:
                         # a write of the bytes the record already names makes
-                        # one store write, so it ends before write 1
-                        model[vid] = (content, model[vid][1])
-                        torn.discard(vid)
-                        split.pop(vid, None)
-                    elif done == ["data.bin"] and vid in model:
-                        split[vid] = content
-                        torn.discard(vid)
+                        # no store write, so no kill reaches it
+                        model[vid] = (content, model.get(vid, (b"", DETACHED))[1])
                 elif vid not in model:
                     with pytest.raises(StorageError):
                         getattr(store, kind)(vid, *op[2:3])
                     continue
                 elif kind == "write":
-                    digest = sha256_hex(op[2]) if op[3] else None
-                    vol = store.write(vid, op[2], digest)
-                    model[vid] = (op[2], model[vid][1])
-                    torn.discard(vid)
-                    split.pop(vid, None)
+                    committed, location = model[vid]
+                    content = Chain(committed, op[2]) if op[4] else op[2]
+                    whole = bytes(content)
+                    digest = sha256_hex(whole) if op[3] else None
+                    if whole.startswith(committed):
+                        vol = store.write(vid, content, digest)
+                        model[vid] = (whole, location)
+                    else:
+                        with pytest.raises(StorageError, match="does not begin"):
+                            store.write(vid, content, digest)
                 elif kind == "attach" and model[vid][1] == DETACHED:
                     vol = store.attach(vid, op[2])
                     model[vid] = (model[vid][0], op[2])
@@ -416,31 +459,28 @@ class TestVolumeStoreConsistency:
                     continue
                 if vol is not None:
                     assert vol == store.volume(vid)
+                for other in ("a", "b"):
+                    assert store.exists(other) == (other in model)
                 for other, (content, location) in model.items():
-                    if other in torn:
-                        continue
                     meta = store.volume(other)
-                    assert store.content(other) == split.get(other, content)
+                    assert store.content(other) == content
                     assert (meta.content_digest, meta.byte_size, meta.location) == \
                         (sha256_hex(content), len(content), location)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="data.bin is renamed, then the volume's record appended, so a "
-                       "kill between them leaves the record naming the old bytes (ROADMAP "
-                       "item 3, left)")
     def test_kill_between_data_and_meta_leaves_meta_describing_data(self, tmp_path,
                                                                     monkeypatch):
         store = VolumeStore(tmp_path)
         store.create("v", b"old bytes")
         done = killed_at(monkeypatch, 1)
         with pytest.raises(Killed):
-            store.write("v", b"new bytes, and more of them")
+            store.write("v", b"old bytes, and more of them")
         monkeypatch.undo()
         if done != ["data.bin"]:  # not the case pinned here: fail outright
             pytest.fail(f"killed after writing {done}")
         store = VolumeStore(tmp_path)
         meta, data = store.volume("v"), store.content("v")
         assert (meta.byte_size, meta.content_digest) == (len(data), sha256_hex(data))
+        assert data == b"old bytes"
 
 
 RECORD = st.dictionaries(st.text(max_size=6),

@@ -10,8 +10,6 @@ a process that needs only part of the package, such as a relay agent, does not
 pay for importing the orchestrator, cluster, storage and backend code.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -45,6 +43,8 @@ __all__ = sorted([*_EXPORTS, "__version__"])
 def __getattr__(name: str):
     # looked up on every access, never cached here, so a name re-bound in its
     # submodule (for example by a tracer) is seen through the package as well
+    import importlib
+
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

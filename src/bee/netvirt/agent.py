@@ -10,7 +10,12 @@ An agent knows no topology: it forwards by a next-hop table ({dst: neighbour})
 that whoever wires the overlay computes and pushes in `configure`.  A frame
 that arrives from the hub is delivered or dropped, never forwarded.  The
 module imports only the standard library and `bee.workload`, so an agent
-process can start with `python -S`.
+process can start with `python -S`; the fleet starts it with `-c` calling
+`main()` (`bee.netvirt.fleet.agent_command`), which spares it `-m`'s
+`runpy`.  Before it reports its ports it loads no more than it serves with:
+`main` parses its options by hand rather than with argparse, and `base64`
+(volume staging) and `hashlib` (volume output, through `bee.workload`) load
+on the first control command that needs them.
 
 Frame wire format (big-endian):
     4 bytes  length of the rest (6 + payload size)
@@ -27,8 +32,6 @@ carrying the initiator's node id.
 
 from __future__ import annotations
 
-import argparse
-import base64
 import json
 import math
 import os
@@ -422,9 +425,13 @@ class Agent:
                 self.work.paused_at = None
             return {"ok": True}
         if cmd == "put_volume":
+            import base64
+
             self.work.volume = base64.b64decode(req.get("data_b64", ""))
             return {"ok": True, "nbytes": len(self.work.volume)}
         if cmd == "fetch_volume":
+            import base64
+
             content = append_output(self.work.app_name, self.work.volume,
                                     self.work.base, self.work.progress())
             return {"ok": True, "data_b64": base64.b64encode(content).decode()}
@@ -507,36 +514,92 @@ def _wiring(addrs: dict, hub: list | None, next_hop: dict) -> tuple:
             {int(k): int(v) for k, v in next_hop.items()})
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="bee-agent",
-                                     description="run one overlay relay agent")
-    parser.add_argument("--node", type=int, help="node id (omit with --hub)")
-    parser.add_argument("--hub", action="store_true", help="run the multicast hub")
-    parser.add_argument("--addrs", help="static address map and next-hop table JSON file")
-    parser.add_argument("--bind", default="127.0.0.1")
-    parser.add_argument("--frame-port", type=int, default=0)
-    parser.add_argument("--control-port", type=int, default=0)
-    parser.add_argument("--portfile", help="write bound ports to this JSON file")
-    args = parser.parse_args(argv)
+HELP = """\
+usage: bee-agent [-h] [--node NODE] [--hub] [--addrs ADDRS] [--bind BIND]
+                 [--frame-port FRAME_PORT] [--control-port CONTROL_PORT]
+                 [--portfile PORTFILE]
 
-    node_id = HUB_ID if args.hub else args.node
-    if node_id is None:
-        parser.error("--node or --hub is required")
+run one overlay relay agent
 
-    agent = Agent(node_id, bind_host=args.bind, frame_port=args.frame_port,
-                  control_port=args.control_port)
-    if args.addrs:
-        with open(args.addrs, "r", encoding="utf-8") as fh:
+options:
+  -h, --help            show this help message and exit
+  --node NODE           node id (omit with --hub)
+  --hub                 run the multicast hub
+  --addrs ADDRS         static address map and next-hop table JSON file
+  --bind BIND
+  --frame-port FRAME_PORT
+  --control-port CONTROL_PORT
+  --portfile PORTFILE   write bound ports to this JSON file
+"""
+
+# each option that takes a value, with its type; --hub and -h/--help take none
+_VALUE_OPTIONS = {"--node": int, "--addrs": str, "--bind": str, "--frame-port": int,
+                  "--control-port": int, "--portfile": str}
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The options in argv, by name without the dashes.
+
+    A value follows its option as the next argument or after `=`.  As with
+    argparse, --help exits 0 after printing the help, and bad input exits 2
+    after one line on stderr.  argparse itself would add about 13 ms to every
+    agent's start.
+    """
+    def fail(message: str):
+        sys.stderr.write(f"bee-agent: error: {message} (see --help)\n")
+        raise SystemExit(2)
+
+    opts = {"node": None, "hub": False, "addrs": None, "bind": "127.0.0.1",
+            "frame_port": 0, "control_port": 0, "portfile": None}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in ("-h", "--help") and not eq:
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        if name == "--hub" and not eq:
+            opts["hub"] = True
+            continue
+        convert = _VALUE_OPTIONS.get(name)
+        if convert is None:
+            fail(f"unrecognized argument: {arg}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                fail(f"argument {name}: expected one argument")
+        try:
+            opts[name[2:].replace("-", "_")] = convert(value)
+        except ValueError:
+            fail(f"argument {name}: invalid int value: {value!r}")
+    if opts["node"] is None and not opts["hub"]:
+        fail("--node or --hub is required")
+    return opts
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one agent until it is stopped, then exit at once with status 0.
+
+    The exit skips interpreter finalization, which would only tear down what
+    the process's exit frees anyway.
+    """
+    opts = _parse_args(sys.argv[1:] if argv is None else argv)
+    node_id = HUB_ID if opts["hub"] else opts["node"]
+    agent = Agent(node_id, bind_host=opts["bind"], frame_port=opts["frame_port"],
+                  control_port=opts["control_port"])
+    if opts["addrs"]:
+        with open(opts["addrs"], "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         agent.configure(*_wiring(doc.get("nodes", {}), doc.get("hub"), doc.get("next_hop", {})))
-    if args.portfile:
-        ports = {"node": "hub" if args.hub else node_id,
+    if opts["portfile"]:
+        ports = {"node": "hub" if opts["hub"] else node_id,
                  "frame_port": agent.frame_port, "control_port": agent.control_port}
-        with open(args.portfile, "w", encoding="utf-8") as fh:
+        with open(opts["portfile"], "w", encoding="utf-8") as fh:
             json.dump(ports, fh)
     agent.run_forever()
-    return 0
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

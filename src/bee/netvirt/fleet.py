@@ -36,6 +36,17 @@ def next_hop_table(topo: Topology, node: int) -> dict[int, int]:
     return {dst: route(topo, node, dst)[1] for dst in range(topo.n) if dst != node}
 
 
+def agent_command(args: list[str]) -> list[str]:
+    """The command line that starts one relay agent with the agent options `args`.
+
+    -S: an agent needs only the standard library and bee, which PYTHONPATH
+    provides, so the site-packages start-up is skipped.  -c calls main()
+    directly, where -m would first load runpy.
+    """
+    return [sys.executable, "-S", "-c",
+            "from bee.netvirt.agent import main; main()", *args]
+
+
 def _package_pythonpath() -> str:
     import bee
 
@@ -66,10 +77,7 @@ class AgentFleet:
     def _spawn(self, args: list[str], portfile: Path) -> subprocess.Popen:
         if portfile.exists():
             portfile.unlink()
-        # -S: an agent needs only the standard library and bee, which
-        # PYTHONPATH provides, so the site-packages start-up is skipped
-        cmd = [sys.executable, "-S", "-m", "bee.netvirt.agent",
-               "--bind", self.bind, "--portfile", str(portfile), *args]
+        cmd = agent_command(["--bind", self.bind, "--portfile", str(portfile), *args])
         return subprocess.Popen(cmd, env=self._env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
 

@@ -4,12 +4,12 @@ The simulated app appends one 32-byte output block per completed work unit, so
 volume content is a pure function of (app name, initial bytes, progress).
 That is what makes a resumed run byte-identical to an uninterrupted one.
 
-Relay agents run this model, so it imports nothing but the standard library.
+Relay agents run this model, so it imports nothing but the standard library,
+and `hashlib` only when it first hashes, so an agent starts without it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from itertools import islice
 
 BLOCK_BYTES = 32
@@ -44,6 +44,8 @@ def _hash_blocks(label: str, start: int, end: int):
     prefix.  A generator, so callers can consume the blocks a bounded number
     at a time.
     """
+    import hashlib
+
     prefix = hashlib.sha256(f"{label}:".encode())
     for i in range(start, end + 1):
         h = prefix.copy()

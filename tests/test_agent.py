@@ -1,6 +1,8 @@
 import io
 import json
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,7 +23,7 @@ from bee.netvirt.agent import (
     pack_frame,
     read_frame,
 )
-from bee.netvirt.fleet import AgentFleet, next_hop_table
+from bee.netvirt.fleet import AgentFleet, _package_pythonpath, agent_command, next_hop_table
 
 STAR = NetworkSolution.P2P_STAR
 TREE = NetworkSolution.P2P_TREE
@@ -242,16 +244,21 @@ class TestWireModelEquivalence:
         assert observed == predicted
 
 
+def _agent_env() -> dict:
+    # no bytecode is written into src/, where a later run would start from it
+    return {"PYTHONPATH": _package_pythonpath(), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _run_standalone_cli(*args: str) -> subprocess.CompletedProcess:
+    """README's standalone line: `python -S -m bee.netvirt.agent` with args."""
+    return subprocess.run([sys.executable, "-S", "-m", "bee.netvirt.agent", *args],
+                          env=_agent_env(), capture_output=True, text=True, timeout=30)
+
+
 class TestAgentCli:
     def test_standalone_agents_with_static_address_map(self, tmp_path):
         """Drive the module entry point directly with a prewritten address map."""
-        import json
         import socket as socket_mod
-        import subprocess
-        import sys
-
-        from bee.netvirt.fleet import _package_pythonpath
-        import os
 
         def free_port():
             s = socket_mod.socket()
@@ -267,7 +274,7 @@ class TestAgentCli:
                         "hub": None, "next_hop": next_hop_table(topo, i)}
             (tmp_path / f"addrs-{i}.json").write_text(json.dumps(addr_map))
 
-        env = dict(os.environ, PYTHONPATH=_package_pythonpath())
+        env = _agent_env()
         procs = []
         try:
             for i in range(3):
@@ -295,6 +302,29 @@ class TestAgentCli:
             for p in procs:
                 p.kill()
                 p.wait(timeout=5)
+
+    def test_help_prints_the_usage_on_stdout_and_exits_0(self):
+        done = _run_standalone_cli("--help")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("usage: bee-agent [-h] [--node NODE] [--hub]")
+        for option in ("--node NODE", "--hub", "--addrs ADDRS", "--bind BIND",
+                       "--frame-port FRAME_PORT", "--control-port CONTROL_PORT",
+                       "--portfile PORTFILE"):
+            assert f"\n  {option}" in done.stdout, option
+
+    @pytest.mark.parametrize("args, error", [
+        ((), "--node or --hub is required"),
+        (("--node", "1", "--bogus"), "unrecognized argument: --bogus"),
+        (("--hub", "--portfile"), "argument --portfile: expected one argument"),
+        (("--node", "--hub"), "argument --node: expected one argument"),
+        (("--node", "x"), "argument --node: invalid int value: 'x'"),
+        (("--hub", "--frame-port", "1.5"), "argument --frame-port: invalid int value: '1.5'"),
+        (("--hub", "--control-port=p"), "argument --control-port: invalid int value: 'p'"),
+    ])
+    def test_bad_input_exits_2_with_one_usage_error_line(self, args, error):
+        done = _run_standalone_cli(*args)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"bee-agent: error: {error} (see --help)\n"
 
 
 class TestControlSession:
@@ -386,9 +416,34 @@ class TestStop:
                 fleet.start()
                 proc = fleet.procs[0]
                 assert fleet.client(0).call(cmd="stop") == {"ok": True}
-                proc.wait(timeout=1.0)  # raises if the agent is still running
+                assert proc.wait(timeout=1.0) == 0  # raises if the agent is still running
             finally:
                 fleet.stop()
+
+    def test_an_agent_started_as_the_fleet_starts_it_exits_0_after_stop(self, tmp_path):
+        portfile = tmp_path / "ports.json"
+        proc = subprocess.Popen(agent_command(["--node", "0", "--portfile", str(portfile)]),
+                                env=_agent_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    ports = json.loads(portfile.read_text())
+                    break
+                except (OSError, ValueError):  # not written yet, or half written
+                    assert proc.poll() is None and time.monotonic() < deadline, "no portfile"
+                    time.sleep(0.01)
+            client = AgentClient(("127.0.0.1", ports["control_port"]))
+            try:
+                assert client.call(cmd="stop") == {"ok": True}
+            finally:
+                client.close()
+            _, stderr = proc.communicate(timeout=5)
+            assert (proc.returncode, stderr) == (0, "")
+        finally:
+            proc.kill()
+            proc.wait(timeout=5)
 
 
 class TestWorkLoop:

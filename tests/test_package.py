@@ -6,24 +6,29 @@ import ast
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import bee
 from bee.model import NetworkSolution
-from bee.netvirt.fleet import AgentFleet
+from bee.netvirt.fleet import AgentFleet, agent_command
 from bee.netvirt.topology import build_topology, route
+
+
+# no bytecode is written into src/, where a later run would start from it
+AGENT_ENV = {"PYTHONPATH": str(Path(bee.__file__).resolve().parent.parent),
+             "PYTHONDONTWRITEBYTECODE": "1"}
+# modules an agent loads only on first use, or never: none before it reports its ports
+LATER_MODULES = ("argparse", "_hashlib", "base64", "runpy")
 
 
 def _modules_after_agent_import() -> list[str]:
     """sys.modules of a fresh `python -S` that has imported the relay agent."""
     probe = ("import sys, bee.netvirt.agent, json; "
              "print(json.dumps(sorted(sys.modules)))")
-    src = str(Path(bee.__file__).resolve().parent.parent)
-    # no bytecode is written into src/, where a later run would start from it
-    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=AGENT_ENV,
                          capture_output=True, text=True, check=True, timeout=30).stdout
     return json.loads(out)
 
@@ -40,8 +45,29 @@ def test_agent_loads_only_the_standard_library_and_its_own_modules():
     assert [m for m in loaded if m == "bee" or m.startswith("bee.")] == \
         ["bee", "bee.netvirt", "bee.netvirt.agent", "bee.workload"]
     if sys.version_info[:2] == (3, 11):
-        for heavy in ("dataclasses", "typing", "inspect"):
+        for heavy in ("dataclasses", "typing", "inspect", *LATER_MODULES):
             assert heavy not in loaded
+
+
+def test_an_agent_started_as_the_fleet_starts_it_reports_its_ports_without_later_modules(
+        tmp_path):
+    portfile = tmp_path / "ports.json"
+    cmd = agent_command(["--node", "0", "--portfile", str(portfile)])
+    cmd[1:1] = ["-X", "importtime"]
+    proc = subprocess.Popen(cmd, env=AGENT_ENV, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not portfile.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "no portfile"
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        _, importtime = proc.communicate(timeout=5)
+    imported = {line.rpartition("|")[2].strip() for line in importtime.splitlines()
+                if line.startswith("import time:")}
+    assert "bee.netvirt.agent" in imported
+    assert not imported & set(LATER_MODULES)
 
 
 @pytest.mark.parametrize("kind", list(NetworkSolution))

@@ -278,6 +278,11 @@ class Backend(abc.ABC):
     def wait(self, seconds: float) -> None:
         """Let `seconds` pass (advance the simulated clock or really sleep)."""
 
+    def advance_to(self, t: float) -> None:
+        """Let the clock reach reading `t`, in one step where the waits that
+        would take it there could change nothing on the way."""
+        self.wait(t - self.now())
+
     @abc.abstractmethod
     def charge(self, seconds: float, action: str, host: str) -> None:
         """Account time spent outside the cluster itself (transfers, snapshots)."""

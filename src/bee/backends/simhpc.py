@@ -64,6 +64,10 @@ class SimHpcBackend(Backend):
         if seconds > 0:
             self._t += seconds
 
+    def advance_to(self, t: float) -> None:
+        if t > self._t:
+            self._t = t
+
     def charge(self, seconds: float, action: str, host: str) -> None:
         self.wait(seconds)
         self.log.append(self._t, action, host, stage=self.stage, seconds=seconds)

@@ -33,7 +33,7 @@ from bee.model import (
 )
 from bee.storage import (Chain, Checkpoint, CheckpointStore, MigrationError, RunningDigest,
                          StatusWriter, StorageError, VolumeStore, run_id_problem)
-from bee.workload import max_output_bytes
+from bee.workload import BLOCK_BYTES, first_output_block, max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, NodeFailure, SimConfig
 
@@ -117,8 +117,12 @@ def monitor(cluster: Cluster, budget: float, guard: float,
     on ticks at or after the backend's quiet_until(), where the outcome can
     change, and always on the final tick.  Skipped ticks could only have
     reported "still running", so the result and the clock match polling every
-    tick.  The final tick lands exactly on budget - guard, never past it, so
-    the caller always has the full guard window left inside the slot.
+    tick.  The skipped ticks run as one batch: their clock readings are
+    computed here, by the same float additions wait() would make, up to the
+    tick that reaches quiet_until() or the final one, and the backend's clock
+    moves there with one advance_to().  The final tick lands exactly on
+    budget - guard, never past it, so the caller always has the full guard
+    window left inside the slot.
     """
     backend = cluster.backend
     target = quantize_work(cluster.app.work_total)
@@ -136,9 +140,15 @@ def monitor(cluster: Cluster, budget: float, guard: float,
                 return MonitorOutcome(MonitorResult.FAILED, elapsed)
             if progress >= target:
                 return MonitorOutcome(MonitorResult.COMPLETED, elapsed)
-        if final:
-            return MonitorOutcome(MonitorResult.GUARD_FIRED, elapsed)
-        backend.wait(min(poll_interval, deadline - elapsed))
+            if final:
+                return MonitorOutcome(MonitorResult.GUARD_FIRED, elapsed)
+            backend.wait(min(poll_interval, deadline - elapsed))
+            continue
+        while now < quiet and elapsed < deadline - 1e-9:
+            step = deadline - elapsed
+            now += poll_interval if poll_interval < step else step
+            elapsed = now - t0
+        backend.advance_to(now)
 
 
 def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
@@ -283,10 +293,18 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
         if resume_from is None:
             if not vstore.exists(data.id):
                 raise OrchestratorError(f"input volume {data.id} not found in store")
-            initial = vstore.content(data.id)[:data.byte_size]
+            stored = vstore.content(data.id)
+            initial = stored[:data.byte_size]
             if running.hexdigest(initial) != data.content_digest:
                 raise StorageError(f"volume {data.id}: its first {data.byte_size} bytes "
                                    "are not the run's input")
+            # bytes past the input must begin as this run's output will, or
+            # storing the output would be refused at completion, after every slot
+            first = first_output_block(app.name, work_total)
+            if not first.startswith(stored[data.byte_size:data.byte_size + BLOCK_BYTES]):
+                raise StorageError(f"volume {data.id}: the run's output does not begin "
+                                   f"with its {len(stored)} committed bytes")
+            del stored
 
         ckpt = resume_from
         ckpt_content = resume_content

@@ -209,17 +209,52 @@ def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
                 skip -= len(part)
 
 
+_TAIL = 512  # bytes read from a log's end for its last few records
+_BLOCK = 1 << 20  # bytes per read when a file is compared with a chain
+
+
+def _parse_line(line: bytes) -> dict | None:
+    """The record on one line of a log, or None if it is not a JSON object."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    return doc if type(doc) is dict else None
+
+
+def _records_end(tail: bytes, whole: bool) -> int | None:
+    """Offset in `tail`, a log's last bytes, just past its last line that is
+    a record; 0 if `whole` (it is the whole log) and none is.  None if only
+    the first line is left to judge and it may have begun before `tail`."""
+    end = tail.rfind(b"\n") + 1  # bytes past the last newline are a torn line
+    while end:
+        start = tail.rfind(b"\n", 0, end - 1) + 1
+        if not (start or whole):
+            return None
+        if _parse_line(tail[start:end - 1]) is not None:
+            return end
+        end = start
+    return 0 if whole else None
+
+
 def append_record(path: Path, doc) -> None:
     """Append `doc` to the log at `path` as one line of canonical JSON (which
-    holds no newline), by one O_APPEND write.  A log whose last byte is not a
-    newline ends in a line torn by a killed writer, and is first cut back to
-    just after its last newline.  Nothing is fsynced."""
+    holds no newline), by one O_APPEND write.  The log is first cut back to
+    just after its last line that is a record: the lines after it are a line
+    torn by a killed writer, or garbage that a power loss left, and would
+    hide every record appended after them.  That is judged from one read of
+    the log's last _TAIL bytes, or of the whole log if they hold no whole
+    record.  Nothing is fsynced."""
     line = (canonical_json(doc) + "\n").encode()
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        end = os.fstat(fd).st_size
-        if end and os.pread(fd, 1, end - 1) != b"\n":
-            os.ftruncate(fd, os.pread(fd, end, 0).rfind(b"\n") + 1)
+        size = os.fstat(fd).st_size
+        start = max(0, size - _TAIL)
+        end = _records_end(os.pread(fd, size - start, start), not start)
+        if end is None:
+            start, end = 0, _records_end(os.pread(fd, size, 0), True)
+        if start + end < size:
+            os.ftruncate(fd, start + end)
         os.write(fd, line)
     finally:
         os.close(fd)
@@ -240,18 +275,11 @@ def read_log(path: Path, tail: int = 0) -> list[dict]:
         return []
     records = []
     for line in lines:
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            break
-        if type(doc) is not dict:
+        doc = _parse_line(line)
+        if doc is None:
             break
         records.append(doc)
     return records
-
-
-_TAIL = 512  # bytes read from a log's end for its last few records
-_BLOCK = 1 << 20  # bytes per read when a file is compared with a chain
 
 
 def _starts_with(fh, size: int, chain: Chain) -> bool:

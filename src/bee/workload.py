@@ -64,16 +64,24 @@ def append_output(app_name: str, base_bytes, base_progress: float, progress: flo
     The new blocks are joined in slices of JOIN_BLOCKS.  A `bytes` base and
     the slices are then joined once, which copies the base once.  Any other
     base, such as bee.storage.Chain, which shares its parts instead of
-    copying them, gets the joined slices appended with `+`.
+    copying them, gets each slice appended with `+` as soon as it is made,
+    so the slices are never joined and the output is never held twice.
     """
     start = completed_units(base_progress) + 1
     end = completed_units(progress)
     blocks = _hash_blocks(app_name, start, end)
-    slices = [b"".join(islice(blocks, JOIN_BLOCKS))
-              for _ in range(start, end + 1, JOIN_BLOCKS)]
+    slices = (b"".join(islice(blocks, JOIN_BLOCKS))
+              for _ in range(start, end + 1, JOIN_BLOCKS))
     if isinstance(base_bytes, bytes):
         return b"".join([base_bytes, *slices])
-    return base_bytes + b"".join(slices)
+    for part in slices:
+        base_bytes = base_bytes + part
+    return base_bytes
+
+
+def first_output_block(app_name: str, work_total: float) -> bytes:
+    """The block the app appends first, or b"" if it completes no unit."""
+    return b"".join(_hash_blocks(app_name, 1, min(1, completed_units(work_total))))
 
 
 def volume_content(app_name: str, initial: bytes, progress: float) -> bytes:

@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -80,6 +81,17 @@ def counting_hashlib(fed: list) -> types.SimpleNamespace:
         return Sha256(hashlib.sha256(data))
 
     return types.SimpleNamespace(sha256=sha256)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs), and the peak of the memory Python allocated while
+    it ran, in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_system(sid="alpha", n_hosts=2, time_slot=100.0, cpu_rate=1.0,

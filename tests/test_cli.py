@@ -1,14 +1,15 @@
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
 from bee.model import Phase, RunState, to_json
-from bee.storage import StatusWriter, append_record
+from bee.storage import CheckpointStore, StatusWriter, append_record
 from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
-                      make_system, segment_of)
+                      make_system, run_state, segment_of)
 
 
 @pytest.fixture
@@ -151,16 +152,23 @@ class TestRunCommand:
     ])
     def test_other_input_size_in_a_reused_store_exits_failed_with_one_line(
             self, configs, capsys, first, then, why):
-        argv = ["run", *configs(), "--seed", "1", "--json"]
+        def argv(pool=None):
+            return ["run", *configs(pool=pool), "--seed", "1", "--json", "--store", store]
+
         store = str(configs.tmp_path / "store")
-        code, done = run_json(capsys, [*argv, "--store", store, "--input-size", first])
-        assert code == EXIT_OK
+        code, done = run_json(capsys, [*argv(), "--input-size", first])
+        assert code == EXIT_OK and len(done["history"]) == 1
         capsys.readouterr()
-        assert main([*argv, "--store", store, "--input-size", then]) == EXIT_FAILED
+        # on these short slots, a run that got as far as a slot would checkpoint
+        short = make_pool(*(make_system(f"s{i}", time_slot=10.0) for i in range(4)))
+        assert main([*argv(short), "--input-size", then]) == EXIT_FAILED
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and why in err
+        # refused before any slot: nothing was checkpointed
+        assert CheckpointStore(store).latest(done["run_id"]) is None
+        assert run_state(Path(store), done["run_id"]).phase is Phase.FAILED
         # the volume keeps what the first run stored
-        code, again = run_json(capsys, [*argv, "--store", store, "--input-size", first])
+        code, again = run_json(capsys, [*argv(), "--input-size", first])
         assert code == EXIT_OK and again == done
 
     def test_run_that_ends_without_a_result_reports_failed(self, configs, capsys):
@@ -472,6 +480,17 @@ class TestStatusCommand:
         assert main(["status", "r", "--store", str(tmp_path), "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == \
             {"run_id": "r", "state": to_json(RunState())}
+
+    def test_garbage_lines_in_a_run_log_do_not_hide_the_next_state(self, tmp_path, capsys):
+        # a power-loss tail that holds a newline: the next append cuts it off
+        writer = StatusWriter(tmp_path, "r")
+        writer.state(RunState())
+        with open(tmp_path / "r" / "log", "ab") as fh:
+            fh.write(b"garbage\n")
+        running = RunState(phase=Phase.RUNNING, slots_consumed=1)
+        writer.state(running)
+        assert main(["status", "r", "--store", str(tmp_path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"run_id": "r", "state": to_json(running)}
 
     @pytest.mark.parametrize("torn", ["state.json", "result.json"])
     def test_torn_run_file_exits_config(self, tmp_path, capsys, torn):

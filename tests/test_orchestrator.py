@@ -5,7 +5,6 @@ import os
 import random
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bee.model import MB, WORK_QUANTUM, quantize_work
 from bee.storage import (Chain, RunningDigest, VolumeStore, append_record, read_log,
                          sha256_hex)
-from bee.workload import append_output, make_input_bytes, volume_content
+from bee.workload import JOIN_BLOCKS, append_output, make_input_bytes, volume_content
 from bee.cluster import Cluster, deploy_cluster
 from bee.backends.base import NodeFailure
 from bee.orchestrator import (
@@ -35,7 +34,7 @@ from bee.orchestrator import (
 )
 from bee.backends import SimConfig, make_backend
 from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
-                      make_system, run_state)
+                      make_system, run_state, traced_peak)
 
 EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
 
@@ -500,6 +499,22 @@ class TestMonitor:
         outcome = monitor(cluster, budget=100.0, guard=10.0)
         assert outcome.result is MonitorResult.FAILED
         assert outcome.elapsed == pytest.approx(50.0, abs=1.0)
+
+    def test_quiet_ticks_move_the_clock_in_one_call(self, monkeypatch):
+        cluster = self._running_cluster(work_total=86_000.0, time_slot=86_400.0)
+        backend = cluster.backend
+        calls = []
+        for name in ("wait", "advance_to"):
+            def counted(t, real=getattr(backend, name), name=name):
+                calls.append(name)
+                real(t)
+            monkeypatch.setattr(backend, name, counted)
+        outcome = monitor(cluster, budget=86_400.0, guard=100.0)
+        assert outcome.result is MonitorResult.COMPLETED
+        assert outcome.elapsed == pytest.approx(86_000.0, abs=1e-6)
+        # the quiet ticks in one advance_to, then a wait per tick near
+        # completion; a wait per quiet tick made about 86 000 calls
+        assert calls[0] == "advance_to" and len(calls) <= 4
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1158,15 +1173,13 @@ class TestStoreIo:
                                 lambda s: make_backend(s, cfg), tmp_path, cfg=cfg,
                                 run_id="r", **kwargs)
 
-        tracemalloc.start()
-        try:
+        def stall_then_resume():
             stalled = pass_of("a", 2)
             cstore = CheckpointStore(tmp_path)
             ckpt, content = cstore.load(cstore.latest("r"))
-            resumed = pass_of("b", 3, resume_from=ckpt, resume_content=content)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return stalled, pass_of("b", 3, resume_from=ckpt, resume_content=content)
+
+        (stalled, resumed), peak = traced_peak(stall_then_resume)
         assert (stalled.outcome, resumed.outcome) == \
             (Outcome.STALLED_WITH_CHECKPOINT, Outcome.COMPLETED)
         # the volume read from the store, and later the one loaded from the
@@ -1178,15 +1191,33 @@ class TestStoreIo:
 class TestOutputVolume:
     def test_large_append_peaks_near_twice_its_output(self):
         units = 50_000
-        tracemalloc.start()
-        try:
-            out = append_output("big", b"", 0.0, float(units))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(append_output, "big", b"", 0.0, float(units))
         assert len(out) == units * 32
         # the slices plus the joined result, and one slice's block objects
         assert peak <= 2 * len(out) + (512 << 10)
+
+    def test_large_append_to_a_chain_peaks_near_its_output(self):
+        units = 50_000
+        base = Chain(b"seed")
+        out, peak = traced_peak(append_output, "big", base, 0.0, float(units))
+        assert len(out) == len(base) + units * 32
+        # the slices, which become the chain's new parts, and one slice's
+        # block objects and join (about 0.6 MiB); joining the slices into one
+        # part held the output twice
+        assert peak <= units * 32 + (1 << 20)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+           base=st.lists(st.binary(max_size=40), max_size=3),
+           done=st.integers(0, 3000),
+           units=st.sampled_from([0, 1, JOIN_BLOCKS - 1, JOIN_BLOCKS, JOIN_BLOCKS + 1,
+                                  2 * JOIN_BLOCKS + 1]) | st.integers(0, 300))
+    def test_append_to_a_chain_adds_slices_as_parts(self, name, base, done, units):
+        base = Chain(*base)
+        out = append_output(name, base, float(done), float(done + units))
+        assert bytes(out) == append_output(name, bytes(base), float(done), float(done + units))
+        assert out.extends(base)
+        assert all(len(part) <= JOIN_BLOCKS * 32 for part in out.parts[len(base.parts):])
 
     @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
            base=st.integers(0, 2000), units=st.integers(0, 300))

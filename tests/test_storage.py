@@ -526,6 +526,35 @@ class TestLog:
             assert read_log(log) == [{"state": 1}, {"state": 3}]
             log.write_bytes(b'{"state":1}\n')
 
+    def test_garbage_lines_after_a_volume_record_are_cut_by_the_next_move(self, tmp_path):
+        # a power-loss tail that holds a newline would hide every later record
+        store = VolumeStore(tmp_path)
+        store.create("v1", b"payload", location="alpha")
+        with open(tmp_path / "volumes" / "v1" / "log", "ab") as fh:
+            fh.write(b"garbage\n")
+        assert store.move("v1", "beta").location == "beta"
+        assert store.volume("v1").location == "beta"
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(RECORD, min_size=1, max_size=4),
+           garbage=st.lists(st.sampled_from([b"garbage", b"\0" * 40, b"[2]", b"", b"1",
+                                             b'{"a":', b"x" * 600]), min_size=1, max_size=4),
+           torn=st.booleans(), new=RECORD, tail=st.sampled_from([1, 16, 64, 512, 4096]))
+    def test_append_cuts_every_line_after_the_last_record(self, records, garbage, torn,
+                                                          new, tail):
+        """Lines that are not records, after the last one that is, are cut
+        off by the next append, however much of them the tail read holds."""
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(bee.storage, "_TAIL", tail):
+            log = Path(tmp) / "log"
+            for doc in records:
+                append_record(log, doc)
+            with open(log, "ab") as fh:
+                fh.write(b"\n".join(garbage) + (b"" if torn else b"\n"))
+            append_record(log, new)
+            assert read_log(log) == records + [new]
+            assert log.read_bytes().count(b"\n") == len(records) + 1
+
     def test_a_line_that_is_not_an_object_ends_the_records(self, tmp_path):
         log = tmp_path / "log"
         log.write_bytes(b'{"a":1}\n[2]\n{"a":3}\n')

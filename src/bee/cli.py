@@ -47,11 +47,11 @@ DEFAULT_INPUT_BYTES = 65536
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped onto the config exit code."""
+    """argparse with usage errors mapped onto the config exit code, each
+    reported on one line."""
 
     def error(self, message):  # noqa: A003 - argparse API
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {message} (see --help)", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
@@ -63,13 +63,27 @@ def _env_flag(name: str) -> bool:
     return str(_env(name, "")).lower() in ("1", "true", "yes", "on")
 
 
+def _number(cast, ok, expected: str):
+    """An argparse type: a `cast` number for which `ok` holds."""
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_size = _number(int, lambda n: n >= 0, "a non-negative integer")
+_positive = _number(int, lambda n: n >= 1, "a positive integer")
+_rate = _number(float, lambda x: 0 < x < float("inf"), "a positive finite number")
+
+
 def _counts(text: str) -> list[int]:
     """A comma-separated list of positive integers (an argparse type)."""
-    try:
-        counts = [int(c) for c in text.split(",") if c.strip()]
-    except ValueError:
-        counts = []
-    if not counts or min(counts) < 1:
+    counts = [_positive(c) for c in text.split(",") if c.strip()]
+    if not counts:
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return counts
 
@@ -95,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default=_env("BACKEND", SIM_HPC), choices=BACKEND_KINDS)
         p.add_argument("--loop-pool", action="store_true", default=_env_flag("LOOP_POOL"),
                        help="re-enqueue systems after use instead of single-pass")
-        p.add_argument("--input-size", type=int, default=DEFAULT_INPUT_BYTES,
+        p.add_argument("--input-size", type=_size, default=DEFAULT_INPUT_BYTES,
                        help="bytes of seeded input data synthesized for the run")
         p.add_argument("--sim-config", default=_env("SIM_CONFIG"),
                        help="backend calibration JSON (backend/seed flags override it)")
@@ -129,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iobench", help="modeled shared-storage throughput table")
     p.add_argument("--solution", default=StorageSolution.DATA_IMAGE_NFS.value,
                    choices=[s.value for s in StorageSolution])
-    p.add_argument("--max-nodes", type=int, default=32)
-    p.add_argument("--native-read", type=float, default=500.0)
-    p.add_argument("--native-write", type=float, default=500.0)
-    p.add_argument("--nfs-cap", type=float, default=DEFAULT_NFS_CAP)
+    p.add_argument("--max-nodes", type=_positive, default=32)
+    p.add_argument("--native-read", type=_rate, default=500.0)
+    p.add_argument("--native-write", type=_rate, default=500.0)
+    p.add_argument("--nfs-cap", type=_rate, default=DEFAULT_NFS_CAP)
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
 
     p = sub.add_parser("scaling", help="trace-replay scaling study")

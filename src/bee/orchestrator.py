@@ -152,14 +152,15 @@ def monitor(cluster: Cluster, budget: float, guard: float,
 
 
 def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
-                   run_id: str, seq: int, created_at: float,
+                   run_id: str, volume_id: str, seq: int, created_at: float,
                    running: RunningDigest | None = None
                    ) -> tuple[Checkpoint, Chain, float, RunState]:
     """Pause the cluster and snapshot the data volume with a progress marker.
 
-    Returns the checkpoint, its content, the simulated write duration, and the
-    updated run state (need_migration set, origin recorded).  The content is
-    hashed through `running`, the run's digest, or in full without one.
+    Returns the checkpoint, a committed length of volume `volume_id`, its
+    content, the simulated write duration, and the updated run state
+    (need_migration set, origin recorded).  The content is hashed through
+    `running`, the run's digest, or in full without one.
     """
     if not cluster.app.checkpointable:
         raise CheckpointUnsupported("checkpoint unsupported: app has no checkpointing procedure")
@@ -178,7 +179,7 @@ def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
     ckpt = Checkpoint(run_id=run_id, seq=seq, progress=progress,
                       digest=running.hexdigest(content),
                       origin_system=cluster.system.id, created_at=created_at + duration)
-    store.save(ckpt, content)
+    store.save(ckpt, content, volume_id)
     new_state = replace(state, phase=Phase.CHECKPOINTING, need_migration=True,
                         last_host_system=cluster.system.id)
     return ckpt, content, duration, new_state
@@ -250,14 +251,14 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     Volume contents travel as Chains.  Every hash of them goes through one
     RunningDigest that lives as long as this call: each slot's checkpoint is
     the chain the previous slot hashed plus the part the app appended, so
-    only that part is hashed again.  The checkpoint store likewise appends
-    only that part to the run's segment.  A resume is checked against its
-    checkpoint's digest before anything is stored; when the store has no volume
-    `data.id` yet, it is created from the checked bytes, and when the store
-    holds the checkpoint's segment, the next checkpoint appends to it.
-    A fresh run's input is the first `data.byte_size` bytes of volume
-    `data.id`, checked against `data.content_digest`; the stored bytes stay
-    the input, and the run appends its output to them as it completes.
+    only that part is hashed again.  A checkpoint is a committed length of
+    volume `data.id`, and this call's one VolumeStore proves by identity that
+    a chain extends the bytes it last read or wrote, so a save appends only
+    that part.  A fresh run's input is the first `data.byte_size` bytes of
+    volume `data.id`, checked against `data.content_digest`.  A resume is
+    checked against its checkpoint's digest before anything is stored; when
+    the store has no volume `data.id` yet, it is created from the checked
+    bytes.  The output must equal or extend the volume's committed bytes.
     The run's state is recorded twice per slot,
     as the slot starts on its system (migrating or deploying) and as the app
     starts running there, and once as the run ends; a call that ends by an
@@ -286,15 +287,15 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
     status = StatusWriter(store_dir, run_id)
     state = RunState()
     try:
-        vstore = VolumeStore(store_dir)
         cstore = CheckpointStore(store_dir)
+        vstore = cstore.volumes
         work_total = quantize_work(app.work_total)
 
         if resume_from is None:
             if not vstore.exists(data.id):
                 raise OrchestratorError(f"input volume {data.id} not found in store")
             stored = vstore.content(data.id)
-            initial = stored[:data.byte_size]
+            initial = stored[:data.byte_size]  # `stored` itself if no longer: chains share it
             if running.hexdigest(initial) != data.content_digest:
                 raise StorageError(f"volume {data.id}: its first {data.byte_size} bytes "
                                    "are not the run's input")
@@ -306,6 +307,13 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                                    f"with its {len(stored)} committed bytes")
             del stored
 
+        def store_output(content: Chain | bytes, digest: str) -> DataVolume:
+            volume = vstore.write(data.id, content, digest)
+            if volume.byte_size != len(content):
+                raise StorageError(f"volume {data.id}: the run's output does not extend "
+                                   f"its {volume.byte_size} committed bytes")
+            return volume
+
         ckpt = resume_from
         ckpt_content = resume_content
         seq = resume_from.seq if resume_from else 0
@@ -316,17 +324,14 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                              need_migration=resume_from.origin_system is not None,
                              last_host_system=resume_from.origin_system,
                              progress=resume_from.progress)
-            cstore.adopt(run_id, resume_from, ckpt_content)
             if not vstore.exists(data.id):
                 vstore.create(data.id, ckpt_content, digest=resume_from.digest)
-            elif resume_from.progress >= work_total:
+            if resume_from.progress >= work_total:
                 # a complete checkpoint holds the output
                 if vstore.volume(data.id).location != "detached":
                     vstore.detach(data.id)
-                vstore.write(data.id, ckpt_content, resume_from.digest)
-            if resume_from.progress >= work_total:
-                vol = vstore.volume(data.id)
-                result = RunResult(Outcome.COMPLETED, vol, ())
+                result = RunResult(Outcome.COMPLETED,
+                                   store_output(ckpt_content, resume_from.digest), ())
                 status.state(replace(state, phase=Phase.COMPLETE, need_migration=False))
                 status.result(result)
                 return result
@@ -399,8 +404,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
 
                 if outcome is not None and outcome.result is MonitorResult.COMPLETED:
                     final_content = backend.fetch_volume(cluster.master_ref)
-                    volume = vstore.write(data.id, final_content,
-                                          running.hexdigest(final_content))
+                    volume = store_output(final_content, running.hexdigest(final_content))
                     cluster.stop()
                     delta = work_total - state.progress
                     history.append(SlotRecord(system.id, outcome.elapsed, delta,
@@ -416,7 +420,8 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                     seq += 1
                     try:
                         ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
-                            state, cluster, cstore, run_id, seq, wall + backend.now(), running)
+                            state, cluster, cstore, run_id, data.id, seq, wall + backend.now(),
+                            running)
                     except CheckpointWriteError:
                         pass
                     else:
@@ -451,7 +456,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
             ckpt = Checkpoint(run_id=run_id, seq=seq, progress=state.progress,
                               digest=data.content_digest,
                               origin_system=state.last_host_system, created_at=wall)
-            cstore.save(ckpt, initial)
+            cstore.save(ckpt, initial, data.id)
         state = replace(state, phase=Phase.STALLED, current_system=None)
         return finish(Outcome.STALLED_WITH_CHECKPOINT, None)
     except BaseException:

@@ -6,7 +6,8 @@ and hypervisor directory passthrough (near-native, 10% write penalty).
 
 The run store is VolumeStore, CheckpointStore and StatusWriter; no other module
 names a file in it, and none is ever renamed.  Records are appended to logs by
-append_record; a volume's data.bin and a segment only grow, by extend_file.
+append_record; a volume's data.bin, the store's only payload file, only grows,
+by extend_file.  A checkpoint is a committed length of its volume's data.bin.
 """
 
 from __future__ import annotations
@@ -195,9 +196,12 @@ def extend_file(path: Path, committed: int, content: Chain | bytes) -> None:
     Only the bytes past `committed` are written, and a missing file is
     created.  Whatever the file held past that offset, such as the tail of a
     write cut off halfway, is cut off first; the first `committed` bytes are
-    never written.  (ext4 writes a file truncated to 0 out as it is closed.)
+    never written.  A file shorter than `committed` is refused with
+    StorageError.  (ext4 writes a file truncated to 0 out as it is closed.)
     """
     with open(path, "ab") as fh:  # O_APPEND: opened at the end, each write lands there
+        if fh.tell() < committed:
+            raise StorageError(f"{path} holds fewer than its {committed} committed bytes")
         if fh.tell() != committed:
             fh.truncate(committed)
         skip = committed
@@ -282,19 +286,20 @@ def read_log(path: Path, tail: int = 0) -> list[dict]:
     return records
 
 
-def _starts_with(fh, size: int, chain: Chain) -> bool:
-    """Whether the next `size` bytes of the file `fh` are the first `size`
-    bytes of `chain`, read in blocks into one buffer: neither is copied whole."""
-    buf = bytearray(min(size, _BLOCK))
+def _agrees(fh, chain: Chain, start: int, end: int) -> bool:
+    """Whether bytes `start` to `end` of the file `fh` are those of `chain`,
+    read in blocks into one buffer: neither is copied whole."""
+    fh.seek(start)
+    buf = bytearray(min(end - start, _BLOCK))
     for part in chain.parts:
-        view = memoryview(part)[:size]
+        view = memoryview(part)[max(start, 0):max(end, 0)]
+        start, end = start - len(part), end - len(part)
         for at in range(0, len(view), _BLOCK):
             block = view[at:at + _BLOCK]
             if fh.readinto(memoryview(buf)[:len(block)]) < len(block) \
                     or not buf.startswith(block):
                 return False
-        size -= len(view)
-    return size == 0
+    return True
 
 
 def _parse(log: Path, cls, doc, name: str):
@@ -309,13 +314,17 @@ class VolumeStore:
     """Persistent volumes at <root>/volumes/<id>/{data.bin,log}; the log's
     last record, read from its last few hundred bytes, describes the volume.
 
-    data.bin only grows, as a segment does: the volume is its first
-    `byte_size` bytes, and the digest their SHA-256 hex.  attach/detach only
-    append records, so they can never change content.
+    data.bin only grows: the volume is its first `byte_size` bytes, its
+    committed length, and the digest their SHA-256 hex.  attach/detach only
+    append records, so they can never change content.  Per volume, a store
+    holds the last chain it created, read or wrote: data.bin begins with its
+    bytes, which a write of a chain that extends it (see Chain.extends) need
+    not read again.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
+        self._held: dict[str, Chain] = {}
 
     def _dir(self, volume_id: str) -> Path:
         return self.root / "volumes" / volume_id
@@ -341,6 +350,7 @@ class VolumeStore:
         # a data.bin already there is what a create killed before its record left
         extend_file(self._dir(volume_id) / "data.bin", 0, content)
         self._write_meta(vol)
+        self._held[volume_id] = Chain.of(content)
         return vol
 
     def _write_meta(self, vol: DataVolume) -> None:
@@ -367,29 +377,36 @@ class VolumeStore:
     def content(self, volume_id: str) -> bytes:
         vol = self.volume(volume_id)
         with self._open_data(vol) as fh:
-            return fh.read(vol.byte_size)
+            data = fh.read(vol.byte_size)
+        self._held[volume_id] = Chain(data)
+        return data
 
     def write(self, volume_id: str, content: Chain | bytes,
               digest: str | None = None) -> DataVolume:
         """Extend the volume to `content`: append the bytes past its committed
-        length, then a record.  Content that does not begin with the committed
-        bytes is refused, and content equal to them writes nothing.
+        length, then a record, and return the volume as recorded.  Content
+        must agree with the committed bytes where the two overlap, or it is
+        refused; content no longer than them writes nothing.
 
         `digest`, when given, must be the SHA-256 hex of exactly `content`,
         computed or verified by the caller; it saves hashing the bytes again.
         """
         vol, chain = self.volume(volume_id), Chain.of(content)
-        with self._open_data(vol) as fh:
-            extends = _starts_with(fh, vol.byte_size, chain)
-        if not extends:
-            raise StorageError(f"volume {volume_id}: the content written does not begin "
-                               f"with its {vol.byte_size} committed bytes")
-        if len(chain) == vol.byte_size:
-            return vol
-        extend_file(self._dir(volume_id) / "data.bin", vol.byte_size, chain)
-        vol = replace(vol, byte_size=len(chain),
-                      content_digest=digest or sha256_hex(bytes(chain)))
-        self._write_meta(vol)
+        held = self._held.get(volume_id, Chain())
+        proven = len(held) if chain.extends(held) else 0
+        overlap = min(len(chain), vol.byte_size)
+        if proven < overlap:
+            with self._open_data(vol) as fh:
+                agrees = _agrees(fh, chain, proven, overlap)
+            if not agrees:
+                raise StorageError(f"volume {volume_id}: the content written does not "
+                                   f"agree with its {vol.byte_size} committed bytes")
+        if len(chain) > vol.byte_size:
+            extend_file(self._dir(volume_id) / "data.bin", vol.byte_size, chain)
+            vol = replace(vol, byte_size=len(chain),
+                          content_digest=digest or sha256_hex(bytes(chain)))
+            self._write_meta(vol)
+        self._held[volume_id] = chain
         return vol
 
     def attach(self, volume_id: str, system_id: str) -> DataVolume:
@@ -432,7 +449,7 @@ class VolumeStore:
 
 
 # ---------------------------------------------------------------------------
-# runs: one log per run at <store>/<run_id>/log, segments beside it
+# runs: one log per run at <store>/<run_id>/log
 
 
 def run_id_problem(run_id: str) -> str | None:
@@ -458,24 +475,22 @@ class Checkpoint:
 @dataclass(frozen=True)
 class _Commit(Checkpoint):
     """A commit record: a checkpoint and where its bytes are, namely the first
-    `length` bytes of the segment file in the directory of seq `segment`.
+    `length` bytes of the data.bin of volume `volume` in the same store.
 
     The layout stays off Checkpoint, which is the same record wherever its
     bytes are kept.
     """
 
-    segment: int
+    volume: str
     length: int
 
     def __post_init__(self) -> None:
-        problem = run_id_problem(self.run_id)
-        if problem:
-            raise ParseError(f"commit.run_id: {problem}")
+        for name in ("run_id", "volume"):
+            problem = run_id_problem(getattr(self, name))
+            if problem:
+                raise ParseError(f"commit.{name}: {problem}")
         if self.seq < 1:
             raise ParseError(f"commit.seq: expected at least 1, got {self.seq}")
-        if not 1 <= self.segment <= self.seq:
-            raise ParseError(f"commit.segment: expected 1 to seq ({self.seq}), "
-                             f"got {self.segment}")
         if self.length < 0:
             raise ParseError(f"commit.length: expected at least 0, got {self.length}")
 
@@ -484,78 +499,41 @@ class _Commit(Checkpoint):
 
 
 class CheckpointStore:
-    """Checkpoints as commit records in the run's log over append-only segments.
+    """Checkpoints as commit records in the run's log over its volume's data.bin.
 
     Checkpoint `seq` of a run is named <root>/<run_id>/<seq>; its record is
     a `commit` in the log <root>/<run_id>/log, and its bytes are the first
-    `length` bytes of <root>/<run_id>/<segment>/volume.bin.  A save whose
-    content is a Chain that extends the chain this instance last committed
-    (or adopted) appends only the new parts to that segment and makes no
-    directory; any other save starts a segment of its own (segment == seq).
-    So a run directory copied whole loads wherever it is copied to.
+    `length` bytes of volume `volume`'s data.bin, which a save extends through
+    `volumes`, its VolumeStore (see VolumeStore.write).  No committed byte
+    ever changes, so a store copied whole loads wherever it is copied to.
 
-    A commit is appended after the bytes it names; bytes past a committed
-    length are the tail of a save cut off before its commit, which the next
-    append cuts off.  The log is folded in order, and a later record
-    supersedes earlier commits: a `commit` the one of its seq, and `drop k`
-    every one with a seq >= k.  A save of seq k appends `drop k` before it
-    writes a byte, unless this instance's previous save was of the same run
-    and a lower seq: once per run.  So no live commit names a byte that a
-    save writes, since its seq, and so its segment, is below k; and right
-    after `drop k` the save removes every segment numbered k or more.
+    A commit is appended after the bytes it names.  The log is folded in
+    order, and a later record supersedes earlier commits: a `commit` the one
+    of its seq, and `drop k` every one with a seq >= k.  A save of seq k
+    appends `drop k` before its commit, unless this instance's previous save
+    was of the same run and a lower seq: once per run.  So a run that reuses
+    its id, or resumes from an earlier checkpoint, hides the later commits.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        # (run id, segment, content) of this instance's last committed save or
-        # adopted checkpoint; the chain is held by reference, not copied
-        self._last: tuple[str, int, Chain] | None = None
+        self.volumes = VolumeStore(root)
         # (run id, seq) of this instance's last save; a later seq needs no drop
         self._saved: tuple[str, int] | None = None
 
-    def save(self, ckpt: Checkpoint, content: Chain | bytes) -> Path:
-        """Commit `content` as checkpoint `ckpt`; returns the checkpoint's path."""
-        chain = Chain.of(content)
+    def save(self, ckpt: Checkpoint, content: Chain | bytes, volume_id: str) -> Path:
+        """Commit `content`, the bytes of volume `volume_id`, as checkpoint
+        `ckpt`; returns the checkpoint's path."""
+        self.volumes.write(volume_id, content, ckpt.digest)
         run_dir = self.root / ckpt.run_id
         last_run, seq = self._saved or (None, 0)
         if last_run != ckpt.run_id or ckpt.seq <= seq:
             run_dir.mkdir(parents=True, exist_ok=True)
             append_record(run_dir / "log", {"drop": ckpt.seq})
-            for entry in os.scandir(run_dir):  # segments no live commit can name
-                if entry.name.isdecimal() and int(entry.name) >= ckpt.seq:
-                    Path(entry.path, "volume.bin").unlink(missing_ok=True)
-                    os.rmdir(entry.path)
         self._saved = (ckpt.run_id, ckpt.seq)
-        last_run, segment, committed = self._last or (None, 0, Chain())
-        if not (last_run == ckpt.run_id and segment < ckpt.seq and chain.extends(committed)):
-            segment, committed = ckpt.seq, Chain()
-            (run_dir / str(segment)).mkdir(exist_ok=True)
-        extend_file(run_dir / str(segment) / "volume.bin", len(committed), chain)
         append_record(run_dir / "log",
-                      {"commit": to_json(ckpt) | {"segment": segment, "length": len(chain)}})
-        self._last = (ckpt.run_id, segment, chain)
+                      {"commit": to_json(ckpt) | {"volume": volume_id, "length": len(content)}})
         return run_dir / str(ckpt.seq)
-
-    def adopt(self, run_id: str, ckpt: Checkpoint, content: Chain) -> None:
-        """Let run `run_id`'s next save append to the segment of checkpoint `ckpt`.
-
-        `ckpt.digest` must be the SHA-256 of exactly `content`, checked by the
-        caller.  The segment is adopted only when this store's live commit of
-        (run_id, ckpt.seq) names that digest and len(content), and its segment
-        file holds at least that many bytes.  No save changes a committed
-        byte, so the segment then holds `content` as its first bytes.  In any
-        other case, such as a checkpoint copied from elsewhere, the next save
-        starts a segment of its own.
-        """
-        run_dir = self.root / run_id
-        try:
-            m = _parse(run_dir / "log", _Commit, self._commits(run_dir)[ckpt.seq], "commit")
-            size = (run_dir / str(m.segment) / "volume.bin").stat().st_size
-        except (KeyError, OSError, ParseError):
-            return
-        if (m.run_id, m.digest, m.length) == (run_id, ckpt.digest, len(content)) \
-                and size >= m.length:
-            self._last = (run_id, m.segment, content)
 
     @staticmethod
     def _commits(run_dir: Path) -> dict[int, dict]:
@@ -576,11 +554,11 @@ class CheckpointStore:
         return commits
 
     def load(self, path: str | Path) -> tuple[Checkpoint, bytes]:
-        """The checkpoint named `path`, <run dir>/<seq>, and its bytes.
+        """The checkpoint named `path`, <store>/<run_id>/<seq>, and its bytes.
 
-        The run directory's log and segments are read, wherever the
-        directory is; `path` itself need not exist.  A missing or short
-        segment raises MigrationError.
+        The run's log and its volume are read from that store, wherever it
+        is; `path` itself need not exist.  A missing or short data.bin
+        raises MigrationError.
         """
         path = Path(path)
         doc = self._commits(path.parent).get(int(path.name)) if path.name.isdigit() else None
@@ -588,13 +566,12 @@ class CheckpointStore:
             raise FileNotFoundError(f"no checkpoint is committed at {path}")
         m = _parse(path.parent / "log", _Commit, doc, "commit")
         try:
-            with open(path.parent / str(m.segment) / "volume.bin", "rb") as fh:
-                short = os.fstat(fh.fileno()).st_size < m.length
-                content = b"" if short else fh.read(m.length)
+            with open(VolumeStore(path.parent.parent)._dir(m.volume) / "data.bin", "rb") as fh:
+                content = fh.read(m.length)
         except FileNotFoundError:
-            short = True
-        if short:
-            raise MigrationError(f"checkpoint corrupt: segment {m.segment} does not "
+            content = b""
+        if len(content) < m.length:
+            raise MigrationError(f"checkpoint corrupt: volume {m.volume} does not "
                                  f"hold the checkpoint's {m.length} bytes")
         return m.checkpoint(), content
 

@@ -42,11 +42,19 @@ def commit_record(run_dir: Path, seq: int) -> dict:
             if "commit" in doc and doc["commit"]["seq"] == seq][-1]
 
 
-def segment_of(checkpoint: str | Path) -> Path:
-    """The segment file that holds the bytes of checkpoint <run dir>/<seq>."""
-    checkpoint = Path(checkpoint)
-    segment = commit_record(checkpoint.parent, int(checkpoint.name))["segment"]
-    return checkpoint.parent / str(segment) / "volume.bin"
+def count_compares(monkeypatch) -> list[tuple[int, int]]:
+    """The (start, end) of each range of committed bytes that a volume write
+    reads back and compares from now on."""
+    import bee.storage
+
+    compared, real = [], bee.storage._agrees
+
+    def spy(fh, chain, start, end):
+        compared.append((start, end))
+        return real(fh, chain, start, end)
+
+    monkeypatch.setattr(bee.storage, "_agrees", spy)
+    return compared
 
 
 def run_state(store: Path, run_id: str):

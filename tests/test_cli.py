@@ -9,7 +9,7 @@ from bee.cli import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_STALLED, main
 from bee.model import Phase, RunState, to_json
 from bee.storage import CheckpointStore, StatusWriter, append_record
 from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
-                      make_system, run_state, segment_of)
+                      make_system, run_state)
 
 
 @pytest.fixture
@@ -35,6 +35,13 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out.strip()
     return code, json.loads(out.splitlines()[-1]) if out else {}
+
+
+def data_of(checkpoint: str | Path) -> Path:
+    """The data.bin that holds the bytes of checkpoint <store>/<run id>/<seq>."""
+    checkpoint = Path(checkpoint)
+    volume = commit_record(checkpoint.parent, int(checkpoint.name))["volume"]
+    return checkpoint.parent.parent / "volumes" / volume / "data.bin"
 
 
 class TestValidateCommand:
@@ -184,6 +191,15 @@ class TestRunCommand:
         assert out.startswith(f"run {run_id}: phase failed,")
         assert "result:" not in out
 
+    def test_negative_input_size_exits_config_with_one_line(self, configs, capsys):
+        store = configs.tmp_path / "store"
+        with pytest.raises(SystemExit) as done:
+            main(["run", *configs(), "--store", str(store), "--input-size", "-5"])
+        assert done.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "argument --input-size:" in err
+        assert not store.exists()
+
     def test_bad_calibration_key_exits_config(self, configs):
         calib = configs.tmp_path / "calib.json"
         calib.write_text(json.dumps({"warp_factor": 9}))
@@ -220,7 +236,7 @@ class TestResumeCommand:
 
     def test_tampered_volume_exits_failed(self, configs, capsys):
         app, store, ckpt = self._stall(configs, capsys)
-        volume = segment_of(ckpt)
+        volume = data_of(ckpt)
         volume.write_bytes(b"tampered" + volume.read_bytes())
         code = main(["resume", *configs(app=app), "--store", store,
                      "--checkpoint", ckpt])
@@ -228,7 +244,7 @@ class TestResumeCommand:
 
     def test_tampered_checkpoint_creates_no_volume(self, configs, capsys):
         app, _, ckpt = self._stall(configs, capsys)
-        volume = segment_of(ckpt)
+        volume = data_of(ckpt)
         volume.write_bytes(b"tampered" + volume.read_bytes())
         fresh = configs.tmp_path / "fresh"
         code = main(["resume", *configs(app=app), "--store", str(fresh),
@@ -252,14 +268,15 @@ class TestResumeCommand:
                                       "--store", str(store), "--json"])
         assert code == EXIT_STALLED
         run_dir = Path(doc["checkpoint_path"]).parent
-        assert sorted(p.name for p in run_dir.glob("*/volume.bin")) == ["volume.bin"]
-        segment = run_dir / "1" / "volume.bin"
-        content = bytearray(segment.read_bytes())
+        assert sorted(p.name for p in run_dir.iterdir()) == ["log"]
+        # every checkpoint's bytes are the run's volume's data.bin
+        data = data_of(doc["checkpoint_path"])
+        content = bytearray(data.read_bytes())
         if damage == "flipped":  # a byte that all three checkpoints cover
             content[100] ^= 0x01
         else:  # shorter than the first checkpoint
             del content[100:]
-        segment.write_bytes(bytes(content))
+        data.write_bytes(bytes(content))
         code = main(["resume", *configs(app=app), "--store", str(store),
                      "--checkpoint", str(run_dir / str(seq))])
         err = capsys.readouterr().err
@@ -279,8 +296,8 @@ class TestResumeCommand:
         assert code == EXIT_STALLED
         run_dir = Path(doc["checkpoint_path"]).parent
         assert doc["checkpoint_path"] == str(run_dir / "3")
-        # checkpoints 2 and 3 only append to segment 1: they have no directory
-        assert sorted(p.name for p in run_dir.iterdir()) == ["1", "log"]
+        # checkpoints are records: the run directory holds its log alone
+        assert sorted(p.name for p in run_dir.iterdir()) == ["log"]
         more = make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(5)))
         code, resumed = run_json(capsys, ["resume", *configs(app=app, pool=more),
                                           "--store", str(store), "--json",
@@ -312,8 +329,8 @@ class TestResumeCommand:
         seen = []
         real_save = CheckpointStore.save
 
-        def save_then_check(cstore, ckpt, content):
-            d = real_save(cstore, ckpt, content)
+        def save_then_check(cstore, ckpt, content, volume_id):
+            d = real_save(cstore, ckpt, content, volume_id)
             reader = CheckpointStore(store)
             latest = reader.latest(ckpt.run_id)
             seen.append((latest.name, reader.verify(latest)))
@@ -328,7 +345,7 @@ class TestResumeCommand:
         assert seen == [("2", True), ("3", True), ("4", True), ("5", True)]
         reader = CheckpointStore(store)
         for seq in range(1, 6):
-            assert commit_record(run_dir, seq)["segment"] == 1  # the resume appended to it
+            assert commit_record(run_dir, seq)["volume"] == f"{run_dir.name}-data"
             assert reader.verify(run_dir / str(seq))
 
         one_slot = make_pool(make_system("omega", time_slot=10_000.0))
@@ -345,7 +362,7 @@ class TestResumeCommand:
         import bee.storage
 
         app, _, ckpt = self._stall(configs, capsys)
-        size = segment_of(ckpt).stat().st_size
+        size = data_of(ckpt).stat().st_size
         fed = []
         monkeypatch.setattr(bee.storage, "hashlib", counting_hashlib(fed))
         big_pool = make_pool(make_system("omega", time_slot=1000.0))
@@ -364,13 +381,15 @@ class TestResumeCommand:
 
         app = make_app(work_total=20.0, process_count=2)
         content = volume_content(app.name, b"", 20.0)
-        run_dir = tmp_path / "elsewhere" / "done"  # a run directory outside the store
-        (run_dir / "1").mkdir(parents=True)
-        (run_dir / "1" / "volume.bin").write_bytes(content)
+        elsewhere = tmp_path / "elsewhere"  # a checkpoint in another store
+        run_dir, data = elsewhere / "done", elsewhere / "volumes" / "done-data" / "data.bin"
+        run_dir.mkdir(parents=True)
+        data.parent.mkdir(parents=True)
+        data.write_bytes(content)
         manifest = {"run_id": "done", "seq": 1, "progress": 20.0,
                     "digest": hashlib.sha256(content).hexdigest(),
                     "origin_system": "alpha", "created_at": 1.0,
-                    "segment": 1, "length": len(content)}
+                    "volume": "done-data", "length": len(content)}
         append_record(run_dir / "log", {"commit": manifest})
         code, doc = run_json(capsys, ["resume", *configs(app=app),
                                       "--store", str(tmp_path / "store"), "--json",
@@ -406,6 +425,43 @@ class TestResumeCommand:
         assert code == EXIT_CONFIG
         assert "commit.run_id" in capsys.readouterr().err
         assert outside_store() == before
+
+
+    def test_commit_volume_outside_the_store_exits_config(self, configs, capsys,
+                                                          monkeypatch):
+        import builtins
+
+        import bee.storage
+
+        store = configs.tmp_path / "store" / "inner"
+        argv = configs(app=make_app(work_total=350.0, process_count=2))
+        code, doc = run_json(capsys, ["run", *argv, "--store", str(store), "--seed", "3",
+                                      "--json"])
+        assert code == EXIT_STALLED
+        ckpt = Path(doc["checkpoint_path"])
+        commit = commit_record(ckpt.parent, int(ckpt.name))
+        # a data.bin of the right bytes, two levels above the store's volumes
+        escaped = configs.tmp_path / "store" / "escaped" / "data.bin"
+        escaped.parent.mkdir()
+        escaped.write_bytes(data_of(ckpt).read_bytes())
+        append_record(ckpt.parent / "log", {"commit": commit | {"volume": "../../escaped"}})
+
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(Path(path).resolve())
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(bee.storage, "open", spy, raising=False)
+        before = {p for p in configs.tmp_path.rglob("*") if store not in (p, *p.parents)}
+        code = main(["resume", *argv, "--store", str(store), "--seed", "3",
+                     "--checkpoint", doc["checkpoint_path"]])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "commit.volume" in err
+        assert {p for p in configs.tmp_path.rglob("*")
+                if store not in (p, *p.parents)} == before
+        assert all(store in path.parents for path in opened)
 
 
 class TestEnvOverrides:
@@ -548,6 +604,19 @@ class TestTopoCommand:
 
 
 class TestIobenchCommand:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-nodes", "0"), ("--max-nodes", "-3"), ("--max-nodes", "2.5"),
+        ("--native-read", "-1"), ("--native-read", "0"), ("--native-write", "nan"),
+        ("--nfs-cap", "-125"), ("--nfs-cap", "fast"), ("--nfs-cap", "inf"),
+    ])
+    def test_out_of_range_number_exits_config_with_one_line(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as done:
+            main(["iobench", f"{flag}={value}"])
+        assert done.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"argument {flag}:" in captured.err
+
     def test_nfs_band_holds_through_32_nodes(self, capsys):
         code, doc = run_json(capsys, ["iobench", "--solution", "data_image_nfs",
                                       "--max-nodes", "32", "--json"])

@@ -220,15 +220,15 @@ def _stalled_run(tmp_path, capsys):
 def test_malformed_state_and_manifest_fields_exit_64(tmp_path, capsys):
     argv, store, run = _stalled_run(tmp_path, capsys)
     run_dir = tmp_path / "store" / run["run_id"]
-    # a copy of the run directory, so the segment that the latest checkpoint
-    # names stays beside it
+    # a copy of the store, so the volume that the latest checkpoint names
+    # stays beside it
     checkpoint = Path(run["checkpoint_path"])
-    ckpt_dir = tmp_path / "ckpt" / checkpoint.name
-    shutil.copytree(checkpoint.parent, ckpt_dir.parent)
+    shutil.copytree(tmp_path / "store", tmp_path / "copy")
+    ckpt_dir = tmp_path / "copy" / run["run_id"] / checkpoint.name
     run_log, ckpt_log = (run_dir / "log").read_bytes(), (ckpt_dir.parent / "log").read_bytes()
     state = run_state(tmp_path / "store", run["run_id"])
     manifest = commit_record(ckpt_dir.parent, int(ckpt_dir.name))
-    assert manifest["segment"] < manifest["seq"]  # the latest extends an earlier one
+    assert manifest["volume"] == f"{run['run_id']}-data"
     bad = []
     for field, doc in _mutations("state", to_json(state)):
         (run_dir / "log").write_bytes(run_log)

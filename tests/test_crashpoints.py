@@ -4,10 +4,10 @@ it gives the output of the run that was never killed.
 
 After ALICE (Pillai et al., OSDI 2014) and CrashMonkey (Mohan et al., OSDI
 2018), at the level of the application's write calls: every store write goes
-through bee.storage.extend_file (a volume's data.bin or a checkpoint segment,
-written past its committed length) or bee.storage.append_record (a record,
-appended to a run's or a volume's log), so patching those two enumerates every
-crash point.
+through bee.storage.extend_file (a volume's data.bin, written past its
+committed length; a checkpoint is a committed length of it) or
+bee.storage.append_record (a record, appended to a run's or a volume's log),
+so patching those two enumerates every crash point.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 import bee.storage
 from bee.backends import SimConfig, make_backend
 from bee.cli import EXIT_OK, main
-from bee.model import canonical_json
+from bee.model import DataVolume, canonical_json
 from bee.orchestrator import Outcome, run_workflow
 from bee.storage import CheckpointStore, VolumeStore, read_log, sha256_hex
 from bee.workload import make_input_bytes
@@ -23,7 +23,7 @@ from conftest import make_app, make_hardware, make_pool, make_system, run_state
 
 CFG = SimConfig(seed=7, backend="sim-hpc", cpu_overhead_fraction=0.0)
 APP = make_app(work_total=240.0, process_count=1)  # two checkpoints, then completion
-STORE_FILES = {"log", "data.bin", "volume.bin"}
+STORE_FILES = {"log", "data.bin"}
 
 
 class Killed(Exception):
@@ -77,14 +77,19 @@ class Kill:
         raise Killed(path)
 
 
+INPUT = make_input_bytes(7, APP.name, 4096)
+# the run's input: the volume's first bytes, whatever its committed length
+VOLUME = DataVolume(id="in", byte_size=len(INPUT), content_digest=sha256_hex(INPUT))
+
+
 def run(store, **kwargs):
     pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3)))
-    return run_workflow(pool, APP, VolumeStore(store).volume("in"), make_hardware(),
-                        lambda s: make_backend(s, CFG), store, cfg=CFG, run_id="r", **kwargs)
+    return run_workflow(pool, APP, VOLUME, make_hardware(), lambda s: make_backend(s, CFG),
+                        store, cfg=CFG, run_id="r", **kwargs)
 
 
 def fresh_store(path):
-    VolumeStore(path).create("in", make_input_bytes(7, APP.name, 4096))
+    VolumeStore(path).create("in", INPUT)
     return path
 
 
@@ -105,8 +110,8 @@ def assert_reads_whole(store):
 
 
 def recover(store):
-    """Resume from the latest checkpoint, or run again without one: until the
-    first commit, data.bin is still the input."""
+    """Resume from the latest checkpoint, or run again without one: data.bin
+    begins with the input, and any bytes past it are the run's own output."""
     cstore = CheckpointStore(store)
     latest = cstore.latest("r")
     if latest is None:

@@ -170,7 +170,7 @@ def test_fetched_volume_is_checked_once_against_the_staged_chain(tmp_path):
 
     from bee.backends.base import NodeRef
     from bee.orchestrator import Checkpoint
-    from bee.storage import Chain, RunningDigest
+    from bee.storage import Chain, RunningDigest, StorageError
 
     delivered = [b"staged input+tail", b"staged input+tail+more",
                  b"rewritten input+tail+more"]
@@ -185,22 +185,29 @@ def test_fetched_volume_is_checked_once_against_the_staged_chain(tmp_path):
     staged = Chain(bytes(bytearray(b"staged input")))
     backend.stage_volume(staged)
     running, store = RunningDigest(), CheckpointStore(tmp_path / "store")
+    store.volumes.create("v", staged)
     fetched = []
     for seq in (1, 2, 3):
         content = backend.fetch_volume(NodeRef("sys0-h0", 0, "c"))
         assert bytes(content) == delivered.pop(0)
         digest = running.hexdigest(content)
         assert digest == hashlib.sha256(bytes(content)).hexdigest()
-        store.save(Checkpoint(run_id="r", seq=seq, progress=float(seq), digest=digest,
-                              origin_system="sys0", created_at=0.0), content)
+        ckpt = Checkpoint(run_id="r", seq=seq, progress=float(seq), digest=digest,
+                          origin_system="sys0", created_at=0.0)
+        if seq < 3:
+            store.save(ckpt, content, "v")
+        else:  # bytes that disagree with the committed ones are refused
+            with pytest.raises(StorageError, match="does not agree"):
+                store.save(ckpt, content, "v")
         backend.stage_volume(content)  # the next slot starts from this checkpoint
         fetched.append(content)
     # bytes that extend the staged ones share its parts; other bytes start over
     assert fetched[0].parts[0] is staged.parts[0]
     assert fetched[1].extends(fetched[0]) and not fetched[2].extends(fetched[1])
-    segments = [commit_record(tmp_path / "store" / "r", seq)["segment"] for seq in (1, 2, 3)]
-    assert segments == [1, 1, 3]
-    assert all(store.verify(tmp_path / "store" / "r" / str(seq)) for seq in (1, 2, 3))
+    lengths = [commit_record(tmp_path / "store" / "r", seq)["length"] for seq in (1, 2)]
+    assert lengths == [len(fetched[0]), len(fetched[1])]
+    assert all(store.verify(tmp_path / "store" / "r" / str(seq)) for seq in (1, 2))
+    assert store.latest("r") == tmp_path / "store" / "r" / "2"
     backend.close()
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bee.model import MB, WORK_QUANTUM, quantize_work
-from bee.storage import (Chain, RunningDigest, VolumeStore, append_record, read_log,
-                         sha256_hex)
+from bee.model import MB, WORK_QUANTUM, DataVolume, quantize_work
+from bee.storage import (Chain, RunningDigest, StorageError, VolumeStore, append_record,
+                         read_log, sha256_hex)
 from bee.workload import JOIN_BLOCKS, append_output, make_input_bytes, volume_content
 from bee.cluster import Cluster, deploy_cluster
 from bee.backends.base import NodeFailure
@@ -33,22 +33,22 @@ from bee.orchestrator import (
     transfer_and_restore,
 )
 from bee.backends import SimConfig, make_backend
-from conftest import (commit_record, counting_hashlib, make_app, make_hardware, make_pool,
-                      make_system, run_state, traced_peak)
+from conftest import (commit_record, count_compares, counting_hashlib, make_app,
+                      make_hardware, make_pool, make_system, run_state, traced_peak)
 
 EXACT_CFG = dict(backend="sim-hpc", cpu_overhead_fraction=0.0)
 
 
-def count_payload_writes(monkeypatch) -> list[int]:
-    """The bytes of each payload write (an extension of a data.bin or a
-    volume.bin) from now on; JSON records are not payload."""
+def count_payload_writes(monkeypatch) -> list[tuple[str, int]]:
+    """The file name and the bytes of each payload write (an extension of a
+    file) from now on; JSON records are not payload."""
     import bee.storage
 
     written = []
     real_extend = bee.storage.extend_file
 
     def counting_extend(path, committed, content):
-        written.append(len(content) - committed)
+        written.append((path.name, len(content) - committed))
         real_extend(path, committed, content)
 
     monkeypatch.setattr(bee.storage, "extend_file", counting_extend)
@@ -84,12 +84,16 @@ def _creations():
         _made = None
 
 
-def run(pool, app, store, seed=7, cfg=None, **kwargs):
+def run(pool, app, store, seed=7, cfg=None, input_size=4096, **kwargs):
+    """run_workflow on volume <app>-in, whose first `input_size` bytes are
+    the seeded input; a store without the volume gets it."""
     cfg = cfg or SimConfig(seed=seed, **EXACT_CFG)
+    initial = make_input_bytes(seed, app.name, input_size)
     vstore = VolumeStore(store)
     if not vstore.exists(f"{app.name}-in"):
-        vstore.create(f"{app.name}-in", make_input_bytes(seed, app.name, 4096))
-    volume = vstore.volume(f"{app.name}-in")
+        vstore.create(f"{app.name}-in", initial)
+    volume = DataVolume(id=f"{app.name}-in", byte_size=len(initial),
+                        content_digest=sha256_hex(initial))
     return run_workflow(pool, app, volume, make_hardware(),
                         lambda s: make_backend(s, cfg), store, cfg=cfg, **kwargs)
 
@@ -406,14 +410,14 @@ class TestRunWorkflow:
         latest = CheckpointStore(tmp_path).latest("mf")
         manifest = commit_record(tmp_path / "mf", int(latest.name))
         assert set(manifest) == {"run_id", "seq", "progress", "digest",
-                                 "origin_system", "created_at", "segment", "length"}
+                                 "origin_system", "created_at", "volume", "length"}
         assert manifest["run_id"] == "mf" and manifest["origin_system"] == "beta"
-        # the second checkpoint extends the first: it names the first one's
-        # segment and all of that segment's bytes
-        segment = tmp_path / "mf" / "1" / "volume.bin"
-        assert (manifest["seq"], manifest["segment"]) == (2, 1)
-        assert manifest["length"] == segment.stat().st_size
-        assert manifest["digest"] == sha256_hex(segment.read_bytes())
+        # the latest checkpoint is all of the run's volume's committed bytes
+        data = tmp_path / "volumes" / "demo-in" / "data.bin"
+        assert (manifest["seq"], manifest["volume"]) == (2, "demo-in")
+        assert manifest["length"] == data.stat().st_size == \
+            VolumeStore(tmp_path).volume("demo-in").byte_size
+        assert manifest["digest"] == sha256_hex(data.read_bytes())
 
     def test_slots_consumed_matches_history(self, tmp_path):
         pool = make_pool(make_system("alpha", time_slot=100.0),
@@ -621,10 +625,9 @@ class TestCheckpointStore:
         committed = store.latest("torn")
         assert committed == tmp_path / "torn" / "1"
 
-        # a save cut off between volume.bin and its commit record
-        cut = tmp_path / "torn" / "2"
-        cut.mkdir()
-        (cut / "volume.bin").write_bytes(b"partial volume")
+        # a save cut off between its bytes and its commit record
+        with open(tmp_path / "volumes" / "demo-in" / "data.bin", "ab") as fh:
+            fh.write(b"partial volume")
         assert store.latest("torn") == committed
         with open(tmp_path / "torn" / "log", "ab") as fh:
             fh.write(b'{"commit":{"run_id":')
@@ -647,9 +650,10 @@ class TestCheckpointStore:
         assert sorted(p.name for p in store.iterdir()) == ["volumes"]
 
     def test_latest_none_when_nothing_committed(self, tmp_path):
-        cut = tmp_path / "r" / "1"
-        cut.mkdir(parents=True)
-        (cut / "volume.bin").write_bytes(b"partial volume")
+        (tmp_path / "r").mkdir()
+        append_record(tmp_path / "r" / "log", {"drop": 1})
+        with open(tmp_path / "r" / "log", "ab") as fh:
+            fh.write(b'{"commit":{"run_id":')  # a commit cut off halfway
         assert CheckpointStore(tmp_path).latest("r") is None
 
 
@@ -658,8 +662,8 @@ class SimulatedCrash(Exception):
 
 
 def crash_in_append(monkeypatch, call, half):
-    """Make the `call`-th append to a segment (past its first write) die, with
-    all of its tail written or only half of it; the commit after it is never
+    """Make the `call`-th append to a file that holds bytes die, with all of
+    its tail written or only half of it; the records after it are never
     written."""
     import bee.storage
 
@@ -685,9 +689,13 @@ def checkpoint(seq, content, run_id="r"):
                       created_at=0.0)
 
 
+STREAM = make_input_bytes(11, "stream", 1024)  # one deterministic output stream
+
+
 class TestSegment:
-    """No save changes a byte that a live commit covers, wherever a
-    save is cut off and whichever run reuses the run id."""
+    """A checkpoint is a committed length of its volume's data.bin: no save
+    changes a byte that a live commit covers, wherever a save is cut off and
+    whichever run reuses the run id."""
 
     def _migrating_app(self):
         return make_app(work_total=4 * 95.0 + 50.0, process_count=1)
@@ -699,7 +707,7 @@ class TestSegment:
         clean = run(make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5))),
                     app, tmp_path / "clean", run_id="r")
         store = tmp_path / "store"
-        crash_in_append(monkeypatch, 2, half)  # checkpoint 3, the second append
+        crash_in_append(monkeypatch, 3, half)  # checkpoint 3
         with pytest.raises(SimulatedCrash):
             run(make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5))),
                 app, store, run_id="r")
@@ -709,7 +717,7 @@ class TestSegment:
         assert cstore.latest("r") == store / "r" / "2"
         ckpt, content = cstore.load(store / "r" / "2")
         assert ckpt.seq == 2 and cstore.verify(store / "r" / "2")
-        assert (store / "r" / "1" / "volume.bin").stat().st_size > len(content)
+        assert (store / "volumes" / "demo-in" / "data.bin").stat().st_size > len(content)
         state = run_state(store, "r")
         assert (state.phase.value, state.progress) == ("failed", ckpt.progress)
 
@@ -725,19 +733,20 @@ class TestSegment:
         b = a + b"tail of two" * 10
         c = b + b"three" * 30
         store = CheckpointStore(tmp_path)
-        store.save(checkpoint(1, a), a)
-        store.save(checkpoint(2, b), b)
+        store.volumes.create("v", a)
+        store.save(checkpoint(1, a), a, "v")
+        store.save(checkpoint(2, b), b, "v")
         crash_in_append(monkeypatch, 1, half)
         with pytest.raises(SimulatedCrash):
-            store.save(checkpoint(3, c), c)
+            store.save(checkpoint(3, c), c, "v")
         monkeypatch.undo()
-        segment = tmp_path / "r" / "1" / "volume.bin"
+        data = tmp_path / "volumes" / "v" / "data.bin"
         assert store.latest("r") == tmp_path / "r" / "2"
-        assert len(b) < segment.stat().st_size <= len(c)
+        assert len(b) < data.stat().st_size <= len(c)
 
-        store.save(checkpoint(3, c), c)
+        store.save(checkpoint(3, c), c, "v")
         assert store.latest("r") == tmp_path / "r" / "3"
-        assert segment.read_bytes() == bytes(c)  # the cut-off tail was cut off, not kept
+        assert data.read_bytes() == bytes(c)  # the cut-off tail was cut off, not kept
         for seq, content in ((1, a), (2, b), (3, c)):
             assert store.load(tmp_path / "r" / str(seq))[1] == bytes(content)
             assert store.verify(tmp_path / "r" / str(seq))
@@ -747,7 +756,7 @@ class TestSegment:
         first = run(make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(3))),
                     app, tmp_path, run_id="r")
         assert [r.ended_by for r in first.history] == [SlotEnd.TIMESLOT_CHECKPOINT] * 3
-        # the second run's only checkpoint starts segment 1 again, at other bytes
+        # the second run's only checkpoint is a shorter prefix of the same bytes
         second = run(make_pool(make_system("slow", time_slot=100.0, cpu_rate=0.5)),
                      app, tmp_path, run_id="r")
         assert second.outcome is Outcome.STALLED_WITH_CHECKPOINT
@@ -758,154 +767,134 @@ class TestSegment:
         assert ckpt.progress == second.history[0].progress_delta
         assert content == volume_content(app.name, make_input_bytes(7, app.name, 4096),
                                          ckpt.progress)
-        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["log"]
 
-    def test_save_after_a_drop_removes_the_superseded_segments(self, tmp_path):
-        first = CheckpointStore(tmp_path)
-        first.save(checkpoint(1, b"one"), b"one")
-        first.save(checkpoint(2, b"two"), b"two")  # does not extend: segment 2
-        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "2", "log"]
-        second = CheckpointStore(tmp_path)
-        second.save(checkpoint(1, b"again"), b"again")  # drop 1, then segment 1 anew
-        assert second.latest("r") == tmp_path / "r" / "1"
-        assert second.load(tmp_path / "r" / "1")[1] == b"again"
-        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
-
-    def test_only_the_committed_parts_prove_an_extension(self, tmp_path):
+    def test_only_the_committed_parts_prove_an_extension(self, tmp_path, monkeypatch):
+        compared = count_compares(monkeypatch)
         a = Chain(bytes(bytearray(b"first checkpoint")))
         b = a + b" and its tail"
         store = CheckpointStore(tmp_path)
-        store.save(checkpoint(1, a), a)
-        store.save(checkpoint(2, b), b)  # extends the committed chain
-        # equal bytes in other objects prove nothing: a segment of their own
+        store.volumes.create("v", a)
+        store.save(checkpoint(1, a), a, "v")
+        store.save(checkpoint(2, b), b, "v")  # extends the chain the store holds
+        assert compared == []
+        # equal bytes in other objects prove nothing: they are read and compared
         c = Chain(bytes(bytearray(b"first checkpoint")), b" and its tail", b" and more")
-        store.save(checkpoint(3, c), c)
-        # so do plain bytes, which are a chain of one new part
+        store.save(checkpoint(3, c), c, "v")
+        # so are plain bytes, which are a chain of one new part
         d = bytes(c) + b"!"
-        store.save(checkpoint(4, d), d)
-        segments = {seq: commit_record(tmp_path / "r", seq)["segment"]
-                    for seq in (1, 2, 3, 4)}
-        assert segments == {1: 1, 2: 1, 3: 3, 4: 4}
+        store.save(checkpoint(4, d), d, "v")
+        assert compared == [(0, len(b)), (0, len(c))]
         for seq, content in ((1, a), (2, b), (3, c), (4, d)):
+            assert commit_record(tmp_path / "r", seq)["length"] == len(content)
             assert store.load(tmp_path / "r" / str(seq))[1] == bytes(content)
             assert store.verify(tmp_path / "r" / str(seq))
 
     def test_a_run_extends_each_checkpoint_by_identity(self, tmp_path, monkeypatch):
-        known = []
+        compared, saves = count_compares(monkeypatch), []
         real_save = CheckpointStore.save
 
-        def spy(store, ckpt, content):
-            known.append(store._last is not None and content.extends(store._last[2]))
-            return real_save(store, ckpt, content)
+        def save(store, ckpt, content, volume_id):
+            saves.append(ckpt.seq)
+            return real_save(store, ckpt, content, volume_id)
 
-        monkeypatch.setattr(CheckpointStore, "save", spy)
+        monkeypatch.setattr(CheckpointStore, "save", save)
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
         assert run(pool, self._migrating_app(), tmp_path, run_id="r").outcome is \
             Outcome.COMPLETED
-        # every save after the first is handed a chain of the parts it committed
-        assert known == [False, True, True, True]
+        # every save, and the output at completion, is handed a chain built on
+        # the input the run read: no committed byte is read back to compare
+        assert saves == [1, 2, 3, 4]
+        assert compared == []
 
     def test_missing_or_short_segment_is_a_corrupt_checkpoint(self, tmp_path):
+        # the checkpoints' bytes are their volume's data.bin
         a = Chain(b"first checkpoint")
         b = a + b" and its tail"
         store = CheckpointStore(tmp_path)
-        store.save(checkpoint(1, a), a)
-        store.save(checkpoint(2, b), b)
-        segment = tmp_path / "r" / "1" / "volume.bin"
-        segment.write_bytes(bytes(b)[:-1])
+        store.volumes.create("v", a)
+        store.save(checkpoint(1, a), a, "v")
+        store.save(checkpoint(2, b), b, "v")
+        data = tmp_path / "volumes" / "v" / "data.bin"
+        data.write_bytes(bytes(b)[:-1])
         assert store.load(tmp_path / "r" / "1")[1] == bytes(a)
         with pytest.raises(MigrationError, match="checkpoint corrupt"):
             store.load(tmp_path / "r" / "2")
-        segment.unlink()
+        data.unlink()
         for seq in (1, 2):
             with pytest.raises(MigrationError, match="checkpoint corrupt"):
                 store.load(tmp_path / "r" / str(seq))
 
-
-    @pytest.mark.parametrize("damage", [None, "digest", "length", "short_segment"])
-    def test_resume_appends_to_its_segment_only_where_the_store_proves_it(
-            self, tmp_path, monkeypatch, damage):
-        app = self._migrating_app()
-        stalled = run(make_pool(*(make_system(f"a{i}", time_slot=100.0) for i in range(2))),
-                      app, tmp_path, run_id="r")
-        assert stalled.outcome is Outcome.STALLED_WITH_CHECKPOINT
-        ckpt, content = CheckpointStore(tmp_path).load(tmp_path / "r" / "2")
-        manifest = commit_record(tmp_path / "r", 2)
-        if damage == "digest":
-            manifest["digest"] = sha256_hex(b"other bytes")
-        elif damage == "length":
-            manifest["length"] -= 1
-        elif damage == "short_segment":
-            with open(tmp_path / "r" / "1" / "volume.bin", "r+b") as fh:
-                fh.truncate(len(content) - 1)
-        append_record(tmp_path / "r" / "log", {"commit": manifest})  # it supersedes commit 2
-        written = count_payload_writes(monkeypatch)
-
-        resumed = run(make_pool(*(make_system(f"b{i}", time_slot=100.0) for i in range(3))),
-                      app, tmp_path, run_id="r", resume_from=ckpt, resume_content=content)
-        assert resumed.outcome is Outcome.COMPLETED
-        assert resumed.output_volume.content_digest == sha256_hex(
-            volume_content(app.name, make_input_bytes(7, app.name, 4096), app.work_total))
-        cstore = CheckpointStore(tmp_path)
-        after = [commit_record(tmp_path / "r", seq) for seq in (3, 4)]
-        assert all(cstore.verify(tmp_path / "r" / str(seq)) for seq in (3, 4))
-        if damage is None:
-            # the store's commit proves that segment 1 holds the checked bytes
-            assert [m["segment"] for m in after] == [1, 1]
-            assert written[0] == after[0]["length"] - len(content)
-        else:
-            assert [m["segment"] for m in after] == [3, 3]
-            assert written[0] == after[0]["length"]
-
-    @settings(max_examples=60, deadline=None)
-    @given(base=st.binary(max_size=64),
-           ops=st.lists(st.one_of(st.tuples(st.just("append"), st.binary(max_size=48)),
-                                  st.tuples(st.just("fresh"), st.binary(max_size=80)),
-                                  st.tuples(st.just("corrupt")),
-                                  st.tuples(st.just("reopen"))), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    @given(base=st.integers(0, 64),
+           ops=st.lists(st.one_of(st.tuples(st.just("extend"), st.integers(0, 48)),
+                                  st.tuples(st.just("resume"), st.integers(0, 99)),
+                                  st.tuples(st.just("reopen")),
+                                  st.tuples(st.just("disagree"), st.integers(0, 999),
+                                            st.integers(0, 48)),
+                                  st.tuples(st.just("corrupt"))), max_size=12))
     def test_chains_hash_and_commit_exactly_their_bytes(self, base, ops):
         from bee.orchestrator import _corrupt
 
         with tempfile.TemporaryDirectory() as root:
             root = Path(root)
             running, store = RunningDigest(), CheckpointStore(root)
-            current, committed = Chain(base), []  # committed: (checkpoint, bytes)
-
-            def commit(content):
-                digest = running.hexdigest(content)
-                assert digest == sha256_hex(bytes(content))
-                ckpt = Checkpoint(run_id="r", seq=len(committed) + 1, progress=0.0,
-                                  digest=digest, origin_system=None, created_at=0.0)
-                store.save(ckpt, content)
-                committed.append((ckpt, bytes(content)))
-                return commit_record(root / "r", ckpt.seq)["segment"]
+            current = Chain(STREAM[:base])
+            store.volumes.create("v", current)
+            data, log = root / "volumes" / "v" / "data.bin", root / "r" / "log"
+            live, seq = {}, 0  # live: seq -> (checkpoint, bytes)
 
             for op, *args in ops:
-                if op == "append":
-                    current = current + args[0]
-                    segment = commit(current)
-                    # a chain that extends the last commit, or the adopted
-                    # checkpoint, appends to its segment
-                    assert len(committed) == 1 or segment == previous_segment
-                elif op == "fresh":
-                    data = bytes(bytearray(b"fresh:" + args[0]))  # a new object
-                    segment = commit(data)  # plain bytes: one new part
-                    assert segment == len(committed)
-                    current = Chain(data)
+                if op == "extend":  # the run's next output, saved
+                    current = current + STREAM[len(current):len(current) + args[0]]
+                    seq += 1
+                    digest = running.hexdigest(current)
+                    assert digest == sha256_hex(bytes(current))
+                    ckpt = Checkpoint(run_id="r", seq=seq, progress=float(len(current)),
+                                      digest=digest, origin_system=None, created_at=0.0)
+                    store.save(ckpt, current, "v")
+                    live = {k: v for k, v in live.items() if k < seq}
+                    live[seq] = (ckpt, bytes(current))
+                elif op == "resume" and live:
+                    # from any live commit, by a new run's digest and store:
+                    # its saves are shorter than the committed bytes until
+                    # they pass them, and its first save compares
+                    seq = sorted(live)[args[0] % len(live)]
+                    running, store = RunningDigest(), CheckpointStore(root)
+                    ckpt, content = store.load(root / "r" / str(seq))
+                    current = Chain(content)
+                    assert running.hexdigest(current) == ckpt.digest
+                elif op == "reopen":  # the same run, by a store that holds no chain
+                    store = CheckpointStore(root)
+                elif op == "disagree":
+                    committed = VolumeStore(root).volume("v").byte_size
+                    whole = bytearray(STREAM[:len(current) + args[1]])
+                    if not min(len(whole), committed):
+                        continue
+                    whole[args[0] % min(len(whole), committed)] ^= 1
+                    before = data.read_bytes(), log.read_bytes() if log.exists() else b""
+                    ckpt = Checkpoint(run_id="r", seq=seq + 1, progress=0.0,
+                                      digest=sha256_hex(bytes(whole)), origin_system=None,
+                                      created_at=0.0)
+                    with pytest.raises(StorageError, match="does not agree"):
+                        store.save(ckpt, Chain(bytes(whole)), "v")
+                    assert (data.read_bytes(), log.read_bytes() if log.exists() else b"") \
+                        == before
                 elif op == "corrupt":  # a delivery that is refused, not stored
                     delivered = _corrupt(bytes(current))
                     assert running.hexdigest(delivered) == sha256_hex(delivered)
-                    continue
-                else:  # a resume: a new run's digest and store adopt the checkpoint
-                    running, store = RunningDigest(), CheckpointStore(root)
-                    if committed:
-                        assert running.hexdigest(current) == committed[-1][0].digest
-                        store.adopt("r", committed[-1][0], current)
-                    continue
-                previous_segment = segment
-                # no save changed a byte that an earlier commit covers
-                for ckpt, data in committed:
-                    assert store.load(root / "r" / str(ckpt.seq)) == (ckpt, data)
+
+                # every live commit loads its bytes, which match its digest,
+                # and the committed bytes are a prefix of the stream
+                reader = CheckpointStore(root)
+                assert reader.latest("r") == (root / "r" / str(max(live)) if live else None)
+                for k, (ckpt, content) in live.items():
+                    assert reader.load(root / "r" / str(k)) == (ckpt, content)
+                    assert sha256_hex(content) == ckpt.digest
+                vol = VolumeStore(root).volume("v")
+                committed = data.read_bytes()[:vol.byte_size]
+                assert committed == STREAM[:vol.byte_size]
+                assert vol.content_digest == sha256_hex(committed)
 
 
 class TestStoreIo:
@@ -922,7 +911,7 @@ class TestStoreIo:
         vstore = VolumeStore(tmp_path)
         app = self._migrating_app()
         initial = make_input_bytes(7, app.name, 1 << 16)
-        vstore.create(f"{app.name}-in", initial)
+        volume = vstore.create(f"{app.name}-in", initial)
         fed, reads = [], []
         real_content = VolumeStore.content
 
@@ -933,7 +922,10 @@ class TestStoreIo:
         monkeypatch.setattr(bee.storage, "hashlib", counting_hashlib(fed))
         monkeypatch.setattr(VolumeStore, "content", counting_content)
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
-        result = run(pool, app, tmp_path, run_id="hashes")
+        cfg = SimConfig(seed=7, **EXACT_CFG)
+        result = run_workflow(pool, app, volume, make_hardware(),
+                              lambda s: make_backend(s, cfg), tmp_path, cfg=cfg,
+                              run_id="hashes")
 
         migrated = [r for r in result.history if r.ended_by is SlotEnd.TIMESLOT_CHECKPOINT]
         assert len(migrated) == 4
@@ -973,8 +965,8 @@ class TestStoreIo:
         # s1 takes checkpoint 2 right after the corrupted delivery
         for seq in (2, 3, 4):
             manifest = commit_record(store / "r", seq)
-            segment = store / "r" / str(manifest["segment"]) / "volume.bin"
-            on_disk = segment.read_bytes()[:manifest["length"]]
+            data = store / "volumes" / manifest["volume"] / "data.bin"
+            on_disk = data.read_bytes()[:manifest["length"]]
             assert len(on_disk) == manifest["length"]
             assert manifest["digest"] == hashlib.sha256(on_disk).hexdigest()
         assert result.output_volume.content_digest == clean.output_volume.content_digest
@@ -1003,7 +995,7 @@ class TestStoreIo:
         assert data == volume_content(app.name, make_input_bytes(7, app.name, 4096),
                                       app.work_total)
 
-    def test_data_volume_holds_the_input_until_completion(self, tmp_path):
+    def test_data_volume_holds_the_latest_checkpoint_at_each_slot(self, tmp_path):
         app = self._migrating_app()
         cfg = SimConfig(seed=7, **EXACT_CFG)
         initial = make_input_bytes(7, app.name, 4096)
@@ -1012,7 +1004,10 @@ class TestStoreIo:
 
         def factory(system):
             vol = VolumeStore(tmp_path).volume(f"{app.name}-in")
-            seen.append((data.read_bytes() == initial, vol.content_digest, vol.byte_size))
+            latest = CheckpointStore(tmp_path).latest("r")
+            held = CheckpointStore(tmp_path).load(latest)[1] if latest else initial
+            seen.append(data.read_bytes() == held and
+                        (vol.content_digest, vol.byte_size) == (sha256_hex(held), len(held)))
             return make_backend(system, cfg)
 
         volume = VolumeStore(tmp_path).create(f"{app.name}-in", initial)
@@ -1020,7 +1015,7 @@ class TestStoreIo:
         result = run_workflow(pool, app, volume, make_hardware(), factory, tmp_path,
                               cfg=cfg, run_id="r")
         assert result.outcome is Outcome.COMPLETED
-        assert seen == [(True, sha256_hex(initial), len(initial))] * 5
+        assert seen == [True] * 5
         assert data.read_bytes() == volume_content(app.name, initial, app.work_total)
         assert all(CheckpointStore(tmp_path).verify(tmp_path / "r" / str(seq))
                    for seq in (1, 2, 3, 4))
@@ -1031,24 +1026,24 @@ class TestStoreIo:
         VolumeStore(tmp_path).create(f"{app.name}-in", make_input_bytes(7, app.name, 1 << 16))
         written.clear()
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
-        result = run(pool, app, tmp_path, run_id="w")
+        result = run(pool, app, tmp_path, run_id="w", input_size=1 << 16)
         assert result.outcome is Outcome.COMPLETED
-        lengths = [len(CheckpointStore(tmp_path).load(tmp_path / "w" / str(seq))[1])
-                   for seq in (1, 2, 3, 4)]
-        # the first checkpoint in full, then only what each later one
-        # appended, then the output's tail past the input
-        assert written == [lengths[0], *(b - a for a, b in zip(lengths, lengths[1:])),
-                           result.output_volume.byte_size - (1 << 16)]
+        lengths = [1 << 16, *(len(CheckpointStore(tmp_path).load(tmp_path / "w" / str(seq))[1])
+                              for seq in (1, 2, 3, 4)), result.output_volume.byte_size]
+        # what each checkpoint appended past the one before, and then the
+        # output past the last, all to the volume's data.bin
+        assert written == [("data.bin", b - a) for a, b in zip(lengths, lengths[1:])]
 
     def test_checkpoints_append_to_one_segment(self, tmp_path):
+        # the one file is the volume's data.bin
         app = self._migrating_app()
         cfg = SimConfig(seed=7, **EXACT_CFG)
-        segment = tmp_path / "r" / "1" / "volume.bin"
+        data = tmp_path / "volumes" / f"{app.name}-in" / "data.bin"
         seen = []
 
         def factory(system):
-            if segment.exists():
-                seen.append((segment.stat().st_ino, segment.read_bytes()))
+            if CheckpointStore(tmp_path).latest("r"):
+                seen.append((data.stat().st_ino, data.read_bytes()))
             return make_backend(system, cfg)
 
         volume = VolumeStore(tmp_path).create(f"{app.name}-in",
@@ -1064,11 +1059,11 @@ class TestStoreIo:
         cstore = CheckpointStore(tmp_path)
         for seq, (_, held) in enumerate(seen, start=1):
             manifest = commit_record(tmp_path / "r", seq)
-            assert (manifest["segment"], manifest["length"]) == (1, len(held))
+            assert (manifest["volume"], manifest["length"]) == (f"{app.name}-in", len(held))
             assert cstore.load(tmp_path / "r" / str(seq))[1] == held
-        # a checkpoint that only appends a tail makes no directory
-        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["1", "log"]
-        assert sorted(p.name for p in (tmp_path / "r" / "1").iterdir()) == ["volume.bin"]
+        # a checkpoint makes no file and no directory
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["log"]
+        assert sorted(p.name for p in data.parent.iterdir()) == ["data.bin", "log"]
 
     @staticmethod
     def _stall_then_resume(store, slots):
@@ -1098,16 +1093,15 @@ class TestStoreIo:
 
     def test_migrating_run_makes_the_same_few_files_whatever_its_slots(self, tmp_path):
         made = self._stall_then_resume(tmp_path / "few", 4)
-        # a record is an append to a log, a checkpoint that only adds a tail
-        # makes no directory, and the completed run appends its output to
-        # data.bin: no temporary file and no rename
-        assert made == ["sim-migrate/", "sim-migrate/log", "sim-migrate/1/",
-                        "sim-migrate/1/volume.bin"]
+        # a record is an append to a log, and a checkpoint and the completed
+        # run append their bytes to data.bin: no other file, no temporary
+        # file and no rename
+        assert made == ["sim-migrate/", "sim-migrate/log"]
         assert self._stall_then_resume(tmp_path / "many", 16) == made
         listing = [sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
                    for root in (tmp_path / "few", tmp_path / "many")]
         assert listing[0] == listing[1] == [
-            "sim-migrate", "sim-migrate/1", "sim-migrate/1/volume.bin", "sim-migrate/log",
+            "sim-migrate", "sim-migrate/log",
             "volumes", "volumes/input", "volumes/input/data.bin", "volumes/input/log"]
 
     def test_migrating_benchmark_run_writes_one_volume_plus_tails(self, tmp_path,
@@ -1133,17 +1127,15 @@ class TestStoreIo:
         assert (stalled.outcome, resumed.outcome) == \
             (Outcome.STALLED_WITH_CHECKPOINT, Outcome.COMPLETED)
         assert (ckpt.seq, len(resumed.history)) == (16, 13)
-        # the first checkpoint in full; then the tail of each later one, the
-        # resume's first (write 17) appended to the segment it resumed from;
-        # then the output's tail past the input.  Writing every checkpoint in
-        # full wrote 243 MiB, and writing the output whole 16.4 MiB.
+        # the tail of each checkpoint, the resume's first (write 17) included,
+        # then the output's tail past the last: every payload byte goes to
+        # data.bin, once.  Writing every checkpoint in full wrote 243 MiB, the
+        # output whole 16.4 MiB, and the first checkpoint in full 8.4 MiB.
         output = resumed.output_volume.byte_size
         assert len(written) == 16 + 12 + 1
-        assert written[0] > volume.byte_size
-        assert 0 < max(written[1:-1]) < 64 << 10
-        assert written[-1] == output - volume.byte_size
-        assert sum(written) <= output + (output - volume.byte_size)
-        assert sum(written) < 9 << 20
+        assert {name for name, _ in written} == {"data.bin"}
+        assert 0 < min(n for _, n in written) and max(n for _, n in written) < 64 << 10
+        assert sum(n for _, n in written) == output - volume.byte_size == 192_000
 
     def test_meta_json_rewritten_only_when_it_changes(self, tmp_path, monkeypatch):
         unchanged = []
@@ -1254,8 +1246,9 @@ class TestCheckpointOps:
         cluster, backend = self._cluster()
         backend.wait(10.0)
         store = CheckpointStore(tmp_path)
+        store.volumes.create("v", b"input-bytes")
         ckpt, content, duration, state = checkpoint_now(
-            RunState(), cluster, store, "r", 1, created_at=backend.now())
+            RunState(), cluster, store, "r", "v", 1, created_at=backend.now())
         assert ckpt.progress == 10.0
         assert bytes(content) == volume_content("demo", b"input-bytes", 10.0)
         assert ckpt.digest == sha256_hex(bytes(content))
@@ -1268,9 +1261,10 @@ class TestCheckpointOps:
         cluster, backend = self._cluster()
         backend.wait(10.0)
         store = CheckpointStore(tmp_path)
-        first, _, _, _ = checkpoint_now(RunState(), cluster, store, "r", 1,
+        store.volumes.create("v", b"input-bytes")
+        first, _, _, _ = checkpoint_now(RunState(), cluster, store, "r", "v", 1,
                                         created_at=0.0)
-        second, _, _, _ = checkpoint_now(RunState(), cluster, store, "r", 2,
+        second, _, _, _ = checkpoint_now(RunState(), cluster, store, "r", "v", 2,
                                          created_at=0.0)
         assert first.digest == second.digest
         assert first.progress == second.progress
@@ -1280,7 +1274,7 @@ class TestCheckpointOps:
         from bee.model import RunState
 
         with pytest.raises(CheckpointUnsupported):
-            checkpoint_now(RunState(), cluster, CheckpointStore(tmp_path), "r", 1, 0.0)
+            checkpoint_now(RunState(), cluster, CheckpointStore(tmp_path), "r", "v", 1, 0.0)
 
 
 class TestTransfer:

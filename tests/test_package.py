@@ -112,7 +112,7 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(bee, "no_such_name")
 
 
-STORE_FILE_NAMES = {"log", "data.bin", "volume.bin"}
+STORE_FILE_NAMES = {"log", "data.bin"}
 STORE_WRITERS = {"append_record", "extend_file"}
 
 

@@ -24,7 +24,7 @@ from bee.storage import (
     read_log,
     sha256_hex,
 )
-from conftest import counting_hashlib
+from conftest import count_compares, counting_hashlib
 
 NFS = StorageSolution.DATA_IMAGE_NFS
 VIRTIO = StorageSolution.VIRTIO_PASSTHROUGH
@@ -183,17 +183,63 @@ class TestVolumeStore:
         assert before.content_digest != after.content_digest
         assert (after.byte_size, after.content_digest) == (8, sha256_hex(b"one, two"))
 
-    @pytest.mark.parametrize("content", [b"two", b"on", b"onE, two", Chain(b"o", b"x")])
+    @pytest.mark.parametrize("content", [b"two", b"oN", b"onE, two", Chain(b"o", b"x")])
     def test_write_that_does_not_extend_is_refused_and_changes_nothing(self, tmp_path,
                                                                      content):
         store = VolumeStore(tmp_path)
         vol = store.create("v1", b"one")
         data, log = (tmp_path / "volumes" / "v1" / name for name in ("data.bin", "log"))
         before = data.read_bytes(), log.read_bytes()
-        with pytest.raises(StorageError, match="does not begin with its 3 committed bytes"):
+        with pytest.raises(StorageError, match="does not agree with its 3 committed bytes"):
             store.write("v1", content)
         assert (data.read_bytes(), log.read_bytes()) == before
         assert store.volume("v1") == vol
+
+    @pytest.mark.parametrize("content", [b"", b"o", b"on", Chain(b"o", b"n")])
+    def test_write_of_a_prefix_of_the_committed_bytes_writes_nothing(self, tmp_path,
+                                                                     content):
+        # what a resume from an earlier checkpoint saves again
+        store = VolumeStore(tmp_path)
+        vol = store.create("v1", b"one")
+        data, log = (tmp_path / "volumes" / "v1" / name for name in ("data.bin", "log"))
+        before = data.read_bytes(), log.read_bytes()
+        assert VolumeStore(tmp_path).write("v1", content) == vol
+        assert (data.read_bytes(), log.read_bytes()) == before
+
+    def test_write_reads_only_the_committed_bytes_its_chain_does_not_prove(
+            self, tmp_path, monkeypatch):
+        compared = count_compares(monkeypatch)
+        base = bytes(bytearray(b"input"))
+        store = VolumeStore(tmp_path)
+        store.create("v1", base)
+        # chains built on what the store created, then wrote, need no read
+        first = Chain(base) + b"+one"
+        store.write("v1", first)
+        store.write("v1", first + b"+two")
+        assert compared == []
+        # equal bytes in other objects are compared, once: the chain written
+        # is the one held next
+        again = Chain(b"input+one+two")
+        store.write("v1", again + b"+three")
+        assert compared == [(0, 13)]
+        # a fresh store compares what it did not write or read
+        other = VolumeStore(tmp_path)
+        content = other.content("v1")
+        other.write("v1", Chain(content) + b"+four")
+        short = Chain(b"input+one")
+        other.write("v1", short)  # a prefix: compared, and held
+        assert compared == [(0, 13), (0, 9)]
+        # past the held chain's end, the committed bytes are still compared
+        other.write("v1", short + b"+two+three+four+five")
+        assert compared == [(0, 13), (0, 9), (9, 24)]
+        assert other.content("v1") == b"input+one+two+three+four+five"
+
+    def test_extend_file_refuses_a_file_shorter_than_its_committed_bytes(self, tmp_path):
+        path = tmp_path / "data.bin"
+        path.write_bytes(b"cut")
+        with pytest.raises(StorageError, match="fewer than its 9 committed bytes"):
+            extend_file(path, 9, b"committed, then appended")
+        assert path.read_bytes() == b"cut"
 
     def test_store_layout(self, tmp_path):
         store = VolumeStore(tmp_path)
@@ -265,7 +311,7 @@ class TestVolumeStore:
 
     @pytest.mark.parametrize("held", [b"COMMITTED", b"COMMITTED+cut-off tail"])
     def test_extend_file_writes_past_the_committed_bytes_only(self, tmp_path, held):
-        path = tmp_path / "segment"
+        path = tmp_path / "data.bin"
         path.write_bytes(held)
         os.link(path, tmp_path / "same")
         extend_file(path, len(b"committed"), b"committed, then appended")
@@ -276,7 +322,7 @@ class TestVolumeStore:
     @pytest.mark.parametrize("committed", [0, 5, 9, 13, 24])
     def test_extend_file_skips_the_committed_bytes_of_a_chain(self, tmp_path, committed):
         whole = b"committed, then appended"
-        path = tmp_path / "segment"
+        path = tmp_path / "data.bin"
         path.write_bytes(whole[:committed].upper())
         # part boundaries at 5, 9 and 13: the offset falls at and inside parts
         extend_file(path, committed, Chain(whole[:5], whole[5:9], whole[9:13], whole[13:]))
@@ -324,24 +370,24 @@ class TestVolumeStore:
     @settings(max_examples=200, deadline=None)
     @given(held=st.binary(max_size=40), keep=st.integers(0, 40), tail=st.binary(max_size=8),
            cuts=st.lists(st.integers(0, 48), max_size=4), size=st.integers(0, 40),
-           block=st.integers(1, 9), flip=st.integers(0, 47))
+           block=st.integers(1, 9), flip=st.integers(0, 47), start=st.integers(0, 40))
     def test_prefix_check_agrees_with_a_whole_compare(self, held, keep, tail, cuts, size,
-                                                       block, flip):
-        # the file holds `size` bytes and is read in blocks of `block` bytes;
-        # the chain may be shorter, differ in one byte, and have its part
-        # boundaries anywhere in the blocks
+                                                       block, flip, start):
+        # bytes `start` to `size` of the file, which holds `held`, and of the
+        # chain, read in blocks of `block` bytes; the chain may differ in one
+        # byte and have its part boundaries anywhere in the blocks
         whole = held[:keep] + tail
         if flip < len(whole) and flip % 3 == 0:
             whole = whole[:flip] + bytes([whole[flip] ^ 1]) + whole[flip + 1:]
         bounds = sorted({min(c, len(whole)) for c in cuts} | {0, len(whole)})
         chain = Chain(*(whole[a:b] for a, b in zip(bounds, bounds[1:])))
-        size = min(size, len(held))
+        size = min(size, len(held), len(whole))
+        start = min(start, size)
         with tempfile.TemporaryFile() as fh, \
                 mock.patch.object(bee.storage, "_BLOCK", block):
             fh.write(held)
-            fh.seek(0)
-            assert bee.storage._starts_with(fh, size, chain) == \
-                (len(whole) >= size and whole[:size] == held[:size])
+            assert bee.storage._agrees(fh, chain, start, size) == \
+                (whole[start:size] == held[start:size])
 
 VOLUME_IDS = st.sampled_from(["a", "b"])
 CONTENTS = st.sampled_from([b"", b"x", b"y" * 40]) | st.binary(max_size=16)
@@ -390,7 +436,7 @@ class TestVolumeStoreConsistency:
     def test_meta_always_describes_data(self, ops):
         """After every operation each volume's record matches its content,
         and a volume without a record does not exist.  A write that does not
-        extend the content, and a create of an existing id, raise
+        agree with the content, and a create of an existing id, raise
         StorageError and change nothing; a kill anywhere in a call leaves the
         volume as it was before the call or as the call left it."""
         with tempfile.TemporaryDirectory() as tmp:
@@ -444,8 +490,10 @@ class TestVolumeStoreConsistency:
                     if whole.startswith(committed):
                         vol = store.write(vid, content, digest)
                         model[vid] = (whole, location)
+                    elif committed.startswith(whole):  # a prefix: nothing to write
+                        vol = store.write(vid, content, digest)
                     else:
-                        with pytest.raises(StorageError, match="does not begin"):
+                        with pytest.raises(StorageError, match="does not agree"):
                             store.write(vid, content, digest)
                 elif kind == "attach" and model[vid][1] == DETACHED:
                     vol = store.attach(vid, op[2])

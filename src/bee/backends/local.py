@@ -41,7 +41,6 @@ class LocalProcessBackend(Backend):
         self._refs: dict[int, NodeRef] = {}
         self._app: AppSpec | None = None
         self._hardware: HardwareConfig | None = None
-        self._wired = False
 
     # -- clock ----------------------------------------------------------------
 
@@ -63,7 +62,6 @@ class LocalProcessBackend(Backend):
         self._app = app
         self._hardware = hardware
         self._refs.clear()
-        self._wired = False
         self.fleet = AgentFleet(hardware.network_solution, app.process_count,
                                 self.workdir / cname)
 
@@ -88,7 +86,6 @@ class LocalProcessBackend(Backend):
         if self.fleet.kind.value == "multicast":
             self.fleet.spawn_hub()
         self.fleet.wire()
-        self._wired = True
         for ref in refs:
             self.log.append(self.now(), "start_vm", ref.host_id, stage=self.stage,
                             index=ref.node_index)

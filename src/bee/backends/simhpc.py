@@ -48,7 +48,6 @@ class SimHpcBackend(Backend):
         self._t = 0.0
         self._rng = random.Random((cfg.seed, system.id, self.name).__repr__())
         self._nodes: dict[int, NodeRef] = {}
-        self._started: set[int] = set()
         self._app = _AppRun()
         self._app_name = ""
         self._plan: StoragePlan | None = None
@@ -111,7 +110,6 @@ class SimHpcBackend(Backend):
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,
                       plan: StoragePlan) -> None:
         self._nodes.clear()
-        self._started.clear()
         self._app = _AppRun()
         self._plan = plan
         self._hardware = hardware
@@ -142,7 +140,6 @@ class SimHpcBackend(Backend):
         for t, ref in sorted(boots, key=lambda b: b[0]):
             self.log.append(t, "start_vm", ref.host_id, stage=self.stage,
                             index=ref.node_index)
-            self._started.add(ref.node_index)
         if boots:
             self._t = max(t for t, _ in boots)
 
@@ -250,7 +247,6 @@ class SimHpcBackend(Backend):
             self.log.append(self._t, "resume", ref.host_id, stage=self.stage)
 
     def stop(self, ref: NodeRef) -> None:
-        self._started.discard(ref.node_index)
         self._nodes.pop(ref.node_index, None)
         self.log.append(self._t, "stop", ref.host_id, stage=self.stage,
                         index=ref.node_index)

@@ -413,13 +413,7 @@ def _run_stages(cluster: Cluster, host_ids: list[str], app: AppSpec, cname: str,
 
 def _teardown(cluster: Cluster, backend: Backend) -> None:
     backend.set_stage("teardown")
-    for ref in list(cluster.refs):
-        backend.stop(ref)
+    cluster._release()
     backend.abort_cluster()
-    for host, port in cluster.ports:
-        cluster.registry.release(host, port)
     backend.charge(0.0, "teardown_complete", cluster.name)
-    cluster.refs = []
-    cluster.ports = []
-    cluster.nodes = ()
     cluster.status = ClusterStatus.STOPPED

@@ -4,7 +4,8 @@ One agent per node.  Data frames travel only along topology edges; relays
 forward frame-by-frame and pass the destination's acknowledgement back along
 the chain, so a sender learns the arrival hop count or which relay broke.
 Multicast is realized by a hub process that copies every frame to all agents
-except the sender.
+except the sender.  A send enters at its source agent as a hop-0 frame on a
+link whose hello is ORIGIN_ID (`send`); the control plane carries no payloads.
 
 An agent knows no topology: it forwards by a next-hop table ({dst: neighbour})
 that whoever wires the overlay computes and pushes in `configure`.  A frame
@@ -27,7 +28,7 @@ Frame wire format (big-endian):
 Each frame is answered on the same connection with 4 bytes: status (0 =
 delivered, 1 = relay failure) and a detail word (arrival hop count on success,
 the unreachable node id on failure).  New connections open with a 2-byte hello
-carrying the initiator's node id.
+carrying the initiator's node id, HUB_ID for the hub or ORIGIN_ID for a sender.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ RESPONSE = struct.Struct(">HH")
 HELLO = struct.Struct(">H")
 
 HUB_ID = 0xFFFE
+ORIGIN_ID = 0xFFFD  # hello of a sender's link: its frames are the node's own sends
 STATUS_OK = 0
 STATUS_RELAY_FAILED = 1
 
@@ -131,7 +133,7 @@ class _WorkState:
         return self.base + progress_at(self.rate, self.active_seconds(), remaining)
 
 
-class _PeerLink:
+class PeerLink:
     """One outgoing connection with request/response framing.
 
     Only the link's first connect waits out CONNECT_RETRY_SECONDS, for a peer
@@ -193,6 +195,18 @@ class _PeerLink:
             self._drop()
 
 
+def send(link: PeerLink, src: int, dst: int, payload: bytes) -> int:
+    """Send payload from node src to dst over link, an ORIGIN_ID link to src.
+
+    Returns the arrival hop count, or raises DeliveryError naming the relay
+    that broke (dst itself when the multicast hub is unreachable).
+    """
+    status, detail = link.request(pack_frame(src, dst, 0, payload))
+    if status != STATUS_OK:
+        raise DeliveryError(dst if detail == HUB_ID else detail)
+    return detail
+
+
 class Agent:
     """One overlay node: frame plane, control plane, and the toy work loop."""
 
@@ -203,7 +217,7 @@ class Agent:
         self.addrs: dict[int, tuple[str, int]] = {}
         self.hub_addr: tuple[str, int] | None = None
         self.next_hop: dict[int, int] = {}
-        self.links: dict[int, _PeerLink] = {}
+        self.links: dict[int, PeerLink] = {}
         self.links_lock = threading.Lock()
         self.inbox: list[dict] = []
         self.received: dict[str, int] = {}
@@ -226,31 +240,18 @@ class Agent:
         self.hub_addr = hub
         self.next_hop = dict(next_hop or {})
 
-    def _link_to(self, peer: int) -> _PeerLink:
+    def _link_to(self, peer: int) -> PeerLink:
         with self.links_lock:
             link = self.links.get(peer)
             if link is None:
                 addr = self.hub_addr if peer == HUB_ID else self.addrs.get(peer)
                 if addr is None:
                     raise ConnectionError(f"no address for node {peer}")
-                link = _PeerLink(self.node_id, peer, tuple(addr))
+                link = PeerLink(self.node_id, peer, tuple(addr))
                 self.links[peer] = link
         return link
 
-    # -- sending -----------------------------------------------------------
-
-    def send(self, dst: int, payload: bytes) -> int:
-        """Deliver payload to dst; returns arrival hop count or raises DeliveryError."""
-        if dst == self.node_id:
-            self._deliver(self.node_id, 0, payload, from_peer=self.node_id)
-            return 0
-        nxt = self.next_hop.get(dst)
-        if nxt is None:
-            raise ValueError(f"no route to node {dst}")
-        status, detail = self._forward(nxt, pack_frame(self.node_id, dst, 1, payload))
-        if status != STATUS_OK:
-            raise DeliveryError(dst if detail == HUB_ID else detail)
-        return detail
+    # -- frame plane ---------------------------------------------------------
 
     def _forward(self, nxt: int, frame: bytes) -> tuple[int, int]:
         """Pass a frame to neighbour nxt; a broken link is answered as a relay failure."""
@@ -259,7 +260,7 @@ class Agent:
         except ConnectionError:
             return STATUS_RELAY_FAILED, nxt
 
-    def _deliver(self, src: int, hop: int, payload: bytes, from_peer: int) -> None:
+    def _deliver(self, src: int, hop: int, payload: bytes) -> None:
         with self.counts_lock:
             self.inbox.append({"src": src, "hop_count": hop,
                                "payload_hex": payload.hex()})
@@ -268,8 +269,6 @@ class Agent:
         key = "hub" if from_peer == HUB_ID else str(from_peer)
         with self.counts_lock:
             self.received[key] = self.received.get(key, 0) + 1
-
-    # -- frame plane ---------------------------------------------------------
 
     def _serve_frames(self) -> None:
         while not self.stopping.is_set():
@@ -304,9 +303,10 @@ class Agent:
 
     def _handle_frame(self, peer_id: int, src: int, dst: int, hop: int,
                       payload: bytes) -> tuple[int, int]:
-        self._count(peer_id)
+        if peer_id != ORIGIN_ID:  # the node's own sends are not received from a peer
+            self._count(peer_id)
         if dst == self.node_id:
-            self._deliver(src, hop, payload, from_peer=peer_id)
+            self._deliver(src, hop, payload)
             return STATUS_OK, hop
         if peer_id == HUB_ID:
             # the hub shows every node every frame; only the addressee keeps it
@@ -380,19 +380,10 @@ class Agent:
             self.configure(*_wiring(req.get("addrs", {}), req.get("hub"),
                                     req.get("next_hop", {})))
             return {"ok": True}
-        if cmd == "send":
-            try:
-                hop = self.send(int(req["dst"]), bytes.fromhex(req.get("payload_hex", "")))
-                return {"ok": True, "hop_count": hop}
-            except DeliveryError as exc:
-                return {"ok": False, "error": "relay_failed", "relay": exc.relay}
         if cmd == "recv":
             with self.counts_lock:
                 messages, self.inbox = self.inbox, []
             return {"ok": True, "messages": messages}
-        if cmd == "counts":
-            with self.counts_lock:
-                return {"ok": True, "received": dict(self.received)}
         if cmd == "status":
             with self.counts_lock:
                 received = dict(self.received)
@@ -490,12 +481,6 @@ class AgentClient:
         if not line:
             raise ConnectionError("agent closed control connection")
         return json.loads(line)
-
-    def send(self, dst: int, payload: bytes) -> int:
-        reply = self.call(cmd="send", dst=dst, payload_hex=payload.hex())
-        if not reply.get("ok"):
-            raise DeliveryError(int(reply.get("relay", -1)))
-        return int(reply["hop_count"])
 
     def close(self) -> None:
         try:

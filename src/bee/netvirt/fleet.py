@@ -2,7 +2,9 @@
 
 The fleet is the overlay's control plane: it computes every agent's next-hop
 table from the topology and pushes it with the address map, so the agents
-themselves carry no routing code.
+themselves carry no routing code.  Its sends take the frame plane: one
+ORIGIN_ID link per source node, opened on first use, writes hop-0 frames to
+that agent's frame port.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from pathlib import Path
 
 from bee.model import NetworkSolution
-from bee.netvirt.agent import HUB_ID, AgentClient
+from bee.netvirt.agent import HUB_ID, ORIGIN_ID, AgentClient, PeerLink, send
 from bee.netvirt.topology import Topology, build_topology, route
 
 SPAWN_TIMEOUT = 15.0
@@ -69,6 +71,7 @@ class AgentFleet:
         self.ports: dict[int, dict] = {}
         self.hub_ports: dict | None = None
         self._clients: dict[int, AgentClient] = {}
+        self._origins: dict[int, PeerLink] = {}
         self.workdir.mkdir(parents=True, exist_ok=True)
         self._env = dict(os.environ, PYTHONPATH=_package_pythonpath())
 
@@ -144,10 +147,14 @@ class AgentFleet:
         return client
 
     def send(self, src: int, dst: int, payload: bytes) -> int:
-        return self.client(src).send(dst, payload)
+        link = self._origins.get(src)
+        if link is None:
+            link = PeerLink(ORIGIN_ID, src, (self.bind, self.ports[src]["frame_port"]))
+            self._origins[src] = link
+        return send(link, src, dst, payload)
 
     def counts(self, node: int) -> dict[str, int]:
-        return self.client(node).call(cmd="counts")["received"]
+        return self.client(node).call(cmd="status")["received"]
 
     def alive(self, node: int) -> bool:
         proc = self.procs.get(node)
@@ -159,9 +166,9 @@ class AgentFleet:
         proc = self.procs[node]
         proc.kill()
         proc.wait(timeout=5)
-        client = self._clients.pop(node, None)
-        if client is not None:
-            client.close()
+        for conn in (self._clients.pop(node, None), self._origins.pop(node, None)):
+            if conn is not None:
+                conn.close()
 
     def request_stop(self, node: int) -> None:
         """Ask one agent to exit, without waiting for it; stop() reaps it."""
@@ -181,6 +188,9 @@ class AgentFleet:
         running is terminated rather than waited for; one that outlives the
         terminate is killed.
         """
+        for link in self._origins.values():
+            link.close()
+        self._origins.clear()
         for node in list(self._clients):
             self.request_stop(node)
         procs = list(self.procs.values()) + ([self.hub_proc] if self.hub_proc else [])

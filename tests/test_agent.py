@@ -13,15 +13,18 @@ from bee.netvirt.topology import build_topology, predict_link_frames
 from bee.netvirt.agent import (
     HELLO,
     HUB_ID,
+    ORIGIN_ID,
     RESPONSE,
     STATUS_OK,
     STATUS_RELAY_FAILED,
     Agent,
     AgentClient,
     DeliveryError,
+    PeerLink,
     _recv_exact,
     pack_frame,
     read_frame,
+    send,
 )
 from bee.netvirt.fleet import AgentFleet, _package_pythonpath, agent_command, next_hop_table
 
@@ -77,13 +80,26 @@ class _Overlay:
     def __init__(self, kind, n):
         self.agents, self.hub = _spawn_agents(kind, n)
         self.clients = {}
+        self.origins = {}
 
     def client(self, i) -> AgentClient:
         if i not in self.clients:
             self.clients[i] = AgentClient(("127.0.0.1", self.agents[i].control_port))
         return self.clients[i]
 
+    def send(self, src, dst, payload) -> int:
+        """Send as AgentFleet does: a hop-0 frame on an origin link to src's frame port."""
+        if src not in self.origins:
+            addr = ("127.0.0.1", self.agents[src].frame_port)
+            self.origins[src] = PeerLink(ORIGIN_ID, src, addr)
+        return send(self.origins[src], src, dst, payload)
+
+    def received(self, i) -> dict:
+        return self.client(i).call(cmd="status")["received"]
+
     def close(self):
+        for link in self.origins.values():
+            link.close()
         for c in self.clients.values():
             c.close()
         for a in self.agents:
@@ -109,34 +125,34 @@ def overlay(request):
 class TestDelivery:
     def test_star_hop_count_through_center(self, overlay):
         o = overlay(STAR, 4)
-        assert o.client(1).send(3, b"m") == 2
+        assert o.send(1, 3, b"m") == 2
         msgs = o.client(3).call(cmd="recv")["messages"]
         assert msgs == [{"src": 1, "hop_count": 2, "payload_hex": b"m".hex()}]
 
     def test_center_adjacent_single_hop(self, overlay):
         o = overlay(STAR, 4)
-        assert o.client(0).send(2, b"m") == 1
+        assert o.send(0, 2, b"m") == 1
 
     def test_tree_cross_root_hops(self, overlay):
         o = overlay(TREE, 7)
-        assert o.client(3).send(5, b"m") == 4  # 3-1-0-2-5
+        assert o.send(3, 5, b"m") == 4  # 3-1-0-2-5
 
     def test_send_to_self_is_local(self, overlay):
         o = overlay(TREE, 3)
-        assert o.client(1).send(1, b"m") == 0
+        assert o.send(1, 1, b"m") == 0
         assert o.client(1).call(cmd="recv")["messages"][0]["hop_count"] == 0
 
     def test_multicast_everyone_sees_frame_dst_keeps_it(self, overlay):
         o = overlay(MCAST, 4)
-        assert o.client(1).send(2, b"m") == 1
+        assert o.send(1, 2, b"m") == 1
         assert o.client(2).call(cmd="recv")["messages"][0]["src"] == 1
         assert o.client(3).call(cmd="recv")["messages"] == []
-        assert o.client(3).call(cmd="counts")["received"] == {"hub": 1}
+        assert o.received(3) == {"hub": 1}
 
     def test_per_pair_fifo_on_connection_chain(self, overlay):
         o = overlay(STAR, 4)
         for i in range(20):
-            o.client(1).send(3, bytes([i]))
+            o.send(1, 3, bytes([i]))
         msgs = o.client(3).call(cmd="recv")["messages"]
         assert [bytes.fromhex(m["payload_hex"])[0] for m in msgs] == list(range(20))
 
@@ -147,7 +163,7 @@ class TestFaults:
         o.agents[1].close()
         time.sleep(0.05)
         with pytest.raises(DeliveryError) as err:
-            o.client(3).send(4, b"m")
+            o.send(3, 4, b"m")
         assert err.value.relay == 1
 
     def test_multicast_survives_non_hub_kill(self, overlay):
@@ -155,32 +171,32 @@ class TestFaults:
         o.client(3)  # open control before killing
         o.agents[3].close()
         time.sleep(0.05)
-        assert o.client(1).send(2, b"m") == 1
+        assert o.send(1, 2, b"m") == 1
 
     def test_multicast_hub_kill_breaks_everything(self, overlay):
         o = overlay(MCAST, 4)
         o.hub.close()
         time.sleep(0.05)
         with pytest.raises(DeliveryError):
-            o.client(1).send(2, b"m")
+            o.send(1, 2, b"m")
 
     def test_star_leaf_kill_only_breaks_its_pairs(self, overlay):
         o = overlay(STAR, 5)
         o.agents[2].close()
         time.sleep(0.05)
-        assert o.client(1).send(3, b"m") == 2
+        assert o.send(1, 3, b"m") == 2
         with pytest.raises(DeliveryError):
-            o.client(1).send(2, b"m")
+            o.send(1, 2, b"m")
 
     def test_repeat_send_through_dead_relay_fails_fast(self, overlay):
         o = overlay(TREE, 7)
         o.agents[1].close()
         time.sleep(0.05)
         with pytest.raises(DeliveryError):
-            o.client(5).send(3, b"m")  # 5-2-0-1-3: relay 0 finds 1 dead
+            o.send(5, 3, b"m")  # 5-2-0-1-3: relay 0 finds 1 dead
         t0 = time.monotonic()
         with pytest.raises(DeliveryError) as err:
-            o.client(5).send(3, b"m")
+            o.send(5, 3, b"m")
         assert time.monotonic() - t0 < 0.2
         assert err.value.relay == 1
 
@@ -191,19 +207,25 @@ class TestFaults:
         old.close()
         time.sleep(0.05)
         with pytest.raises(DeliveryError):
-            o.client(3).send(4, b"m")
+            o.send(3, 4, b"m")
         o.agents[1] = Agent(1, frame_port=old.frame_port)
         o.agents[1].configure(addrs, None, old.next_hop)
         o.agents[1].start()
-        assert o.client(3).send(4, b"m") == 2
+        assert o.send(3, 4, b"m") == 2
 
 
 class TestUnroutable:
-    def test_control_send_without_next_hop_is_answered(self, overlay):
-        c = overlay(TREE, 3).client(0)
-        reply = c.call(cmd="send", dst=99, payload_hex="00")
-        assert reply["ok"] is False and "99" in reply["error"]
-        assert c.call(cmd="ping") == {"ok": True, "node": 0}
+    def test_send_without_next_hop_is_answered_and_the_link_stays(self, overlay):
+        o = overlay(TREE, 3)
+        with pytest.raises(DeliveryError) as err:
+            o.send(0, 99, b"lost")
+        assert err.value.relay == 99
+        sock = o.origins[0].sock
+        assert sock is not None
+        assert o.send(0, 2, b"kept") == 1
+        assert o.origins[0].sock is sock
+        assert o.client(2).call(cmd="recv")["messages"] == [
+            {"src": 0, "hop_count": 1, "payload_hex": b"kept".hex()}]
 
     def test_relayed_frame_without_next_hop_is_answered_and_link_stays(self, overlay):
         import socket
@@ -217,6 +239,34 @@ class TestUnroutable:
             assert RESPONSE.unpack(_recv_exact(s, 4)) == (STATUS_OK, 1)
         assert o.client(1).call(cmd="recv")["messages"] == [
             {"src": 0, "hop_count": 1, "payload_hex": b"kept".hex()}]
+
+
+class TestOriginLink:
+    def test_fleet_sends_make_no_control_calls(self, tmp_path, monkeypatch):
+        calls = []
+        call = AgentClient.call
+        with AgentFleet(TREE, 3, tmp_path) as fleet:
+            monkeypatch.setattr(AgentClient, "call",
+                                lambda client, **req: calls.append(req) or call(client, **req))
+            assert [fleet.send(1, dst, b"m") for dst in (0, 1, 2)] == [1, 0, 2]
+            assert fleet.send(2, 1, b"m") == 2
+            assert calls == []
+
+    def test_idle_origin_link_reconnects_and_delivers_once(self, overlay, monkeypatch):
+        import bee.netvirt.agent as agent_module
+
+        monkeypatch.setattr(agent_module, "SOCKET_TIMEOUT", 0.3)
+        o = overlay(STAR, 3)
+        assert o.send(1, 2, b"first") == 2
+        first = o.origins[1].sock
+        time.sleep(0.8)  # the agents close idle frame connections after SOCKET_TIMEOUT
+        assert o.send(1, 2, b"second") == 2
+        assert o.origins[1].sock is not first
+        assert o.client(2).call(cmd="recv")["messages"] == [
+            {"src": 1, "hop_count": 2, "payload_hex": b"first".hex()},
+            {"src": 1, "hop_count": 2, "payload_hex": b"second".hex()}]
+        # origin frames are the node's own sends: only relayed frames are counted
+        assert [o.received(i) for i in range(3)] == [{"1": 2}, {}, {"0": 2}]
 
 
 class TestWireModelEquivalence:
@@ -233,12 +283,12 @@ class TestWireModelEquivalence:
             if s != d:
                 trace.append((s, d, 8))
         for s, d, size in trace:
-            o.client(s).send(d, bytes(size))
+            o.send(s, d, bytes(size))
         topo = build_topology(kind, n)
         predicted = predict_link_frames(topo, trace)
         observed = {}
         for node in range(n):
-            for peer, count in o.client(node).call(cmd="counts")["received"].items():
+            for peer, count in o.received(node).items():
                 key = ("hub", node) if peer == "hub" else (int(peer), node)
                 observed[key] = count
         assert observed == predicted
@@ -287,11 +337,11 @@ class TestAgentCli:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 try:
-                    client = AgentClient(("127.0.0.1", ports[1][1]))
+                    link = PeerLink(ORIGIN_ID, 1, ("127.0.0.1", ports[1][0]))
                     try:
-                        hops = client.send(2, b"cli")
+                        hops = send(link, 1, 2, b"cli")
                     finally:
-                        client.close()
+                        link.close()
                     break
                 except OSError:
                     time.sleep(0.05)

@@ -2,7 +2,10 @@
 
 A backend owns a clock, an ordered event log, and the node handles of one
 virtual cluster at a time.  The deployment and orchestration layers only talk
-through this interface, so they run unchanged on any implementation.
+through this interface, so they run unchanged on any implementation; its
+abstract methods are exactly the ones `bee.cluster` and `bee.orchestrator`
+call.  How the app's progress accrues across pauses is `bee.workload.AppRun`,
+which the simulator runs on its logical clock and each relay agent on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ SIM_CLOUD_BAREMETAL = "sim-cloud-baremetal"
 LOCAL = "local"
 
 BACKEND_KINDS = (SIM_HPC, SIM_CLOUD_AWS, SIM_CLOUD_BAREMETAL, LOCAL)
+
+# The steps that provision one VM, each logged per host; "register_vm" follows.
+VM_PROVISION_STEPS = ("create_vm", "create_img", "configure", "setup_shared_vol",
+                      "setup_network")
 
 # Measured virtualization cost: two virtualization layers lose about 9% of
 # compute throughput, roughly independent of core count.
@@ -162,23 +169,11 @@ def sim_compute(work: float, cores: int, cpu_rate: float,
 
 
 @dataclass(frozen=True)
-class VmSpec:
-    cluster_name: str
-    node_index: int
-    vcpus: int
-    ram_mb: int
-    network_solution: NetworkSolution
-    storage_solution: str
-    image_id: str | None = None
-
-
-@dataclass(frozen=True)
 class NodeRef:
     """Backend-side handle for one provisioned node."""
 
     host_id: str
     node_index: int
-    cluster_name: str
 
 
 @dataclass
@@ -206,15 +201,12 @@ class Backend(abc.ABC):
         self.system = system
         self.cfg = cfg
         self.log = EventLog()
-        self.stage = "backend"
+        self.stage = "backend"  # the pipeline stage its events are logged under
         self._faults: list[FaultRule] = []
         self.staged_volume = Chain()  # the data volume the app starts from
         self.progress_base = 0.0  # the progress that volume holds
 
     # -- bookkeeping ------------------------------------------------------
-
-    def set_stage(self, stage: str) -> None:
-        self.stage = stage
 
     def inject_fault(self, action: str, host: str | None = None,
                      error: str = "injected fault", at_time: float | None = None,
@@ -261,12 +253,13 @@ class Backend(abc.ABC):
 
     # -- data staging -------------------------------------------------------
 
-    def stage_volume(self, content: Chain | bytes) -> None:
-        """Place the data volume on the system before the cluster comes up."""
-        self.staged_volume = Chain.of(content)
+    def stage_volume(self, content: Chain | bytes, progress: float = 0.0) -> None:
+        """Place the data volume on the system before the cluster comes up.
 
-    def set_progress_base(self, progress: float) -> None:
-        """Restore point: future progress accrues on top of this marker."""
+        `progress` is the progress that volume holds: the app's work accrues
+        on top of it.
+        """
+        self.staged_volume = Chain.of(content)
         self.progress_base = progress
 
     # -- clock ------------------------------------------------------------
@@ -311,13 +304,13 @@ class Backend(abc.ABC):
         """Release everything this backend holds; it is not used afterwards."""
 
     @abc.abstractmethod
-    def provision(self, host: str, spec: VmSpec) -> NodeRef: ...
+    def provision(self, host: str, index: int) -> NodeRef: ...
 
     @abc.abstractmethod
     def start_all(self, refs: list[NodeRef]) -> None: ...
 
     @abc.abstractmethod
-    def exec(self, ref: NodeRef, argv: list[str]) -> dict: ...
+    def exec(self, ref: NodeRef, argv: list[str]) -> None: ...
 
     @abc.abstractmethod
     def progress(self, ref: NodeRef) -> float: ...
@@ -337,13 +330,6 @@ class Backend(abc.ABC):
     def stop(self, ref: NodeRef) -> None: ...
 
     @abc.abstractmethod
-    def put_volume(self, ref: NodeRef, content: bytes) -> None: ...
-
-    @abc.abstractmethod
     def fetch_volume(self, ref: NodeRef) -> Chain:
         """The data volume as the app has left it, as a chain that extends
         the staged one wherever the app only appended to it."""
-
-    @abc.abstractmethod
-    def io_seconds(self, op: str, nbytes: int) -> float:
-        """Modeled duration of application I/O through this backend's storage."""

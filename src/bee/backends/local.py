@@ -18,11 +18,11 @@ from bee.storage import Chain, StoragePlan
 from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet
 from bee.backends.base import (
+    VM_PROVISION_STEPS,
     Backend,
     NodeFailure,
     NodeRef,
     SimConfig,
-    VmSpec,
     compute_rate,
 )
 
@@ -69,16 +69,14 @@ class LocalProcessBackend(Backend):
         assert self.fleet is not None
         return self.fleet.client(ref.node_index)
 
-    def provision(self, host: str, spec: VmSpec) -> NodeRef:
+    def provision(self, host: str, index: int) -> NodeRef:
         assert self.fleet is not None
         self._op("create_vm", host)
-        self.fleet.spawn_node(spec.node_index)
-        for action in ("create_vm", "create_img", "configure", "setup_shared_vol",
-                       "setup_network", "register_vm"):
-            self.log.append(self.now(), action, host, stage=self.stage,
-                            index=spec.node_index)
-        ref = NodeRef(host_id=host, node_index=spec.node_index, cluster_name=spec.cluster_name)
-        self._refs[spec.node_index] = ref
+        self.fleet.spawn_node(index)
+        for action in (*VM_PROVISION_STEPS, "register_vm"):
+            self.log.append(self.now(), action, host, stage=self.stage, index=index)
+        ref = NodeRef(host_id=host, node_index=index)
+        self._refs[index] = ref
         return ref
 
     def start_all(self, refs: list[NodeRef]) -> None:
@@ -90,7 +88,7 @@ class LocalProcessBackend(Backend):
             self.log.append(self.now(), "start_vm", ref.host_id, stage=self.stage,
                             index=ref.node_index)
 
-    def exec(self, ref: NodeRef, argv: list[str]) -> dict:
+    def exec(self, ref: NodeRef, argv: list[str]) -> None:
         verb = argv[0] if argv else ""
         self._op(verb, ref.host_id)
         if verb == "app_start":
@@ -98,7 +96,6 @@ class LocalProcessBackend(Backend):
         else:
             self._client(ref).call(cmd="exec", argv=argv)
         self.log.append(self.now(), verb or "exec", ref.host_id, stage=self.stage)
-        return {"ok": True, "host": ref.host_id, "argv": argv, "t": self.now()}
 
     def _start_app(self, ref: NodeRef, entry: list[str]) -> None:
         assert self._app is not None and self._hardware is not None
@@ -138,11 +135,6 @@ class LocalProcessBackend(Backend):
             # the last node of the cluster: reap every agent process at once
             self.fleet.stop()
 
-    def put_volume(self, ref: NodeRef, content: bytes) -> None:
-        self._client(ref).call(cmd="put_volume", data_b64=base64.b64encode(content).decode())
-        self.log.append(self.now(), "put_volume", ref.host_id, stage=self.stage,
-                        nbytes=len(content))
-
     def fetch_volume(self, ref: NodeRef) -> Chain:
         """The agent's volume, checked once against the staged chain.
 
@@ -159,10 +151,6 @@ class LocalProcessBackend(Backend):
                 return Chain(data)
             offset += len(part)
         return self.staged_volume + data[offset:]
-
-    def io_seconds(self, op: str, nbytes: int) -> float:
-        # the toy work loop performs no separate I/O phase
-        return 0.0
 
     def abort_cluster(self) -> None:
         self._refs.clear()

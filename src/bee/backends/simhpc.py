@@ -3,40 +3,28 @@
 sim-hpc models a VM-per-host HPC deployment; the cloud kinds differ only in
 their row of the capability table.  Everything runs on a logical clock:
 provisioning steps, image pulls, the app's per-slot I/O phase, and compute
-progress.  Identical seeds give byte-identical event logs.
+progress.  Identical seeds give byte-identical event logs.  The app's progress
+is a `bee.workload.AppRun` read at the logical clock, the model each relay
+agent of the local backend runs on its own clock; `io_seconds` sizes its I/O
+phase from the storage plan.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from bee.model import MB, WORK_QUANTUM, AppSpec, ComputeSystem, HardwareConfig, StorageSolution
 from bee.storage import Chain, StoragePlan, model_io
-from bee.workload import append_output, progress_at
+from bee.workload import AppRun, append_output
 from bee.backends.base import (
+    VM_PROVISION_STEPS,
     Backend,
     NodeFailure,
     NodeRef,
     SimConfig,
-    VmSpec,
     compute_rate,
 )
-
-VM_PROVISION_STEPS = ("create_vm", "create_img", "configure", "setup_shared_vol",
-                      "setup_network")
-
-
-@dataclass
-class _AppRun:
-    rate: float = 0.0
-    work_total: float = 0.0
-    io_duration: float = 0.0
-    started_at: float | None = None
-    paused_at: float | None = None
-    paused_total: float = 0.0
-    running: bool = False
 
 
 class SimHpcBackend(Backend):
@@ -48,7 +36,7 @@ class SimHpcBackend(Backend):
         self._t = 0.0
         self._rng = random.Random((cfg.seed, system.id, self.name).__repr__())
         self._nodes: dict[int, NodeRef] = {}
-        self._app = _AppRun()
+        self._app = AppRun()
         self._app_name = ""
         self._plan: StoragePlan | None = None
         self._hardware: HardwareConfig | None = None
@@ -110,24 +98,23 @@ class SimHpcBackend(Backend):
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,
                       plan: StoragePlan) -> None:
         self._nodes.clear()
-        self._app = _AppRun()
+        self._app = AppRun()
         self._plan = plan
         self._hardware = hardware
         self._spec = app
         self._app_name = app.name
 
-    def provision(self, host: str, spec: VmSpec) -> NodeRef:
+    def provision(self, host: str, index: int) -> NodeRef:
         if self.capability().has_vm_layer:
             for action in VM_PROVISION_STEPS:
                 self._step(action, host, self._jittered(self.cfg.provision_step_seconds),
-                           index=spec.node_index)
-            self._step("register_vm", host, 0.0, index=spec.node_index)
+                           index=index)
+            self._step("register_vm", host, 0.0, index=index)
         else:
             self._step("register_agent", host, self._jittered(self.cfg.provision_step_seconds),
-                       index=spec.node_index)
-        ref = NodeRef(host_id=host, node_index=spec.node_index,
-                      cluster_name=spec.cluster_name)
-        self._nodes[spec.node_index] = ref
+                       index=index)
+        ref = NodeRef(host_id=host, node_index=index)
+        self._nodes[index] = ref
         return ref
 
     def start_all(self, refs: list[NodeRef]) -> None:
@@ -143,7 +130,7 @@ class SimHpcBackend(Backend):
         if boots:
             self._t = max(t for t, _ in boots)
 
-    def exec(self, ref: NodeRef, argv: list[str]) -> dict:
+    def exec(self, ref: NodeRef, argv: list[str]) -> None:
         verb = argv[0] if argv else ""
         if verb == "img_pull":
             self._step("img_pull", ref.host_id,
@@ -157,7 +144,6 @@ class SimHpcBackend(Backend):
             self._start_app(ref)
         else:
             self._step(verb or "exec", ref.host_id, 0.0, argv=argv)
-        return {"ok": True, "host": ref.host_id, "argv": argv, "t": self._t}
 
     def _start_app(self, ref: NodeRef) -> None:
         assert self._spec is not None and self._hardware is not None
@@ -165,13 +151,13 @@ class SimHpcBackend(Backend):
         io = self._spec.io_profile
         io_time = self.io_seconds("read", io.read_bytes_per_slot) + \
             self.io_seconds("write", io.write_bytes_per_slot)
-        self._app = _AppRun(
+        self._app = AppRun(
             rate=compute_rate(self._spec, self._hardware, self.system,
                               self.capability().cpu_overhead_fraction),
             work_total=self._spec.work_total,
-            io_duration=io_time,
+            base=self.progress_base,
+            io_seconds=io_time,
             started_at=self._t,
-            running=True,
         )
 
     def io_seconds(self, op: str, nbytes: int) -> float:
@@ -192,24 +178,13 @@ class SimHpcBackend(Backend):
 
     # -- app state -------------------------------------------------------------
 
-    def _active_seconds(self) -> float:
-        run = self._app
-        if run.started_at is None:
-            return 0.0
-        end = run.paused_at if run.paused_at is not None else self._t
-        busy = end - run.started_at - run.paused_total
-        return max(0.0, busy - run.io_duration)
-
     def progress(self, ref: NodeRef) -> float:
         rule = self._due_fault("run", ref.host_id)
         if rule is not None:
             self.log.append(self._t, "node_failure", ref.host_id, stage=self.stage,
                             ok=False, cause=rule.error)
             raise NodeFailure(ref.host_id, "run", rule.error)
-        run = self._app
-        gained = progress_at(run.rate, self._active_seconds(),
-                             max(0.0, run.work_total - self.progress_base))
-        return min(run.work_total, self.progress_base + gained)
+        return self._app.progress(self._t)
 
     def quiet_until(self, ref: NodeRef) -> float:
         """Strict lower bound on the next clock reading where progress() changes outcome.
@@ -222,43 +197,32 @@ class SimHpcBackend(Backend):
         rule = self._pending_timed_fault("run", ref.host_id)
         fault_at = rule.at_time if rule is not None else math.inf
         run = self._app
-        remaining = run.work_total - self.progress_base - WORK_QUANTUM
+        remaining = run.work_total - run.base - WORK_QUANTUM
         if remaining <= 0:
             return -math.inf
         if run.started_at is None or run.rate <= 0:
             return fault_at
-        done = run.started_at + run.paused_total + run.io_duration + remaining / run.rate
+        done = run.started_at + run.paused_total + run.io_seconds + remaining / run.rate
         done -= 1e-9 * abs(done)
         if run.paused_at is not None and run.paused_at < done:
             done = math.inf  # frozen short of the target until resumed
         return min(fault_at, done)
 
     def pause(self, ref: NodeRef) -> None:
-        run = self._app
-        if run.running and run.paused_at is None:
-            run.paused_at = self._t
+        # the first node's call pauses the app; there is none after the last stop
+        if self._nodes and self._app.pause(self._t):
             self.log.append(self._t, "pause", ref.host_id, stage=self.stage)
 
     def resume(self, ref: NodeRef) -> None:
-        run = self._app
-        if run.paused_at is not None:
-            run.paused_total += self._t - run.paused_at
-            run.paused_at = None
+        if self._app.resume(self._t):
             self.log.append(self._t, "resume", ref.host_id, stage=self.stage)
 
     def stop(self, ref: NodeRef) -> None:
         self._nodes.pop(ref.node_index, None)
         self.log.append(self._t, "stop", ref.host_id, stage=self.stage,
                         index=ref.node_index)
-        if not self._nodes:
-            self._app.running = False
 
     # -- volume ------------------------------------------------------------------
-
-    def put_volume(self, ref: NodeRef, content: bytes) -> None:
-        self.stage_volume(content)
-        self.log.append(self._t, "put_volume", ref.host_id, stage=self.stage,
-                        nbytes=len(content))
 
     def fetch_volume(self, ref: NodeRef) -> Chain:
         content = append_output(self._app_name, self.staged_volume,

@@ -22,7 +22,7 @@ from bee.model import (
 )
 from bee.netvirt.topology import Topology, build_topology
 from bee.storage import StoragePlan
-from bee.backends.base import Backend, BackendOpError, NodeRef, VmSpec
+from bee.backends.base import Backend, BackendOpError, NodeRef
 
 STAGE_NUMBER = {"cluster_init": 1, "vm_layer": 2, "docker_layer": 3, "app_start": 4}
 
@@ -154,7 +154,7 @@ def build_image(recipe: ImageRecipe, backend: Backend) -> str:
     if problems:
         raise ClusterError("invalid image recipe: " + "; ".join(problems))
     previous_stage = backend.stage
-    backend.set_stage("image_build")
+    backend.stage = "image_build"
     for step in recipe.steps:
         backend.charge(backend.cfg.image_step_seconds, f"image_step:{step.kind.value}",
                        "builder")
@@ -163,7 +163,7 @@ def build_image(recipe: ImageRecipe, backend: Backend) -> str:
                            stage="image_build", deferred_to_boot=True)
     image_id = "img-" + recipe_digest(recipe)[:16]
     backend.charge(0.0, "image_ready", "builder")
-    backend.set_stage(previous_stage)
+    backend.stage = previous_stage
     return image_id
 
 
@@ -283,7 +283,7 @@ def _vnic_addr(index: int) -> str:
 
 def deploy_cluster(hosts: Sequence[Host | str], app: AppSpec, cname: str,
                    hardware: HardwareConfig, backend: Backend, *,
-                   image_id: str | None = None, parallelism: int | None = None,
+                   parallelism: int | None = None,
                    registry: PortRegistry | None = None) -> Cluster:
     """Deploy the full stack on the given hosts and start the application.
 
@@ -307,7 +307,7 @@ def deploy_cluster(hosts: Sequence[Host | str], app: AppSpec, cname: str,
 
     try:
         _run_stages(cluster, host_ids, app, cname, hardware, backend, cap,
-                    image_id, parallelism, overlay)
+                    parallelism, overlay)
     except BackendOpError as exc:
         stage = backend.stage
         _teardown(cluster, backend)
@@ -322,10 +322,10 @@ def deploy_cluster(hosts: Sequence[Host | str], app: AppSpec, cname: str,
 
 
 def _run_stages(cluster: Cluster, host_ids: list[str], app: AppSpec, cname: str,
-                hardware: HardwareConfig, backend: Backend, cap, image_id,
+                hardware: HardwareConfig, backend: Backend, cap,
                 parallelism, overlay: bool) -> None:
     # stage 1: cluster init
-    backend.set_stage("cluster_init")
+    backend.stage = "cluster_init"
     backend.charge(0.0, "create_cluster", cname)
     for host in host_ids:
         backend.charge(0.0, "register_host", host)
@@ -335,25 +335,17 @@ def _run_stages(cluster: Cluster, host_ids: list[str], app: AppSpec, cname: str,
         raise DeploymentError("cluster_init", host_ids[0],
                               f"backend cannot wire {hardware.network_solution.value}")
 
-    vm_ids: dict[int, str | None] = {}
-    ports: dict[int, int | None] = {}
-
-    def make_spec(index: int, img: str | None) -> VmSpec:
-        return VmSpec(cluster_name=cname, node_index=index, vcpus=hardware.vcpus,
-                      ram_mb=hardware.ram_mb,
-                      network_solution=hardware.network_solution,
-                      storage_solution=hardware.storage_solution.value,
-                      image_id=img)
+    vm_ids: dict[int, str] = {}
+    ports: dict[int, int] = {}
 
     # stage 2: VM layer (skipped entirely when the backend has no VM layer)
     if cap.has_vm_layer:
-        backend.set_stage("vm_layer")
-        if image_id is None:
-            image_id = build_image(default_recipe(), backend)
+        backend.stage = "vm_layer"
+        build_image(default_recipe(), backend)
 
         def provision_one(item: tuple[int, str]) -> NodeRef:
             index, host = item
-            ref = backend.provision(host, make_spec(index, image_id))
+            ref = backend.provision(host, index)
             vm_ids[index] = f"vm-{cname}-{index}"
             port = cluster.registry.allocate(host, hardware.ssh_base_port)
             cluster.ports.append((host, port))
@@ -365,20 +357,12 @@ def _run_stages(cluster: Cluster, host_ids: list[str], app: AppSpec, cname: str,
         backend.start_all(cluster.refs)
         cluster.status = ClusterStatus.VM_LAYER_UP
     else:
-        backend.set_stage("docker_layer")
-
-        def register_one(item: tuple[int, str]) -> NodeRef:
-            index, host = item
-            ref = backend.provision(host, make_spec(index, image_id))
-            vm_ids[index] = None
-            ports[index] = None
-            return ref
-
-        cluster.refs = backend.parallel_map(register_one, list(enumerate(host_ids)),
-                                            parallelism)
+        backend.stage = "docker_layer"
+        cluster.refs = backend.parallel_map(lambda item: backend.provision(item[1], item[0]),
+                                            list(enumerate(host_ids)), parallelism)
 
     # stage 3: container layer
-    backend.set_stage("docker_layer")
+    backend.stage = "docker_layer"
     source = app.container_source
 
     def docker_one(ref: NodeRef) -> None:
@@ -394,7 +378,7 @@ def _run_stages(cluster: Cluster, host_ids: list[str], app: AppSpec, cname: str,
     cluster.status = ClusterStatus.DOCKER_LAYER_UP
 
     # stage 4: application start on the master node
-    backend.set_stage("app_start")
+    backend.stage = "app_start"
     backend.exec(cluster.refs[0], ["app_start", *app.entry_command])
     cluster.status = ClusterStatus.APP_RUNNING
 
@@ -412,7 +396,7 @@ def _run_stages(cluster: Cluster, host_ids: list[str], app: AppSpec, cname: str,
 
 
 def _teardown(cluster: Cluster, backend: Backend) -> None:
-    backend.set_stage("teardown")
+    backend.stage = "teardown"
     cluster._release()
     backend.abort_cluster()
     backend.charge(0.0, "teardown_complete", cluster.name)

@@ -3,6 +3,8 @@
 One agent per node.  Data frames travel only along topology edges; relays
 forward frame-by-frame and pass the destination's acknowledgement back along
 the chain, so a sender learns the arrival hop count or which relay broke.
+The destination acknowledges a frame and keeps no copy of its payload; an
+agent only counts the frames it receives from each peer.
 Multicast is realized by a hub process that copies every frame to all agents
 except the sender.  A send enters at its source agent as a hop-0 frame on a
 link whose hello is ORIGIN_ID (`send`); the control plane carries no payloads.
@@ -13,7 +15,9 @@ that arrives from the hub is delivered or dropped, never forwarded.  The
 module imports only the standard library and `bee.workload`, so an agent
 process can start with `python -S`; the fleet starts it with `-c` calling
 `main()` (`bee.netvirt.fleet.agent_command`), which spares it `-m`'s
-`runpy`.  Before it reports its ports it loads no more than it serves with:
+`runpy`.  The toy app's progress is a `bee.workload.AppRun` on the agent's
+monotonic clock, the model the simulator runs on its logical one.  Before it
+reports its ports it loads no more than it serves with:
 `main` parses its options by hand rather than with argparse, and `base64`
 (volume staging) and `hashlib` (volume output, through `bee.workload`) load
 on the first control command that needs them.
@@ -42,7 +46,7 @@ import sys
 import threading
 import time
 
-from bee.workload import MAX_WORK, append_output, progress_at
+from bee.workload import MAX_WORK, AppRun, append_output
 
 FRAME_HEADER = struct.Struct(">IHHH")
 RESPONSE = struct.Struct(">HH")
@@ -109,28 +113,6 @@ def _app_numbers(req: dict) -> tuple[float, float, float]:
         if not 0.0 <= value <= high:
             raise ValueError(f"{field}: expected 0 to {high:g}, got {value:g}")
     return rate, work_total, base
-
-
-class _WorkState:
-    def __init__(self) -> None:
-        self.app_name = ""
-        self.rate = 0.0
-        self.work_total = 0.0
-        self.base = 0.0
-        self.started_at: float | None = None
-        self.paused_at: float | None = None
-        self.paused_total = 0.0
-        self.volume = b""
-
-    def active_seconds(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        end = self.paused_at if self.paused_at is not None else time.monotonic()
-        return max(0.0, end - self.started_at - self.paused_total)
-
-    def progress(self) -> float:
-        remaining = max(0.0, self.work_total - self.base)
-        return self.base + progress_at(self.rate, self.active_seconds(), remaining)
 
 
 class PeerLink:
@@ -219,10 +201,11 @@ class Agent:
         self.next_hop: dict[int, int] = {}
         self.links: dict[int, PeerLink] = {}
         self.links_lock = threading.Lock()
-        self.inbox: list[dict] = []
         self.received: dict[str, int] = {}
         self.counts_lock = threading.Lock()
-        self.work = _WorkState()
+        self.app_name = ""
+        self.app = AppRun()
+        self.volume = b""
         self.tags: dict[str, str] = {}
         self.stopping = threading.Event()
         self._accepted: set[socket.socket] = set()
@@ -259,11 +242,6 @@ class Agent:
             return self._link_to(nxt).request(frame)
         except ConnectionError:
             return STATUS_RELAY_FAILED, nxt
-
-    def _deliver(self, src: int, hop: int, payload: bytes) -> None:
-        with self.counts_lock:
-            self.inbox.append({"src": src, "hop_count": hop,
-                               "payload_hex": payload.hex()})
 
     def _count(self, from_peer: int) -> None:
         key = "hub" if from_peer == HUB_ID else str(from_peer)
@@ -305,11 +283,9 @@ class Agent:
                       payload: bytes) -> tuple[int, int]:
         if peer_id != ORIGIN_ID:  # the node's own sends are not received from a peer
             self._count(peer_id)
-        if dst == self.node_id:
-            self._deliver(src, hop, payload)
-            return STATUS_OK, hop
-        if peer_id == HUB_ID:
-            # the hub shows every node every frame; only the addressee keeps it
+        if dst == self.node_id or peer_id == HUB_ID:
+            # delivered, or seen: the hub shows every node every frame and
+            # passes on only the addressee's answer
             return STATUS_OK, hop
         nxt = self.next_hop.get(dst)
         if nxt is None:
@@ -380,15 +356,12 @@ class Agent:
             self.configure(*_wiring(req.get("addrs", {}), req.get("hub"),
                                     req.get("next_hop", {})))
             return {"ok": True}
-        if cmd == "recv":
-            with self.counts_lock:
-                messages, self.inbox = self.inbox, []
-            return {"ok": True, "messages": messages}
         if cmd == "status":
             with self.counts_lock:
                 received = dict(self.received)
-            return {"ok": True, "node": self.node_id, "progress": self.work.progress(),
-                    "paused": self.work.paused_at is not None, "tags": dict(self.tags),
+            return {"ok": True, "node": self.node_id,
+                    "progress": self.app.progress(time.monotonic()),
+                    "paused": self.app.paused_at is not None, "tags": dict(self.tags),
                     "received": received}
         if cmd == "exec":
             argv = req.get("argv", [])
@@ -402,29 +375,25 @@ class Agent:
                 rate, work_total, base = _app_numbers(req)
             except ValueError as exc:
                 return {"ok": False, "error": str(exc)}
-            self.work.app_name = req.get("name", "")
-            self.work.rate, self.work.work_total, self.work.base = rate, work_total, base
-            self.work.started_at = time.monotonic()
+            self.app_name = req.get("name", "")
+            self.app = AppRun(rate, work_total, base, started_at=time.monotonic())
             return {"ok": True}
         if cmd == "pause":
-            if self.work.paused_at is None:
-                self.work.paused_at = time.monotonic()
+            self.app.pause(time.monotonic())
             return {"ok": True}
         if cmd == "resume":
-            if self.work.paused_at is not None:
-                self.work.paused_total += time.monotonic() - self.work.paused_at
-                self.work.paused_at = None
+            self.app.resume(time.monotonic())
             return {"ok": True}
         if cmd == "put_volume":
             import base64
 
-            self.work.volume = base64.b64decode(req.get("data_b64", ""))
-            return {"ok": True, "nbytes": len(self.work.volume)}
+            self.volume = base64.b64decode(req.get("data_b64", ""))
+            return {"ok": True, "nbytes": len(self.volume)}
         if cmd == "fetch_volume":
             import base64
 
-            content = append_output(self.work.app_name, self.work.volume,
-                                    self.work.base, self.work.progress())
+            content = append_output(self.app_name, self.volume, self.app.base,
+                                    self.app.progress(time.monotonic()))
             return {"ok": True, "data_b64": base64.b64encode(content).decode()}
         if cmd == "stop":
             return {"ok": True}  # the control connection closes the agent after replying

@@ -356,7 +356,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                     break
             # every exit from the slot releases the backend's agents and temp dirs
             with closing(backend_factory(system)) as backend:
-                backend.set_stage("data")
+                backend.stage = "data"
                 state = replace(state, phase=Phase.MIGRATING if state.need_migration
                                 else Phase.DEPLOYING, current_system=system.id)
                 status.state(state)
@@ -379,8 +379,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 except MigrationError:
                     state = replace(state, phase=Phase.FAILED, current_system=None)
                     return finish(Outcome.FAILED, None)
-                backend.stage_volume(content)
-                backend.set_progress_base(state.progress)
+                backend.stage_volume(content, state.progress)
 
                 # deploy the virtual cluster; a slot that fails at any step below,
                 # before the app ran or while it ran, ends at the one exit after it

@@ -102,6 +102,50 @@ def progress_at(rate: float, active_seconds: float, work_total: float) -> float:
     return min(total, quantize_work(rate * active_seconds))
 
 
+class AppRun:
+    """The app's progress clock, on whatever clock the caller reads.
+
+    Work accrues at `rate` units/s from `started_at` (None: not started), on
+    top of `base`, except while paused and during the first `io_seconds` of
+    unpaused time.  It stops at quantize_work(work_total).
+    """
+
+    __slots__ = ("rate", "work_total", "base", "io_seconds", "started_at", "paused_at",
+                 "paused_total")
+
+    def __init__(self, rate: float = 0.0, work_total: float = 0.0, base: float = 0.0,
+                 io_seconds: float = 0.0, started_at: float | None = None):
+        self.rate = rate
+        self.work_total = work_total
+        self.base = base
+        self.io_seconds = io_seconds
+        self.started_at = started_at
+        self.paused_at: float | None = None
+        self.paused_total = 0.0
+
+    def pause(self, now: float) -> bool:
+        """Freeze progress at `now`; False if not started or already paused."""
+        if self.started_at is None or self.paused_at is not None:
+            return False
+        self.paused_at = now
+        return True
+
+    def resume(self, now: float) -> bool:
+        """Let progress accrue again from `now`; False if not paused."""
+        if self.paused_at is None:
+            return False
+        self.paused_total += now - self.paused_at
+        self.paused_at = None
+        return True
+
+    def progress(self, now: float) -> float:
+        if self.started_at is None:
+            return self.base
+        end = now if self.paused_at is None else self.paused_at
+        active = end - self.started_at - self.paused_total - self.io_seconds
+        return self.base + progress_at(self.rate, active, max(0.0, self.work_total - self.base))
+
+
 def make_input_bytes(seed: int, name: str, size: int = 65536) -> bytes:
     """Seeded pseudo-random input data, stable across runs.
 

@@ -81,6 +81,23 @@ class _Overlay:
         self.agents, self.hub = _spawn_agents(kind, n)
         self.clients = {}
         self.origins = {}
+        self._delivered = {a.node_id: [] for a in self.agents}
+        for a in self.agents:
+            a._handle_frame = self._spy(a)
+
+    def _spy(self, agent):
+        """agent._handle_frame, recording each frame addressed to the agent."""
+        handle, seen = agent._handle_frame, self._delivered[agent.node_id]
+
+        def handle_frame(peer_id, src, dst, hop, payload):
+            if dst == agent.node_id:
+                seen.append((src, hop, payload))
+            return handle(peer_id, src, dst, hop, payload)
+        return handle_frame
+
+    def delivered(self, i) -> list:
+        """(src, hop count, payload) of each frame delivered to agent i, in order."""
+        return self._delivered[i]
 
     def client(self, i) -> AgentClient:
         if i not in self.clients:
@@ -126,8 +143,7 @@ class TestDelivery:
     def test_star_hop_count_through_center(self, overlay):
         o = overlay(STAR, 4)
         assert o.send(1, 3, b"m") == 2
-        msgs = o.client(3).call(cmd="recv")["messages"]
-        assert msgs == [{"src": 1, "hop_count": 2, "payload_hex": b"m".hex()}]
+        assert o.delivered(3) == [(1, 2, b"m")]
 
     def test_center_adjacent_single_hop(self, overlay):
         o = overlay(STAR, 4)
@@ -140,21 +156,20 @@ class TestDelivery:
     def test_send_to_self_is_local(self, overlay):
         o = overlay(TREE, 3)
         assert o.send(1, 1, b"m") == 0
-        assert o.client(1).call(cmd="recv")["messages"][0]["hop_count"] == 0
+        assert o.delivered(1)[0][1] == 0
 
     def test_multicast_everyone_sees_frame_dst_keeps_it(self, overlay):
         o = overlay(MCAST, 4)
         assert o.send(1, 2, b"m") == 1
-        assert o.client(2).call(cmd="recv")["messages"][0]["src"] == 1
-        assert o.client(3).call(cmd="recv")["messages"] == []
+        assert o.delivered(2)[0][0] == 1
+        assert o.delivered(3) == []
         assert o.received(3) == {"hub": 1}
 
     def test_per_pair_fifo_on_connection_chain(self, overlay):
         o = overlay(STAR, 4)
         for i in range(20):
             o.send(1, 3, bytes([i]))
-        msgs = o.client(3).call(cmd="recv")["messages"]
-        assert [bytes.fromhex(m["payload_hex"])[0] for m in msgs] == list(range(20))
+        assert [payload[0] for _, _, payload in o.delivered(3)] == list(range(20))
 
 
 class TestFaults:
@@ -224,8 +239,7 @@ class TestUnroutable:
         assert sock is not None
         assert o.send(0, 2, b"kept") == 1
         assert o.origins[0].sock is sock
-        assert o.client(2).call(cmd="recv")["messages"] == [
-            {"src": 0, "hop_count": 1, "payload_hex": b"kept".hex()}]
+        assert o.delivered(2) == [(0, 1, b"kept")]
 
     def test_relayed_frame_without_next_hop_is_answered_and_link_stays(self, overlay):
         import socket
@@ -237,8 +251,7 @@ class TestUnroutable:
             assert RESPONSE.unpack(_recv_exact(s, 4)) == (STATUS_RELAY_FAILED, 99)
             s.sendall(pack_frame(0, 1, 1, b"kept"))
             assert RESPONSE.unpack(_recv_exact(s, 4)) == (STATUS_OK, 1)
-        assert o.client(1).call(cmd="recv")["messages"] == [
-            {"src": 0, "hop_count": 1, "payload_hex": b"kept".hex()}]
+        assert o.delivered(1) == [(0, 1, b"kept")]
 
 
 class TestOriginLink:
@@ -262,9 +275,7 @@ class TestOriginLink:
         time.sleep(0.8)  # the agents close idle frame connections after SOCKET_TIMEOUT
         assert o.send(1, 2, b"second") == 2
         assert o.origins[1].sock is not first
-        assert o.client(2).call(cmd="recv")["messages"] == [
-            {"src": 1, "hop_count": 2, "payload_hex": b"first".hex()},
-            {"src": 1, "hop_count": 2, "payload_hex": b"second".hex()}]
+        assert o.delivered(2) == [(1, 2, b"first"), (1, 2, b"second")]
         # origin frames are the node's own sends: only relayed frames are counted
         assert [o.received(i) for i in range(3)] == [{"1": 2}, {}, {"0": 2}]
 

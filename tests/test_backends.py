@@ -8,15 +8,14 @@ from bee.netvirt.topology import build_topology, cost_of_trace
 from bee.backends import BACKEND_KINDS, SimConfig, make_backend
 from bee.backends.base import (
     CAPABILITIES,
+    VM_PROVISION_STEPS,
     BackendCapability,
     BackendOpError,
     NodeRef,
-    VmSpec,
     sim_compute,
 )
 from bee.backends.local import LocalProcessBackend
 from bee.backends.scaling import generate_trace, replay_scaling
-from bee.backends.simhpc import VM_PROVISION_STEPS
 from bee.cluster import deploy_cluster, make_storage_plan
 from conftest import make_app, make_hardware, make_system
 
@@ -123,15 +122,11 @@ SITE_ARGV = {"img_pull": ["img_pull", "demo:1"], "img_build": ["img_build", "Doc
 
 
 def _bring_up(backend, hosts):
-    """Begin a cluster on `hosts`; returns the VmSpec of each host's node."""
+    """Begin a cluster on `hosts`."""
     app = make_app(process_count=len(hosts))
     hardware = make_hardware()
     backend.begin_cluster("c1", app, hardware, make_storage_plan(
         hardware, backend.system, backend, backend.cfg.nfs_cap))
-    return [VmSpec(cluster_name="c1", node_index=i, vcpus=1, ram_mb=1024,
-                   network_solution=hardware.network_solution,
-                   storage_solution=hardware.storage_solution.value)
-            for i in range(len(hosts))]
 
 
 def _assert_one_failed_event(backend, err, host, action, stage, extras):
@@ -146,12 +141,12 @@ def _assert_one_failed_event(backend, err, host, action, stage, extras):
 def test_sim_fault_site_raises_and_logs_once(kind, action, extras):
     system = make_system("f", n_hosts=2)
     backend = make_backend(system, SimConfig(backend=kind, seed=1))
-    specs = _bring_up(backend, system.hosts)
-    backend.set_stage("vm_layer")
+    _bring_up(backend, system.hosts)
+    backend.stage = "vm_layer"
     host = system.hosts[1].id
     backend.inject_fault(action, host=host, error="boom")
     with pytest.raises(BackendOpError) as err:
-        refs = [backend.provision(h.id, spec) for h, spec in zip(system.hosts, specs)]
+        refs = [backend.provision(h.id, i) for i, h in enumerate(system.hosts)]
         if action == "start_vm":
             backend.start_all(refs)
         backend.exec(refs[1], SITE_ARGV[action])
@@ -163,16 +158,15 @@ def test_local_fault_site_raises_and_logs_once(action, tmp_path):
     system = make_system("f", n_hosts=1)
     with closing(LocalProcessBackend(system, SimConfig(backend="local"),
                                      workdir=tmp_path)) as backend:
-        [spec] = _bring_up(backend, system.hosts)
-        backend.set_stage("docker_layer")
+        _bring_up(backend, system.hosts)
+        backend.stage = "docker_layer"
         host = system.hosts[0].id
         backend.inject_fault(action, host=host, error="boom")
         with pytest.raises(BackendOpError) as err:
             if action == "create_vm":
-                backend.provision(host, spec)
+                backend.provision(host, 0)
             else:
-                backend.exec(NodeRef(host_id=host, node_index=0, cluster_name="c1"),
-                             [action])
+                backend.exec(NodeRef(host_id=host, node_index=0), [action])
         _assert_one_failed_event(backend, err, host, action, "docker_layer", {})
 
 

@@ -188,7 +188,7 @@ def test_fetched_volume_is_checked_once_against_the_staged_chain(tmp_path):
     store.volumes.create("v", staged)
     fetched = []
     for seq in (1, 2, 3):
-        content = backend.fetch_volume(NodeRef("sys0-h0", 0, "c"))
+        content = backend.fetch_volume(NodeRef("sys0-h0", 0))
         assert bytes(content) == delivered.pop(0)
         digest = running.hexdigest(content)
         assert digest == hashlib.sha256(bytes(content)).hexdigest()

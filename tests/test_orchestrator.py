@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bee.model import MB, WORK_QUANTUM, DataVolume, quantize_work
 from bee.storage import (Chain, RunningDigest, StorageError, VolumeStore, append_record,
                          read_log, sha256_hex)
-from bee.workload import JOIN_BLOCKS, append_output, make_input_bytes, volume_content
+from bee.workload import AppRun, JOIN_BLOCKS, append_output, make_input_bytes, volume_content
 from bee.cluster import Cluster, deploy_cluster
 from bee.backends.base import NodeFailure
 from bee.orchestrator import (
@@ -162,6 +162,19 @@ class TestRunWorkflow:
             content_len = 4096 + 32 * int(units)
             assert rec.slot_duration_used == pytest.approx(
                 95.0 + content_len / (500.0 * MB), abs=1e-9)
+
+    def test_off_lattice_work_total_completes_with_its_quantized_output(self, tmp_path):
+        # quantize_work rounds 0.7 of a quantum up: the app's last progress
+        # value is the lattice point the monitor waits for, not the raw total
+        work_total = 30.0 + 0.7 * WORK_QUANTUM
+        pool = make_pool(make_system("alpha", time_slot=100.0),
+                         make_system("beta", time_slot=100.0))
+        app = make_app(work_total=work_total, process_count=1)
+        result = run(pool, app, tmp_path)
+        assert result.outcome is Outcome.COMPLETED
+        assert [r.ended_by for r in result.history] == [SlotEnd.COMPLETION]
+        assert result.output_volume.content_digest == sha256_hex(volume_content(
+            app.name, make_input_bytes(7, app.name, 4096), quantize_work(work_total)))
 
     def test_pool_exhausted_persists_checkpoint(self, tmp_path):
         pool = make_pool(make_system("alpha", time_slot=50.0),
@@ -539,8 +552,7 @@ class TestMonitor:
             backend = make_backend(system, SimConfig(seed=3, **EXACT_CFG))
             app = make_app(work_total=work_total, process_count=1,
                            io_read=io_read, io_write=io_write)
-            backend.stage_volume(b"seed")
-            backend.set_progress_base(quantize_work(base_fraction * work_total))
+            backend.stage_volume(b"seed", quantize_work(base_fraction * work_total))
             cluster = deploy_cluster(system.hosts, app, "c1", make_hardware(), backend)
             backend.wait(lead)
             if pause != "none":
@@ -554,7 +566,7 @@ class TestMonitor:
         # gives the tick times and the app's run parameters.
         probe = twin(1.0)
         run_state = probe.backend._app
-        assert run_state.io_duration > 0
+        assert run_state.io_seconds > 0
         t0 = probe.backend.now()
         ticks = tick_times(t0, budget - guard, poll)
         if data.draw(st.booleans(), label="complete_near_tick"):
@@ -563,7 +575,7 @@ class TestMonitor:
             assume(base_fraction <= 0.9)
             tick = data.draw(st.sampled_from(ticks), label="tick")
             active = tick - run_state.started_at - run_state.paused_total - \
-                run_state.io_duration
+                run_state.io_seconds
             nudge = data.draw(st.floats(-1.0, 1.0), label="nudge") * WORK_QUANTUM
             work_total = run_state.rate * active / (1.0 - base_fraction) + nudge
             assume(work_total >= 1.0)
@@ -1228,6 +1240,40 @@ class TestOutputVolume:
             out.extend(hashlib.sha256(f"{seed}:{name}:{counter}".encode()).digest())
             counter += 1
         assert make_input_bytes(seed, name, size) == bytes(out[:size])
+
+
+class TestAppRun:
+    def test_pause_freezes_progress_until_resume(self):
+        run = AppRun(rate=1.0, work_total=100.0, started_at=0.0)
+        assert run.pause(10.0) is True
+        assert run.progress(50.0) == 10.0
+        assert run.resume(30.0) is True
+        assert run.progress(50.0) == 30.0
+        assert run.resume(40.0) is False
+
+    def test_a_second_pause_changes_nothing(self):
+        run = AppRun(rate=1.0, work_total=100.0, started_at=0.0)
+        assert run.pause(10.0) is True
+        assert run.pause(20.0) is False
+        assert run.paused_at == 10.0
+        run.resume(30.0)
+        assert run.progress(40.0) == 20.0
+
+    def test_io_seconds_delay_progress(self):
+        run = AppRun(rate=2.0, work_total=100.0, io_seconds=5.0, started_at=10.0)
+        assert run.progress(15.0) == 0.0
+        assert run.progress(20.0) == 10.0
+
+    def test_progress_before_start_is_the_base(self):
+        run = AppRun(rate=1.0, work_total=100.0, base=40.0)
+        assert run.progress(1e6) == 40.0
+        assert run.pause(5.0) is False
+
+    def test_progress_accrues_on_the_base_up_to_the_quantized_total(self):
+        work_total = 30.0 + 0.7 * WORK_QUANTUM
+        run = AppRun(rate=1.0, work_total=work_total, base=10.0, started_at=0.0)
+        assert run.progress(5.0) == 15.0
+        assert run.progress(1e6) == quantize_work(work_total) > work_total
 
 
 class TestCheckpointOps:

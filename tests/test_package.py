@@ -157,3 +157,25 @@ def test_no_module_imports_ctypes():
             if any(name.split(".")[0] == "ctypes" for name in names):
                 importers.add(module)
     assert not importers
+
+
+def _backend_calls(tree) -> set[str]:
+    """X of each call `backend.X(...)` or `self.backend.X(...)` in tree."""
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and owner.id == "backend" or \
+                    isinstance(owner, ast.Attribute) and owner.attr == "backend" and \
+                    isinstance(owner.value, ast.Name) and owner.value.id == "self":
+                called.add(node.func.attr)
+    return called
+
+
+def test_every_abstract_backend_method_is_called_by_the_pipeline():
+    from bee.backends.base import Backend
+
+    trees = dict(_package_trees())
+    called = _backend_calls(trees["bee/cluster.py"]) | \
+        _backend_calls(trees["bee/orchestrator.py"])
+    assert sorted(Backend.__abstractmethods__ - called) == []

@@ -125,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resume", help="resume a stalled run from a checkpoint")
     add_config_flags(p)
     add_run_flags(p)
-    p.add_argument("--checkpoint", required=True,
+    p.add_argument("--checkpoint",
                    help="checkpoint <store>/<run-id>/<seq> as `bee run` prints it, read "
-                   "from the run directory's log (no such directory need exist)")
+                   "from the run directory's log (no such directory need exist); by "
+                   "default the latest of the run `bee run` starts from these flags")
 
     p = sub.add_parser("status", help="show the persisted state of a run")
     p.add_argument("run_id")
@@ -258,7 +259,15 @@ def cmd_resume(args) -> int:
         _render_violations(args, violations)
         return EXIT_CONFIG
 
-    ckpt_path = Path(args.checkpoint)
+    if args.checkpoint is None:
+        run_id = derive_run_id(app, args.seed)
+        ckpt_path = CheckpointStore(args.store).latest(run_id)
+        if ckpt_path is None:
+            print(f"no checkpoint of run {run_id} in {args.store}: start it with `bee run`",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+    else:
+        ckpt_path = Path(args.checkpoint)
     ckpt, content = CheckpointStore(ckpt_path.parent.parent).load(ckpt_path)
     return _run_and_render(args, pool, app, hardware, resume_from=ckpt,
                            resume_content=content)

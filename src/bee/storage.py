@@ -561,7 +561,9 @@ class CheckpointStore:
         raises MigrationError.
         """
         path = Path(path)
-        doc = self._commits(path.parent).get(int(path.name)) if path.name.isdigit() else None
+        seq = path.name  # str.isdigit() also takes digits int() refuses, such as '²'
+        doc = self._commits(path.parent).get(int(seq)) \
+            if seq.isascii() and seq.isdigit() else None
         if doc is None:
             raise FileNotFoundError(f"no checkpoint is committed at {path}")
         m = _parse(path.parent / "log", _Commit, doc, "commit")

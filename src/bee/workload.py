@@ -4,18 +4,34 @@ The simulated app appends one 32-byte output block per completed work unit, so
 volume content is a pure function of (app name, initial bytes, progress).
 That is what makes a resumed run byte-identical to an uninterrupted one.
 
+Each block is an independent hash, so a long range of output blocks is
+hashed on every CPU at once (see `_slices`): a range of at least
+2 * PARALLEL_MIN_BLOCKS blocks, in a process that has one thread, on a
+platform with `fork` and `memfd_create`.  Forking with other threads alive
+could copy a lock that one of them holds, so relay agents, which always run
+threads, hash serially, as does every short range.  The bytes are the same
+either way.  Input bytes are always hashed serially: after a fork, the parent
+takes a write fault on each page it touches, and splitting an 8 MiB input
+raised a whole migrating run's CPU time by about a fifth on 2 CPUs.
+
 Relay agents run this model, so it imports nothing but the standard library,
 and `hashlib` only when it first hashes, so an agent starts without it.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from itertools import islice
 
 BLOCK_BYTES = 32
 # append_output joins this many blocks at a time, so the block objects alive
 # at once stay bounded however many units a slot completes
 JOIN_BLOCKS = 4096
+# a range is split across processes only into shares of at least this many
+# blocks: about 20 ms of hashing, against 1-2 ms to fork and reap a child
+PARALLEL_MIN_BLOCKS = 1 << 15
 
 # Progress/work arithmetic is quantized to this step so that slot-by-slot
 # progress deltas sum back to the total without floating-point residue.
@@ -53,6 +69,95 @@ def _hash_blocks(label: str, start: int, end: int):
         yield h.digest()
 
 
+def _serial_slices(label: str, start: int, end: int):
+    blocks = _hash_blocks(label, start, end)
+    for _ in range(start, end + 1, JOIN_BLOCKS):
+        yield b"".join(islice(blocks, JOIN_BLOCKS))
+
+
+def _processes(blocks: int) -> int:
+    """How many processes hash a range of `blocks` blocks (see the module)."""
+    if (blocks < 2 * PARALLEL_MIN_BLOCKS or not hasattr(os, "fork")
+            or not hasattr(os, "memfd_create") or threading.active_count() != 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks // PARALLEL_MIN_BLOCKS,
+               -(-blocks // JOIN_BLOCKS))
+
+
+def _hash_into(fd: int, label: str, start: int, end: int, mask) -> None:
+    """A forked child's whole life: write blocks start..end to `fd`, then exit
+    with 0, or with 1 on any exception, ^C and SIGTERM included."""
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        # the collector could finalize objects the parent still owns
+        import gc
+        gc.disable()
+        with open(fd, "wb", closefd=False) as out:
+            for part in _serial_slices(label, start, end):
+                out.write(part)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _slices(label: str, start: int, end: int):
+    """The blocks of start..end (see _hash_blocks), joined into slices of at
+    most JOIN_BLOCKS blocks, the same slices whether or not the range is split.
+
+    A split range is cut into contiguous shares of whole slices, one per
+    process (see _processes).  A forked child hashes each share but the first
+    into a memfd of its own; a pipe would block a child once it filled.  This
+    process hashes the first share and yields it, then reaps each child in
+    order, checks its exit status and byte count, and yields its bytes read
+    back a slice at a time, so the output is held once.  Every child that has
+    not been reaped is killed and reaped, and every memfd closed, however the
+    generator ends: exhausted, closed early, or by an exception.
+    """
+    blocks = max(0, end - start + 1)
+    procs = _processes(blocks)
+    if procs == 1:
+        yield from _serial_slices(label, start, end)
+        return
+    nslices = -(-blocks // JOIN_BLOCKS)
+    cuts = [start + k * nslices // procs * JOIN_BLOCKS for k in range(procs)] + [end + 1]
+    parent = os.getpid()
+    children = []  # [pid or None once reaped, memfd, first block, last block]
+    try:
+        for first, stop in zip(cuts[1:], cuts[2:]):
+            children.append([None, os.memfd_create(f"bee-blocks-{first}"), first, stop - 1])
+            # with SIGINT and SIGTERM blocked, no KeyboardInterrupt can come
+            # between the fork and the pid's record, nor reach a child before
+            # _hash_into's try
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _hash_into(children[-1][1], label, first, stop - 1, mask)
+                children[-1][0] = pid
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield from _serial_slices(label, start, cuts[1] - 1)
+        for child in children:
+            pid, fd, first, last = child
+            _, status = os.waitpid(pid, 0)
+            child[0] = None
+            size = (last - first + 1) * BLOCK_BYTES
+            if status != 0 or os.fstat(fd).st_size != size:
+                raise RuntimeError(f"hashing blocks {first}..{last} of {label!r} failed: "
+                                   f"child {pid} ended with wait status {status}")
+            for offset in range(0, size, JOIN_BLOCKS * BLOCK_BYTES):
+                yield os.pread(fd, min(JOIN_BLOCKS * BLOCK_BYTES, size - offset), offset)
+    finally:
+        if os.getpid() != parent:  # a child never unwinds into its parent's frames
+            os._exit(1)
+        for pid, fd, _, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
+
+
 def completed_units(progress: float) -> int:
     # progress is a non-negative multiple of WORK_QUANTUM, so int() floors exactly
     return int(progress)
@@ -61,17 +166,13 @@ def completed_units(progress: float) -> int:
 def append_output(app_name: str, base_bytes, base_progress: float, progress: float):
     """Volume content once the app has advanced from base_progress to progress.
 
-    The new blocks are joined in slices of JOIN_BLOCKS.  A `bytes` base and
-    the slices are then joined once, which copies the base once.  Any other
-    base, such as bee.storage.Chain, which shares its parts instead of
-    copying them, gets each slice appended with `+` as soon as it is made,
-    so the slices are never joined and the output is never held twice.
+    The new blocks come in slices of at most JOIN_BLOCKS (see _slices).  A
+    `bytes` base and the slices are then joined once, which copies the base
+    once.  Any other base, such as bee.storage.Chain, which shares its parts
+    instead of copying them, gets each slice appended with `+` as soon as it
+    is made, so the slices are never joined and the output is never held twice.
     """
-    start = completed_units(base_progress) + 1
-    end = completed_units(progress)
-    blocks = _hash_blocks(app_name, start, end)
-    slices = (b"".join(islice(blocks, JOIN_BLOCKS))
-              for _ in range(start, end + 1, JOIN_BLOCKS))
+    slices = _slices(app_name, completed_units(base_progress) + 1, completed_units(progress))
     if isinstance(base_bytes, bytes):
         return b"".join([base_bytes, *slices])
     for part in slices:
@@ -150,10 +251,6 @@ def make_input_bytes(seed: int, name: str, size: int = 65536) -> bytes:
     """Seeded pseudo-random input data, stable across runs.
 
     The first `size` bytes of sha256(f"{seed}:{name}:{counter}") for
-    counter = 0, 1, 2, ...
+    counter = 0, 1, 2, ...  Never split (see the module).
     """
-    out = bytearray()
-    for block in _hash_blocks(f"{seed}:{name}", 0, -(-size // BLOCK_BYTES) - 1):
-        out += block  # unlike join(), never holds every block object at once
-    del out[size:]
-    return bytes(out)
+    return b"".join(_serial_slices(f"{seed}:{name}", 0, -(-size // BLOCK_BYTES) - 1))[:size]

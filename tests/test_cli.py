@@ -234,6 +234,39 @@ class TestResumeCommand:
         assert doc["output_volume"]["content_digest"] == \
             doc2["output_volume"]["content_digest"]
 
+    def test_resume_without_checkpoint_continues_from_latest(self, configs, capsys):
+        app, store, ckpt = self._stall(configs, capsys)
+        big_pool = make_pool(make_system("alpha", time_slot=100.0),
+                             make_system("omega", time_slot=1000.0))
+        code, doc = run_json(capsys, ["resume", *configs(app=app, pool=big_pool),
+                                      "--store", store, "--seed", "3", "--json"])
+        assert code == EXIT_OK
+        assert doc["run_id"] == Path(ckpt).parent.name
+        code2, doc2 = run_json(capsys, ["run", *configs(app=app, pool=big_pool),
+                                        "--store", str(configs.tmp_path / "straight"),
+                                        "--seed", "3", "--json"])
+        assert code2 == EXIT_OK
+        assert doc["output_volume"]["content_digest"] == \
+            doc2["output_volume"]["content_digest"]
+
+    def test_resume_without_checkpoint_of_a_run_never_started_exits_config(self, configs,
+                                                                          capsys):
+        app, store, _ = self._stall(configs, capsys)
+        code = main(["resume", *configs(app=app), "--store", store, "--seed", "4"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "`bee run`" in err
+
+    @pytest.mark.parametrize("name", ["\u00b2", "\u0663", "x"])
+    def test_checkpoint_name_that_is_not_a_sequence_number_exits_config(self, configs,
+                                                                       capsys, name):
+        app, store, ckpt = self._stall(configs, capsys)
+        code = main(["resume", *configs(app=app), "--store", store, "--seed", "3",
+                     "--checkpoint", str(Path(ckpt).parent / name)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no checkpoint is committed at" in err
+
     def test_tampered_volume_exits_failed(self, configs, capsys):
         app, store, ckpt = self._stall(configs, capsys)
         volume = data_of(ckpt)

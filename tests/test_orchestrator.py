@@ -3,9 +3,12 @@ import hashlib
 import math
 import os
 import random
+import signal
 import sys
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,9 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 from bee.model import MB, WORK_QUANTUM, DataVolume, quantize_work
 from bee.storage import (Chain, RunningDigest, StorageError, VolumeStore, append_record,
                          read_log, sha256_hex)
+import bee.workload
 from bee.workload import AppRun, JOIN_BLOCKS, append_output, make_input_bytes, volume_content
 from bee.cluster import Cluster, deploy_cluster
 from bee.backends.base import NodeFailure
+from bee.backends.simhpc import SimHpcBackend
 from bee.orchestrator import (
     Checkpoint,
     CheckpointStore,
@@ -1192,6 +1197,26 @@ class TestStoreIo:
         assert peak < 1.5 * volume.byte_size + (1 << 20)
 
 
+# (PARALLEL_MIN_BLOCKS, CPUs) that split a range of a few slices across two
+# to four processes; None leaves every range this short to this process
+SPLITS = [None, (1, 4), (7, 3), (JOIN_BLOCKS, 2)]
+ACTIVE_COUNT = threading.active_count
+
+
+@contextlib.contextmanager
+def hashing_split(split):
+    """Ranges split as `split` says, in a process taken to have one thread:
+    in-process agents of other tests may have left threads behind."""
+    if split is None:
+        yield
+        return
+    min_blocks, cpus = split
+    with mock.patch.object(bee.workload, "PARALLEL_MIN_BLOCKS", min_blocks), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(threading, "active_count", lambda: 1):
+        yield
+
+
 class TestOutputVolume:
     def test_large_append_peaks_near_twice_its_output(self):
         units = 50_000
@@ -1215,13 +1240,20 @@ class TestOutputVolume:
            base=st.lists(st.binary(max_size=40), max_size=3),
            done=st.integers(0, 3000),
            units=st.sampled_from([0, 1, JOIN_BLOCKS - 1, JOIN_BLOCKS, JOIN_BLOCKS + 1,
-                                  2 * JOIN_BLOCKS + 1]) | st.integers(0, 300))
+                                  2 * JOIN_BLOCKS + 1, 4 * JOIN_BLOCKS + 5])
+           | st.integers(0, 300))
     def test_append_to_a_chain_adds_slices_as_parts(self, name, base, done, units):
         base = Chain(*base)
-        out = append_output(name, base, float(done), float(done + units))
-        assert bytes(out) == append_output(name, bytes(base), float(done), float(done + units))
-        assert out.extends(base)
-        assert all(len(part) <= JOIN_BLOCKS * 32 for part in out.parts[len(base.parts):])
+        expected = append_output(name, bytes(base), float(done), float(done + units))
+        serial = append_output(name, base, float(done), float(done + units))
+        for split in SPLITS:
+            with hashing_split(split):
+                out = append_output(name, base, float(done), float(done + units))
+            assert bytes(out) == expected
+            assert out.extends(base)
+            assert all(len(part) <= JOIN_BLOCKS * 32 for part in out.parts[len(base.parts):])
+            # a split range is cut on the serial slices' boundaries
+            assert out.parts == serial.parts
 
     @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
            base=st.integers(0, 2000), units=st.integers(0, 300))
@@ -1232,7 +1264,8 @@ class TestOutputVolume:
 
     @given(seed=st.integers(-10, 1 << 40),
            name=st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
-           size=st.sampled_from([0, 1, 31, 32, 33]) | st.integers(0, 5000))
+           size=st.sampled_from([0, 1, 31, 32, 33, JOIN_BLOCKS * 32 + 33])
+           | st.integers(0, 5000))
     def test_input_bytes_match_per_block_formula(self, seed, name, size):
         out = bytearray()
         counter = 0
@@ -1240,6 +1273,149 @@ class TestOutputVolume:
             out.extend(hashlib.sha256(f"{seed}:{name}:{counter}".encode()).digest())
             counter += 1
         assert make_input_bytes(seed, name, size) == bytes(out[:size])
+
+
+def formula(label: str, start: int, end: int) -> bytes:
+    return b"".join(hashlib.sha256(f"{label}:{i}".encode()).digest()
+                    for i in range(start, end + 1))
+
+
+def spy_forks(monkeypatch) -> list[int]:
+    """The pid of each child os.fork makes from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def in_children(monkeypatch, action):
+    """Make each forked hashing child run `action` before it hashes."""
+    parent, real = os.getpid(), bee.workload._serial_slices
+
+    def slices(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+
+    monkeypatch.setattr(bee.workload, "_serial_slices", slices)
+
+
+class TestSplitHashing:
+    """A long range hashed by forked children leaves no child and no fd,
+    however the generator ends."""
+
+    @pytest.fixture(autouse=True)
+    def released(self):
+        fds = set(os.listdir("/proc/self/fd"))
+        with hashing_split((1, 2)):
+            yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_split_range_forks_a_child_per_further_cpu(self, monkeypatch):
+        forks = spy_forks(monkeypatch)
+        assert b"".join(bee.workload._slices("x", 1, 2 * JOIN_BLOCKS)) == \
+            formula("x", 1, 2 * JOIN_BLOCKS)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("action", [lambda: sys.exit(3),
+                                        lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                             ids=["exits-non-zero", "sigkilled"])
+    def test_a_failed_child_raises_one_error_naming_its_range(self, monkeypatch, action):
+        in_children(monkeypatch, action)
+        with pytest.raises(RuntimeError, match=rf"blocks {JOIN_BLOCKS + 1}\.\.{2 * JOIN_BLOCKS} "):
+            list(bee.workload._slices("x", 1, 2 * JOIN_BLOCKS))
+
+    def test_a_generator_closed_after_its_first_slice(self):
+        slices = bee.workload._slices("x", 1, 4 * JOIN_BLOCKS)
+        assert len(next(slices)) == JOIN_BLOCKS * 32
+        slices.close()
+
+    def test_an_interrupt_in_the_parent_mid_range(self, monkeypatch):
+        parent, real = os.getpid(), bee.workload._serial_slices
+
+        def interrupted(*args):
+            slices = real(*args)
+            yield next(slices)
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            yield from slices
+
+        monkeypatch.setattr(bee.workload, "_serial_slices", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            list(bee.workload._slices("x", 1, 4 * JOIN_BLOCKS))
+
+    def test_no_fork_while_a_second_thread_is_alive(self, monkeypatch):
+        monkeypatch.setattr(threading, "active_count", ACTIVE_COUNT)
+        forks = spy_forks(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            out = b"".join(bee.workload._slices("x", 1, 4 * JOIN_BLOCKS))
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert forks == []
+        assert out == formula("x", 1, 4 * JOIN_BLOCKS)
+
+
+class TestSplitSelection:
+    """Which sim-hpc runs fork, by count: one child per long fetch on 2 CPUs."""
+
+    def _run(self, tmp_path, monkeypatch, app, pool):
+        cfg = SimConfig(seed=1)
+        volume = VolumeStore(tmp_path).create("input", make_input_bytes(1, app.name, 4096))
+        fetches = []
+        real_fetch = SimHpcBackend.fetch_volume
+
+        def fetch(backend, ref):
+            fetches.append(ref)
+            return real_fetch(backend, ref)
+
+        monkeypatch.setattr(SimHpcBackend, "fetch_volume", fetch)
+        forks = spy_forks(monkeypatch)
+        with hashing_split((bee.workload.PARALLEL_MIN_BLOCKS, 2)):
+            result = run_workflow(pool, app, volume, make_hardware(),
+                                  lambda s: make_backend(s, cfg), tmp_path, cfg=cfg,
+                                  run_id="r")
+        return result, fetches, forks
+
+    def test_a_long_run_forks_once_per_fetch(self, tmp_path, monkeypatch):
+        # sim-long's shape, shorter: each slot appends 82-104 k blocks, at
+        # least 2 * PARALLEL_MIN_BLOCKS
+        app = make_app(name="long", work_total=290_000.0, process_count=4)
+        pool = make_pool(*(make_system(f"l{i}", n_hosts=4, time_slot=30_000.0)
+                           for i in range(3)))
+        result, fetches, forks = self._run(tmp_path, monkeypatch, app, pool)
+        assert result.outcome is Outcome.COMPLETED
+        assert min(r.progress_delta for r in result.history) >= \
+            2 * bee.workload.PARALLEL_MIN_BLOCKS
+        assert len(fetches) == len(forks) == 3
+
+    def test_a_migrating_run_of_short_slots_never_forks(self, tmp_path, monkeypatch):
+        # sim-migrate's first pass: a few hundred blocks per slot
+        app = make_app(name="sim-migrate", work_total=6000.0, process_count=4)
+        pool = make_pool(*(make_system(f"a{i:02d}", n_hosts=4, time_slot=60.0)
+                           for i in range(16)))
+        result, fetches, forks = self._run(tmp_path, monkeypatch, app, pool)
+        assert result.outcome is Outcome.STALLED_WITH_CHECKPOINT
+        assert len(fetches) == 16 and forks == []
+
+    def test_input_bytes_never_fork(self, monkeypatch):
+        forks = spy_forks(monkeypatch)
+        with hashing_split((bee.workload.PARALLEL_MIN_BLOCKS, 2)):
+            make_input_bytes(7, "sim-migrate", 8 << 20)
+        assert forks == []
 
 
 class TestAppRun:

@@ -6,6 +6,9 @@ through this interface, so they run unchanged on any implementation; its
 abstract methods are exactly the ones `bee.cluster` and `bee.orchestrator`
 call.  How the app's progress accrues across pauses is `bee.workload.AppRun`,
 which the simulator runs on its logical clock and each relay agent on its own.
+The volume the app leaves depends only on the staged volume, the app's name
+and its progress, so `fetch_volume` computes it here for every backend and
+no agent ever holds volume bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from bee.model import (
     ComputeSystem,
 )
 from bee.storage import Chain, StoragePlan
+from bee.workload import append_output
 
 SIM_HPC = "sim-hpc"
 SIM_CLOUD_AWS = "sim-cloud-aws"
@@ -144,12 +148,6 @@ class SimConfig:
         return out
 
 
-def compute_rate(app: AppSpec, hardware: HardwareConfig, system: ComputeSystem,
-                 overhead_fraction: float) -> float:
-    """Cluster-wide work rate: one process per node, vcpus cores per process."""
-    return app.process_count * hardware.vcpus * system.cpu_rate_native * (1.0 - overhead_fraction)
-
-
 def sim_compute(work: float, cores: int, cpu_rate: float,
                 overhead_fraction: float = DEFAULT_CPU_OVERHEAD) -> float:
     """Seconds to finish `work` units on `cores` cores at `cpu_rate` units/s/core.
@@ -205,6 +203,9 @@ class Backend(abc.ABC):
         self._faults: list[FaultRule] = []
         self.staged_volume = Chain()  # the data volume the app starts from
         self.progress_base = 0.0  # the progress that volume holds
+        # the app and hardware of the cluster begin_cluster last began
+        self.spec: AppSpec | None = None
+        self.hardware: HardwareConfig | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -293,9 +294,17 @@ class Backend(abc.ABC):
             cpu_overhead_fraction=overhead,
         )
 
-    @abc.abstractmethod
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,
-                      plan: StoragePlan) -> None: ...
+                      plan: StoragePlan) -> None:
+        """Take the app and hardware of cluster `cname`; subclasses extend it."""
+        self.spec = app
+        self.hardware = hardware
+
+    def app_rate(self) -> float:
+        """The app's cluster-wide work rate: one process per node, vcpus cores
+        per process, less the virtualization overhead."""
+        return self.spec.process_count * self.hardware.vcpus * self.system.cpu_rate_native * \
+            (1.0 - self.capability().cpu_overhead_fraction)
 
     def abort_cluster(self) -> None:
         """Release anything begin_cluster/provision acquired after a failure."""
@@ -329,7 +338,11 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def stop(self, ref: NodeRef) -> None: ...
 
-    @abc.abstractmethod
     def fetch_volume(self, ref: NodeRef) -> Chain:
-        """The data volume as the app has left it, as a chain that extends
-        the staged one wherever the app only appended to it."""
+        """The data volume as the app has left it: the staged chain extended
+        by the output of the progress made on top of it."""
+        content = append_output(self.spec.name, self.staged_volume, self.progress_base,
+                                self.progress(ref))
+        self.log.append(self.now(), "fetch_volume", ref.host_id, stage=self.stage,
+                        nbytes=len(content))
+        return content

@@ -3,28 +3,22 @@
 Each node runs a relay agent over real sockets plus a toy work loop that
 reports progress over its control socket.  The container layer is a tag on
 the agent; time here is wall-clock, so drive it with small slot budgets.
+An agent holds no volume bytes: the backend computes the volume from the
+progress an agent reports, as every backend does (`Backend.fetch_volume`).
 """
 
 from __future__ import annotations
 
-import base64
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
 from bee.model import AppSpec, ComputeSystem, HardwareConfig
-from bee.storage import Chain, StoragePlan
+from bee.storage import StoragePlan
 from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet
-from bee.backends.base import (
-    VM_PROVISION_STEPS,
-    Backend,
-    NodeFailure,
-    NodeRef,
-    SimConfig,
-    compute_rate,
-)
+from bee.backends.base import VM_PROVISION_STEPS, Backend, NodeFailure, NodeRef, SimConfig
 
 
 class LocalProcessBackend(Backend):
@@ -39,8 +33,6 @@ class LocalProcessBackend(Backend):
         self.workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="bee-local-"))
         self.fleet: AgentFleet | None = None
         self._refs: dict[int, NodeRef] = {}
-        self._app: AppSpec | None = None
-        self._hardware: HardwareConfig | None = None
 
     # -- clock ----------------------------------------------------------------
 
@@ -59,8 +51,7 @@ class LocalProcessBackend(Backend):
 
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,
                       plan: StoragePlan) -> None:
-        self._app = app
-        self._hardware = hardware
+        super().begin_cluster(cname, app, hardware, plan)
         self._refs.clear()
         self.fleet = AgentFleet(hardware.network_solution, app.process_count,
                                 self.workdir / cname)
@@ -92,20 +83,11 @@ class LocalProcessBackend(Backend):
         verb = argv[0] if argv else ""
         self._op(verb, ref.host_id)
         if verb == "app_start":
-            self._start_app(ref, argv[1:])
+            self._client(ref).call(cmd="app_start", rate=self.app_rate(),
+                                   work_total=self.spec.work_total, base=self.progress_base)
         else:
             self._client(ref).call(cmd="exec", argv=argv)
         self.log.append(self.now(), verb or "exec", ref.host_id, stage=self.stage)
-
-    def _start_app(self, ref: NodeRef, entry: list[str]) -> None:
-        assert self._app is not None and self._hardware is not None
-        client = self._client(ref)
-        client.call(cmd="put_volume",
-                    data_b64=base64.b64encode(bytes(self.staged_volume)).decode())
-        rate = compute_rate(self._app, self._hardware, self.system,
-                            self.capability().cpu_overhead_fraction)
-        client.call(cmd="app_start", name=self._app.name, rate=rate,
-                    work_total=self._app.work_total, base=self.progress_base)
 
     def progress(self, ref: NodeRef) -> float:
         assert self.fleet is not None
@@ -134,23 +116,6 @@ class LocalProcessBackend(Backend):
         if not self._refs:
             # the last node of the cluster: reap every agent process at once
             self.fleet.stop()
-
-    def fetch_volume(self, ref: NodeRef) -> Chain:
-        """The agent's volume, checked once against the staged chain.
-
-        Bytes that extend the staged ones become the staged chain plus their
-        tail, so the run hashes and stores only the tail; any other bytes
-        become a chain of their own, hashed and stored in full.
-        """
-        reply = self._client(ref).call(cmd="fetch_volume")
-        self.log.append(self.now(), "fetch_volume", ref.host_id, stage=self.stage)
-        data = base64.b64decode(reply["data_b64"])
-        offset = 0
-        for part in self.staged_volume.parts:
-            if not data.startswith(part, offset):
-                return Chain(data)
-            offset += len(part)
-        return self.staged_volume + data[offset:]
 
     def abort_cluster(self) -> None:
         self._refs.clear()

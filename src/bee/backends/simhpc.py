@@ -15,16 +15,9 @@ import math
 import random
 
 from bee.model import MB, WORK_QUANTUM, AppSpec, ComputeSystem, HardwareConfig, StorageSolution
-from bee.storage import Chain, StoragePlan, model_io
-from bee.workload import AppRun, append_output
-from bee.backends.base import (
-    VM_PROVISION_STEPS,
-    Backend,
-    NodeFailure,
-    NodeRef,
-    SimConfig,
-    compute_rate,
-)
+from bee.storage import StoragePlan, model_io
+from bee.workload import AppRun
+from bee.backends.base import VM_PROVISION_STEPS, Backend, NodeFailure, NodeRef, SimConfig
 
 
 class SimHpcBackend(Backend):
@@ -37,10 +30,7 @@ class SimHpcBackend(Backend):
         self._rng = random.Random((cfg.seed, system.id, self.name).__repr__())
         self._nodes: dict[int, NodeRef] = {}
         self._app = AppRun()
-        self._app_name = ""
         self._plan: StoragePlan | None = None
-        self._hardware: HardwareConfig | None = None
-        self._spec: AppSpec | None = None
 
     # -- clock ---------------------------------------------------------------
 
@@ -97,12 +87,10 @@ class SimHpcBackend(Backend):
 
     def begin_cluster(self, cname: str, app: AppSpec, hardware: HardwareConfig,
                       plan: StoragePlan) -> None:
+        super().begin_cluster(cname, app, hardware, plan)
         self._nodes.clear()
         self._app = AppRun()
         self._plan = plan
-        self._hardware = hardware
-        self._spec = app
-        self._app_name = app.name
 
     def provision(self, host: str, index: int) -> NodeRef:
         if self.capability().has_vm_layer:
@@ -146,15 +134,13 @@ class SimHpcBackend(Backend):
             self._step(verb or "exec", ref.host_id, 0.0, argv=argv)
 
     def _start_app(self, ref: NodeRef) -> None:
-        assert self._spec is not None and self._hardware is not None
         self._step("app_start", ref.host_id, 0.0, index=ref.node_index)
-        io = self._spec.io_profile
+        io = self.spec.io_profile
         io_time = self.io_seconds("read", io.read_bytes_per_slot) + \
             self.io_seconds("write", io.write_bytes_per_slot)
         self._app = AppRun(
-            rate=compute_rate(self._spec, self._hardware, self.system,
-                              self.capability().cpu_overhead_fraction),
-            work_total=self._spec.work_total,
+            rate=self.app_rate(),
+            work_total=self.spec.work_total,
             base=self.progress_base,
             io_seconds=io_time,
             started_at=self._t,
@@ -221,12 +207,3 @@ class SimHpcBackend(Backend):
         self._nodes.pop(ref.node_index, None)
         self.log.append(self._t, "stop", ref.host_id, stage=self.stage,
                         index=ref.node_index)
-
-    # -- volume ------------------------------------------------------------------
-
-    def fetch_volume(self, ref: NodeRef) -> Chain:
-        content = append_output(self._app_name, self.staged_volume,
-                                self.progress_base, self.progress(ref))
-        self.log.append(self._t, "fetch_volume", ref.host_id, stage=self.stage,
-                        nbytes=len(content))
-        return content

@@ -80,6 +80,16 @@ _positive = _number(int, lambda n: n >= 1, "a positive integer")
 _rate = _number(float, lambda x: 0 < x < float("inf"), "a positive finite number")
 
 
+def _one_of(choices) -> dict:
+    """argparse `type` and `metavar` for one of `choices`; unlike `choices=`,
+    the type also checks a default taken from the environment."""
+    def parse(text: str) -> str:
+        if text in choices:
+            return text
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(choices)}, got {text!r}")
+    return {"type": parse, "metavar": "{" + ",".join(choices) + "}"}
+
+
 def _counts(text: str) -> list[int]:
     """A comma-separated list of positive integers (an argparse type)."""
     counts = [_positive(c) for c in text.split(",") if c.strip()]
@@ -89,6 +99,7 @@ def _counts(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # defaults from the environment stay strings: argparse checks them with the flag's type
     parser = _Parser(prog="bee", description="containerized-app run orchestration")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--store", default=_env("STORE", "bee-store"),
                        help="state/volume/checkpoint store directory")
-        p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+        p.add_argument("--seed", type=int, default=_env("SEED", "0"))
         p.add_argument("--json", action="store_true", default=_env_flag("JSON"),
                        help="machine-readable output")
-        p.add_argument("--backend", default=_env("BACKEND", SIM_HPC), choices=BACKEND_KINDS)
+        p.add_argument("--backend", default=_env("BACKEND", SIM_HPC), **_one_of(BACKEND_KINDS))
         p.add_argument("--loop-pool", action="store_true", default=_env_flag("LOOP_POOL"),
                        help="re-enqueue systems after use instead of single-pass")
         p.add_argument("--input-size", type=_size, default=DEFAULT_INPUT_BYTES,
@@ -152,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="trace-replay scaling study")
     p.add_argument("--app", default=_env("APP"), required=not _env("APP"))
-    p.add_argument("--backend", default=_env("BACKEND", SIM_HPC), choices=BACKEND_KINDS)
+    p.add_argument("--backend", default=_env("BACKEND", SIM_HPC), **_one_of(BACKEND_KINDS))
     p.add_argument("--topology", default=NetworkSolution.P2P_TREE.value,
                    choices=[k.value for k in NetworkSolution] + ["flat"])
     p.add_argument("--process-counts", type=_counts, default="1,2,4,8,16,32,64")
-    p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     return parser
 

@@ -16,11 +16,11 @@ module imports only the standard library and `bee.workload`, so an agent
 process can start with `python -S`; the fleet starts it with `-c` calling
 `main()` (`bee.netvirt.fleet.agent_command`), which spares it `-m`'s
 `runpy`.  The toy app's progress is a `bee.workload.AppRun` on the agent's
-monotonic clock, the model the simulator runs on its logical one.  Before it
-reports its ports it loads no more than it serves with:
-`main` parses its options by hand rather than with argparse, and `base64`
-(volume staging) and `hashlib` (volume output, through `bee.workload`) load
-on the first control command that needs them.
+monotonic clock, the model the simulator runs on its logical one.  An agent
+reports that progress and holds no volume: the backend computes the volume
+from it.  An agent loads no more than it serves with: `main` parses its
+options by hand rather than with argparse, and no control command loads a
+module that start-up did not.
 
 Frame wire format (big-endian):
     4 bytes  length of the rest (6 + payload size)
@@ -46,7 +46,7 @@ import sys
 import threading
 import time
 
-from bee.workload import MAX_WORK, AppRun, append_output
+from bee.workload import MAX_WORK, AppRun
 
 FRAME_HEADER = struct.Struct(">IHHH")
 RESPONSE = struct.Struct(">HH")
@@ -77,6 +77,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
         chunks.append(piece)
         got += len(piece)
     return b"".join(chunks)
+
+
+def _shut(sock: socket.socket) -> None:
+    """Close sock, first waking any thread blocked on it, which close alone does not."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # never connected, or already closed
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def pack_frame(src: int, dst: int, hop_count: int, payload: bytes) -> bytes:
@@ -203,9 +215,7 @@ class Agent:
         self.links_lock = threading.Lock()
         self.received: dict[str, int] = {}
         self.counts_lock = threading.Lock()
-        self.app_name = ""
         self.app = AppRun()
-        self.volume = b""
         self.tags: dict[str, str] = {}
         self.stopping = threading.Event()
         self._accepted: set[socket.socket] = set()
@@ -375,7 +385,6 @@ class Agent:
                 rate, work_total, base = _app_numbers(req)
             except ValueError as exc:
                 return {"ok": False, "error": str(exc)}
-            self.app_name = req.get("name", "")
             self.app = AppRun(rate, work_total, base, started_at=time.monotonic())
             return {"ok": True}
         if cmd == "pause":
@@ -384,17 +393,6 @@ class Agent:
         if cmd == "resume":
             self.app.resume(time.monotonic())
             return {"ok": True}
-        if cmd == "put_volume":
-            import base64
-
-            self.volume = base64.b64decode(req.get("data_b64", ""))
-            return {"ok": True, "nbytes": len(self.volume)}
-        if cmd == "fetch_volume":
-            import base64
-
-            content = append_output(self.app_name, self.volume, self.app.base,
-                                    self.app.progress(time.monotonic()))
-            return {"ok": True, "data_b64": base64.b64encode(content).decode()}
         if cmd == "stop":
             return {"ok": True}  # the control connection closes the agent after replying
         return {"ok": False, "error": f"unknown command {cmd!r}"}
@@ -407,16 +405,8 @@ class Agent:
 
     def close(self) -> None:
         self.stopping.set()
-        for server in (self.frame_server, self.control_server):
-            try:
-                server.close()
-            except OSError:
-                pass
-        for conn in list(self._accepted):
-            try:
-                conn.close()
-            except OSError:
-                pass
+        for sock in (self.frame_server, self.control_server, *self._accepted):
+            _shut(sock)
         with self.links_lock:
             for link in self.links.values():
                 link.close()

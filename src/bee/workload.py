@@ -8,14 +8,15 @@ Each block is an independent hash, so a long range of output blocks is
 hashed on every CPU at once (see `_slices`): a range of at least
 2 * PARALLEL_MIN_BLOCKS blocks, in a process that has one thread, on a
 platform with `fork` and `memfd_create`.  Forking with other threads alive
-could copy a lock that one of them holds, so relay agents, which always run
-threads, hash serially, as does every short range.  The bytes are the same
+could copy a lock that one of them holds, so a process with threads hashes
+serially, as does every short range.  The bytes are the same
 either way.  Input bytes are always hashed serially: after a fork, the parent
 takes a write fault on each page it touches, and splitting an 8 MiB input
 raised a whole migrating run's CPU time by about a fifth on 2 CPUs.
 
-Relay agents run this model, so it imports nothing but the standard library,
-and `hashlib` only when it first hashes, so an agent starts without it.
+Relay agents run its progress clock (`AppRun`), so it imports nothing but the
+standard library, and `hashlib` only when it first hashes, which an agent
+never does.
 """
 
 from __future__ import annotations

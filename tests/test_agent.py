@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -442,7 +443,6 @@ class TestControlSession:
         assert reply["ok"] is False and reply["error"].startswith("work_total: ")
         status = c.call(cmd="status")
         assert status["ok"] is True and status["progress"] >= before["progress"]
-        assert c.call(cmd="fetch_volume")["ok"] is True
 
     @pytest.mark.parametrize("fields,error", [
         ({"rate": True}, "rate: "),
@@ -470,6 +470,23 @@ class TestControlSession:
 
 
 class TestStop:
+    def test_a_closed_agent_leaves_no_thread_behind(self):
+        before = set(threading.enumerate())
+        agent = Agent(0)
+        agent.start()
+        link = PeerLink(ORIGIN_ID, 0, ("127.0.0.1", agent.frame_port))
+        try:
+            assert send(link, 0, 0, b"m") == 0  # the link's connection stays open
+            assert len(set(threading.enumerate()) - before) == 3
+            agent.close()
+            deadline = time.monotonic() + 5
+            while set(threading.enumerate()) - before:
+                assert time.monotonic() < deadline, "agent threads still alive"
+                time.sleep(0.01)
+        finally:
+            link.close()
+            agent.close()
+
     def test_stop_is_always_answered_then_the_agent_exits(self, tmp_path):
         for cycle in range(20):
             fleet = AgentFleet(TREE, 1, tmp_path / f"f{cycle}")
@@ -511,8 +528,7 @@ class TestWorkLoop:
     def test_progress_pause_resume(self, overlay):
         o = overlay(STAR, 1)
         c = o.client(0)
-        c.call(cmd="put_volume", data_b64="")
-        c.call(cmd="app_start", name="t", rate=100.0, work_total=50.0, base=0.0)
+        c.call(cmd="app_start", rate=100.0, work_total=50.0, base=0.0)
         time.sleep(0.15)
         c.call(cmd="pause")
         frozen = c.call(cmd="status")["progress"]
@@ -522,16 +538,3 @@ class TestWorkLoop:
         c.call(cmd="resume")
         time.sleep(0.6)
         assert c.call(cmd="status")["progress"] == 50.0
-
-    def test_volume_content_tracks_progress(self, overlay):
-        import base64
-
-        from bee.workload import volume_content
-
-        o = overlay(STAR, 1)
-        c = o.client(0)
-        c.call(cmd="put_volume", data_b64=base64.b64encode(b"seed").decode())
-        c.call(cmd="app_start", name="t", rate=1000.0, work_total=8.0, base=0.0)
-        time.sleep(0.2)
-        fetched = base64.b64decode(c.call(cmd="fetch_volume")["data_b64"])
-        assert fetched == volume_content("t", b"seed", 8.0)

@@ -511,6 +511,34 @@ class TestEnvOverrides:
         assert doc["outcome"] == "completed"
         assert (configs.tmp_path / "envstore").exists()
 
+    @pytest.mark.parametrize("command,name,value,flag", [
+        ("run", "SEED", "x", "--seed"),
+        ("run", "SEED", "", "--seed"),
+        ("run", "BACKEND", "nope", "--backend"),
+        ("resume", "BACKEND", "local ", "--backend"),
+        ("scaling", "SEED", "1.5", "--seed"),
+        ("scaling", "BACKEND", "nope", "--backend"),
+    ])
+    def test_malformed_default_exits_config_with_one_line_and_writes_nothing(
+            self, configs, capsys, monkeypatch, command, name, value, flag):
+        argv = configs()
+        store = configs.tmp_path / "store"
+        monkeypatch.setenv(f"BEE_{name}", value)
+        monkeypatch.setenv("BEE_STORE", str(store))
+        before = set(configs.tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as done:
+            main([command, *(argv[2:4] if command == "scaling" else argv)])
+        assert done.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"argument {flag}:" in err
+        assert set(configs.tmp_path.rglob("*")) == before
+
+    def test_a_malformed_default_of_a_flag_a_command_lacks_is_ignored(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        monkeypatch.setenv("BEE_SEED", "x")  # `bee status` has no --seed
+        assert main(["status", "foo", "--store", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "no such run: foo\n"
+
 
 class TestStatusCommand:
     def test_status_reads_whole_state_while_a_run_rewrites_it(self, tmp_path, capsys):

@@ -20,7 +20,7 @@ from bee.workload import volume_content
 from bee.orchestrator import CheckpointStore, Outcome, SlotEnd, run_workflow
 from bee.backends import SimConfig, make_backend
 from bee.backends.local import LocalProcessBackend
-from conftest import commit_record, make_app, make_hardware, make_pool, make_system, run_state
+from conftest import make_app, make_hardware, make_pool, make_system, run_state
 
 # Per-slot progress is (slot - guard) * processes * rate: 114 for the
 # simulator, 76 for the local backend, so 150 units always needs a migration.
@@ -164,51 +164,54 @@ def test_close_keeps_a_callers_workdir(tmp_path):
     assert (tmp_path / "work").is_dir()
 
 
-def test_fetched_volume_is_checked_once_against_the_staged_chain(tmp_path):
-    import base64
-    import hashlib
-
+def test_fetched_volume_extends_the_staged_chain(tmp_path):
     from bee.backends.base import NodeRef
-    from bee.orchestrator import Checkpoint
-    from bee.storage import Chain, RunningDigest, StorageError
+    from bee.storage import Chain
 
-    delivered = [b"staged input+tail", b"staged input+tail+more",
-                 b"rewritten input+tail+more"]
+    reported = iter([3.0, 7.0])
 
     class FakeAgent:
         def call(self, **request):
-            assert request == {"cmd": "fetch_volume"}
-            return {"ok": True, "data_b64": base64.b64encode(delivered[0]).decode()}
+            assert request == {"cmd": "status"}
+            return {"ok": True, "progress": next(reported)}
 
     _, backend = _local_backend(tmp_path)
+    app = make_app(name="fetch", work_total=10.0, process_count=1)
+    backend.begin_cluster("c1", app, make_hardware(), None)
+    backend.fleet.alive = lambda node: True
     backend._client = lambda ref: FakeAgent()
-    staged = Chain(bytes(bytearray(b"staged input")))
+    staged = Chain(b"staged input")
     backend.stage_volume(staged)
-    running, store = RunningDigest(), CheckpointStore(tmp_path / "store")
-    store.volumes.create("v", staged)
-    fetched = []
-    for seq in (1, 2, 3):
-        content = backend.fetch_volume(NodeRef("sys0-h0", 0))
-        assert bytes(content) == delivered.pop(0)
-        digest = running.hexdigest(content)
-        assert digest == hashlib.sha256(bytes(content)).hexdigest()
-        ckpt = Checkpoint(run_id="r", seq=seq, progress=float(seq), digest=digest,
-                          origin_system="sys0", created_at=0.0)
-        if seq < 3:
-            store.save(ckpt, content, "v")
-        else:  # bytes that disagree with the committed ones are refused
-            with pytest.raises(StorageError, match="does not agree"):
-                store.save(ckpt, content, "v")
-        backend.stage_volume(content)  # the next slot starts from this checkpoint
-        fetched.append(content)
-    # bytes that extend the staged ones share its parts; other bytes start over
-    assert fetched[0].parts[0] is staged.parts[0]
-    assert fetched[1].extends(fetched[0]) and not fetched[2].extends(fetched[1])
-    lengths = [commit_record(tmp_path / "store" / "r", seq)["length"] for seq in (1, 2)]
-    assert lengths == [len(fetched[0]), len(fetched[1])]
-    assert all(store.verify(tmp_path / "store" / "r" / str(seq)) for seq in (1, 2))
-    assert store.latest("r") == tmp_path / "store" / "r" / "2"
+    first = backend.fetch_volume(NodeRef("sys0-h0", 0))
+    assert first.extends(staged)
+    assert bytes(first) == volume_content(app.name, b"staged input", 3.0)
+    backend.stage_volume(first, 3.0)  # the next slot starts from this checkpoint
+    second = backend.fetch_volume(NodeRef("sys0-h0", 0))
+    assert second.extends(first)
+    assert bytes(second) == volume_content(app.name, b"staged input", 7.0)
+    assert [e.detail["nbytes"] for e in backend.log.events
+            if e.kind == "fetch_volume"] == [len(first), len(second)]
     backend.close()
+
+
+def test_a_local_run_sends_agents_no_volume_bytes(tmp_path, monkeypatch):
+    from bee.netvirt.agent import AgentClient
+
+    requests = []
+    call = AgentClient.call
+
+    def spy(self, **request):
+        requests.append(request)
+        return call(self, **request)
+
+    monkeypatch.setattr(AgentClient, "call", spy)
+    app, result = _run("local", SCENARIOS["local"]["work_two_slots"], tmp_path)
+    assert result.outcome is Outcome.COMPLETED and len(result.history) >= 2
+    expected = volume_content(app.name, b"scenario-input", app.work_total)
+    assert result.output_volume.content_digest == sha256_hex(expected)
+    assert requests and not any("data_b64" in request for request in requests)
+    assert {request["cmd"] for request in requests} <= \
+        {"configure", "exec", "app_start", "status", "pause", "resume", "stop"}
 
 
 def _pids_naming(path: Path) -> set[int]:

@@ -13,6 +13,7 @@ import pytest
 
 import bee
 from bee.model import NetworkSolution
+from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet, agent_command
 from bee.netvirt.topology import build_topology, route
 
@@ -20,7 +21,7 @@ from bee.netvirt.topology import build_topology, route
 # no bytecode is written into src/, where a later run would start from it
 AGENT_ENV = {"PYTHONPATH": str(Path(bee.__file__).resolve().parent.parent),
              "PYTHONDONTWRITEBYTECODE": "1"}
-# modules an agent loads only on first use, or never: none before it reports its ports
+# modules an agent never loads: not to report its ports, nor to serve any command
 LATER_MODULES = ("argparse", "_hashlib", "base64", "runpy")
 
 
@@ -58,9 +59,25 @@ def test_an_agent_started_as_the_fleet_starts_it_reports_its_ports_without_later
                             stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 30
-        while not portfile.exists():
-            assert proc.poll() is None and time.monotonic() < deadline, "no portfile"
-            time.sleep(0.01)
+        while True:
+            try:
+                ports = json.loads(portfile.read_text())
+                break
+            except (OSError, ValueError):  # not written yet, or half written
+                assert proc.poll() is None and time.monotonic() < deadline, "no portfile"
+                time.sleep(0.01)
+        client = AgentClient(("127.0.0.1", ports["control_port"]))
+        try:
+            for request in ({"cmd": "app_start", "rate": 100.0, "work_total": 50.0},
+                            {"cmd": "status"}, {"cmd": "pause"}, {"cmd": "resume"}):
+                assert client.call(**request)["ok"] is True, request
+            for cmd in ("put_volume", "fetch_volume"):  # an agent holds no volume
+                assert client.call(cmd=cmd, data_b64="") == \
+                    {"ok": False, "error": f"unknown command {cmd!r}"}
+            assert client.call(cmd="stop") == {"ok": True}
+        finally:
+            client.close()
+        assert proc.wait(timeout=5) == 0
     finally:
         proc.kill()
         _, importtime = proc.communicate(timeout=5)

@@ -5,10 +5,17 @@ reports progress over its control socket.  The container layer is a tag on
 the agent; time here is wall-clock, so drive it with small slot budgets.
 An agent holds no volume bytes: the backend computes the volume from the
 progress an agent reports, as every backend does (`Backend.fetch_volume`).
+
+The monitor polls every `poll_interval`, and also once at the completion the
+last reading predicts: an agent's app accrues linearly at the rate
+`app_start` sent it, on the same monotonic clock, so `wait` ends at that
+instant rather than a tick later.  A control request to a dead agent is a
+`NodeFailure`, as a dead agent found by `progress` is.
 """
 
 from __future__ import annotations
 
+import math
 import shutil
 import tempfile
 import time
@@ -18,6 +25,7 @@ from bee.model import AppSpec, ComputeSystem, HardwareConfig
 from bee.storage import StoragePlan
 from bee.netvirt.agent import AgentClient
 from bee.netvirt.fleet import AgentFleet
+from bee.workload import quantize_work
 from bee.backends.base import VM_PROVISION_STEPS, Backend, NodeFailure, NodeRef, SimConfig
 
 
@@ -33,6 +41,7 @@ class LocalProcessBackend(Backend):
         self.workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="bee-local-"))
         self.fleet: AgentFleet | None = None
         self._refs: dict[int, NodeRef] = {}
+        self._done_at = math.inf  # when the last progress reading says the app finishes
 
     # -- clock ----------------------------------------------------------------
 
@@ -40,6 +49,7 @@ class LocalProcessBackend(Backend):
         return time.monotonic() - self._t0
 
     def wait(self, seconds: float) -> None:
+        seconds = min(seconds, self._done_at - self.now())
         if seconds > 0:
             time.sleep(seconds)
 
@@ -53,12 +63,24 @@ class LocalProcessBackend(Backend):
                       plan: StoragePlan) -> None:
         super().begin_cluster(cname, app, hardware, plan)
         self._refs.clear()
+        self._done_at = math.inf
         self.fleet = AgentFleet(hardware.network_solution, app.process_count,
                                 self.workdir / cname)
 
     def _client(self, ref: NodeRef) -> AgentClient:
         assert self.fleet is not None
         return self.fleet.client(ref.node_index)
+
+    def _node_failure(self, ref: NodeRef, cmd: str, cause: str) -> NodeFailure:
+        self.log.append(self.now(), "node_failure", ref.host_id, stage=self.stage, ok=False)
+        return NodeFailure(ref.host_id, cmd, cause)
+
+    def _call(self, ref: NodeRef, **req) -> dict:
+        """One control request to ref's agent; an agent that cannot answer has failed."""
+        try:
+            return self._client(ref).call(**req)
+        except OSError as exc:
+            raise self._node_failure(ref, req["cmd"], str(exc) or type(exc).__name__) from exc
 
     def provision(self, host: str, index: int) -> NodeRef:
         assert self.fleet is not None
@@ -83,10 +105,10 @@ class LocalProcessBackend(Backend):
         verb = argv[0] if argv else ""
         self._op(verb, ref.host_id)
         if verb == "app_start":
-            self._client(ref).call(cmd="app_start", rate=self.app_rate(),
-                                   work_total=self.spec.work_total, base=self.progress_base)
+            self._call(ref, cmd="app_start", rate=self.app_rate(),
+                       work_total=self.spec.work_total, base=self.progress_base)
         else:
-            self._client(ref).call(cmd="exec", argv=argv)
+            self._call(ref, cmd="exec", argv=argv)
         self.log.append(self.now(), verb or "exec", ref.host_id, stage=self.stage)
 
     def progress(self, ref: NodeRef) -> float:
@@ -94,17 +116,22 @@ class LocalProcessBackend(Backend):
         if self._due_fault("run", ref.host_id) is not None:
             self.fleet.kill(ref.node_index)
         if not self.fleet.alive(ref.node_index):
-            self.log.append(self.now(), "node_failure", ref.host_id, stage=self.stage,
-                            ok=False)
-            raise NodeFailure(ref.host_id, "run", "agent process died")
-        return float(self._client(ref).call(cmd="status")["progress"])
+            raise self._node_failure(ref, "run", "agent process died")
+        reply = self._call(ref, cmd="status")
+        progress = float(reply["progress"])
+        rate = self.app_rate()
+        left = quantize_work(self.spec.work_total) - progress
+        running = not reply.get("paused") and rate > 0 and left > 0
+        self._done_at = self.now() + left / rate if running else math.inf
+        return progress
 
     def pause(self, ref: NodeRef) -> None:
-        self._client(ref).call(cmd="pause")
+        self._done_at = math.inf
+        self._call(ref, cmd="pause")
         self.log.append(self.now(), "pause", ref.host_id, stage=self.stage)
 
     def resume(self, ref: NodeRef) -> None:
-        self._client(ref).call(cmd="resume")
+        self._call(ref, cmd="resume")
         self.log.append(self.now(), "resume", ref.host_id, stage=self.stage)
 
     def stop(self, ref: NodeRef) -> None:

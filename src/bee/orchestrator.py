@@ -35,7 +35,7 @@ from bee.storage import (Chain, Checkpoint, CheckpointStore, MigrationError, Run
                          StatusWriter, StorageError, VolumeStore, run_id_problem)
 from bee.workload import BLOCK_BYTES, first_output_block, max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
-from bee.backends.base import Backend, NodeFailure, SimConfig
+from bee.backends.base import Backend, BackendOpError, NodeFailure, SimConfig
 
 GUARD_SLOT_FRACTION = 0.05
 GUARD_ESTIMATE_MARGIN = 2.0
@@ -113,7 +113,9 @@ def monitor(cluster: Cluster, budget: float, guard: float,
             poll_interval: float = 1.0) -> MonitorOutcome:
     """Watch the running cluster until completion, failure or the guard deadline.
 
-    The clock advances one poll_interval per tick.  The cluster is polled only
+    The clock advances one poll_interval per tick; a wall-clock backend may end
+    a wait() early, at the completion its last progress reading predicts, so
+    the poll that sees completion comes at once.  The cluster is polled only
     on ticks at or after the backend's quiet_until(), where the outcome can
     change, and always on the final tick.  Skipped ticks could only have
     reported "still running", so the result and the clock match polling every
@@ -402,16 +404,20 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                         outcome = monitor(cluster, system.time_slot, guard, cfg.poll_interval)
 
                 if outcome is not None and outcome.result is MonitorResult.COMPLETED:
-                    final_content = backend.fetch_volume(cluster.master_ref)
-                    volume = store_output(final_content, running.hexdigest(final_content))
-                    cluster.stop()
-                    delta = work_total - state.progress
-                    history.append(SlotRecord(system.id, outcome.elapsed, delta,
-                                              SlotEnd.COMPLETION))
-                    state = replace(state, phase=Phase.COMPLETE, progress=work_total,
-                                    slots_consumed=state.slots_consumed + 1,
-                                    current_system=None)
-                    return finish(Outcome.COMPLETED, volume)
+                    try:
+                        final_content = backend.fetch_volume(cluster.master_ref)
+                    except BackendOpError:  # the app finished, but its node is gone
+                        outcome = replace(outcome, result=MonitorResult.FAILED)
+                    else:
+                        volume = store_output(final_content, running.hexdigest(final_content))
+                        cluster.stop()
+                        delta = work_total - state.progress
+                        history.append(SlotRecord(system.id, outcome.elapsed, delta,
+                                                  SlotEnd.COMPLETION))
+                        state = replace(state, phase=Phase.COMPLETE, progress=work_total,
+                                        slots_consumed=state.slots_consumed + 1,
+                                        current_system=None)
+                        return finish(Outcome.COMPLETED, volume)
 
                 # guard fired: checkpoint and migrate (or fail if the app cannot)
                 if outcome is not None and outcome.result is MonitorResult.GUARD_FIRED \
@@ -421,7 +427,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                         ckpt, ckpt_content, ckpt_duration, state = checkpoint_now(
                             state, cluster, cstore, run_id, data.id, seq, wall + backend.now(),
                             running)
-                    except CheckpointWriteError:
+                    except (CheckpointWriteError, BackendOpError):
                         pass
                     else:
                         cluster.stop()

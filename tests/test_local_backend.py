@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from bee.cli import EXIT_FAILED, main
 from bee.cluster import DeploymentError, deploy_cluster
-from bee.model import NetworkSolution
+from bee.model import NetworkSolution, to_json
 from bee.netvirt.fleet import AgentFleet, _package_pythonpath
 from bee.storage import VolumeStore, sha256_hex
-from bee.workload import volume_content
-from bee.orchestrator import CheckpointStore, Outcome, SlotEnd, run_workflow
+from bee.workload import quantize_work, volume_content
+from bee.orchestrator import (CheckpointStore, MonitorResult, Outcome, SlotEnd, monitor,
+                              run_workflow)
 from bee.backends import SimConfig, make_backend
 from bee.backends.local import LocalProcessBackend
 from conftest import make_app, make_hardware, make_pool, make_system, run_state
@@ -34,9 +36,9 @@ SCENARIOS = {
 
 
 def _run(backend_kind, work_total, tmp_path, n_systems=3,
-         network=NetworkSolution.P2P_STAR, run_id="r"):
+         network=NetworkSolution.P2P_STAR, run_id="r", poll=None):
     params = SCENARIOS[backend_kind]
-    cfg = SimConfig(backend=backend_kind, seed=5, poll_interval=params["poll"],
+    cfg = SimConfig(backend=backend_kind, seed=5, poll_interval=poll or params["poll"],
                     cpu_overhead_fraction=0.0)
     systems = [make_system(f"sys{i}", n_hosts=2, time_slot=params["time_slot"],
                            cpu_rate=params["cpu_rate"]) for i in range(n_systems)]
@@ -214,6 +216,130 @@ def test_a_local_run_sends_agents_no_volume_bytes(tmp_path, monkeypatch):
         {"configure", "exec", "app_start", "status", "pause", "resume", "stop"}
 
 
+# The local scenario's app runs at 2 processes x 40 units/s = 80 units/s.
+LOCAL_RATE = 80.0
+
+
+def test_a_local_slot_ends_when_its_app_finishes_not_at_the_next_tick(tmp_path):
+    app, result = _run("local", 0.3 * LOCAL_RATE, tmp_path, n_systems=1, poll=1.0)
+    assert result.outcome is Outcome.COMPLETED
+    [slot] = result.history
+    assert slot.ended_by is SlotEnd.COMPLETION
+    # the app ends about 0.3 s in; the next tick would come at the 0.95 s guard deadline
+    assert slot.slot_duration_used < 0.9
+
+
+def test_a_completing_slot_polls_once_more_than_its_ticks(tmp_path, monkeypatch):
+    polls = []
+    progress = LocalProcessBackend.progress
+
+    def spy(self, ref):
+        polls.append(time.monotonic())
+        return progress(self, ref)
+
+    monkeypatch.setattr(LocalProcessBackend, "progress", spy)
+    poll = 0.2
+    app, result = _run("local", 0.5 * LOCAL_RATE, tmp_path, n_systems=1, poll=poll)
+    assert result.outcome is Outcome.COMPLETED
+    used = result.history[0].slot_duration_used
+    monitored = polls[:-1]  # the last reading is the fetch of the final volume
+    # one poll per whole tick before completion, plus one at completion: no spin
+    # when a predicted completion lands a quantum early
+    assert len(monitored) <= int(used / poll) + 2
+    # and that last poll came at the predicted completion, not on a tick
+    assert monitored[-1] - monitored[-2] < 0.85 * poll
+
+
+def _timed_wait(backend, seconds: float) -> float:
+    start = time.monotonic()
+    backend.wait(seconds)
+    return time.monotonic() - start
+
+
+def test_a_paused_app_sets_no_wake(tmp_path):
+    system, backend = _local_backend(tmp_path)
+    app = make_app(name="paused", work_total=40.0, process_count=2)
+    try:
+        cluster = deploy_cluster(system.hosts, app, "c-paused", make_hardware(), backend)
+        rate = backend.app_rate()
+        time.sleep(max(0.0, (app.work_total - cluster.progress()) / rate - 0.3))
+        cluster.progress()  # a running reading: the app ends about 0.3 s from now
+        cluster.pause()
+        assert _timed_wait(backend, 0.4) >= 0.39
+        cluster.progress()  # a frozen reading predicts nothing
+        assert _timed_wait(backend, 0.4) >= 0.39
+        cluster.resume()
+        cluster.progress()
+        assert _timed_wait(backend, 2.0) < 1.0
+        assert cluster.progress() == quantize_work(app.work_total)
+    finally:
+        backend.close()
+
+
+def test_an_agent_dying_during_a_poll_fails_the_slot(tmp_path):
+    system, backend = _local_backend(tmp_path)
+    app = make_app(name="dies", work_total=10_000.0, process_count=2)
+    try:
+        cluster = deploy_cluster(system.hosts, app, "c-dies", make_hardware(), backend)
+        fleet = backend.fleet
+        alive = fleet.alive
+
+        def dies_after_the_check(node):
+            answer = alive(node)
+            fleet.procs[node].kill()
+            fleet.procs[node].wait(timeout=5)
+            return answer
+
+        fleet.alive = dies_after_the_check
+        assert monitor(cluster, 1.0, 0.05, 0.02).result is MonitorResult.FAILED
+        assert backend.log.events[-1].kind == "node_failure"
+    finally:
+        backend.close()
+
+
+def test_an_agent_dying_after_its_app_completes_fails_the_run(tmp_path, monkeypatch):
+    import bee.orchestrator
+
+    watch = bee.orchestrator.monitor
+
+    def dies_after_completion(cluster, *args):
+        outcome = watch(cluster, *args)
+        proc = cluster.backend.fleet.procs[cluster.master_ref.node_index]
+        proc.kill()
+        proc.wait(timeout=5)
+        return outcome
+
+    monkeypatch.setattr(bee.orchestrator, "monitor", dies_after_completion)
+    app, result = _run("local", SCENARIOS["local"]["work_one_slot"], tmp_path, n_systems=1)
+    assert result.outcome is Outcome.FAILED
+    assert [r.ended_by for r in result.history] == [SlotEnd.FAILURE]
+
+
+def test_an_agent_dying_before_the_checkpoint_fails_the_run(tmp_path, spawned, monkeypatch,
+                                                             capsys):
+    pause = LocalProcessBackend.pause
+
+    def dies_first(self, ref):
+        proc = self.fleet.procs[ref.node_index]
+        proc.kill()
+        proc.wait(timeout=5)
+        pause(self, ref)
+
+    monkeypatch.setattr(LocalProcessBackend, "pause", dies_first)
+    docs = {"pool": make_pool(make_system("sys0", n_hosts=2, time_slot=1.0)),
+            "app": make_app(name="ckpt-dies", work_total=1000.0, process_count=2),
+            "uconf": make_hardware()}
+    argv = ["run", "--backend", "local", "--store", str(tmp_path / "store")]
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(to_json(doc)), encoding="utf-8")
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(argv) == EXIT_FAILED
+    out, err = capsys.readouterr()
+    assert out.startswith("run ") and out.splitlines()[0].endswith(": failed")
+    assert "config error" not in err
+    assert spawned and all(proc.poll() is not None for proc in spawned)
+
+
 def _pids_naming(path: Path) -> set[int]:
     """Processes whose command line contains `path`, read from /proc."""
     key = str(path).encode()
@@ -230,8 +356,6 @@ def _pids_naming(path: Path) -> set[int]:
 
 def _local_run_mid_slot(tmp_path) -> subprocess.Popen:
     """`bee run --backend local` with TMPDIR at tmp_path/tmp, once its app runs."""
-    from bee.model import to_json
-
     docs = {"pool": make_pool(make_system("sys0", n_hosts=2, time_slot=60.0)),
             "app": make_app(name="killed", work_total=1e6, process_count=2),
             "uconf": make_hardware()}

@@ -1,9 +1,10 @@
 """Operator command line: validate, run, resume, status, topo, iobench, scaling.
 
-Exit codes: 0 success/completed, 1 failed (including corrupt checkpoints and
-damaged stores), 2 stalled with a persisted checkpoint, 64 invalid
-configuration or usage, 128 + the signal number when stopped by SIGINT or
-SIGTERM.  Every flag can also come from the environment as BEE_<FLAG>.
+Exit codes: 0 success/completed, 1 failed (including corrupt checkpoints,
+damaged stores and a store write that fails while a run runs), 2 stalled
+with a persisted checkpoint, 64 invalid configuration or usage, 128 + the
+signal number when stopped by SIGINT or SIGTERM.  Every flag can also come
+from the environment as BEE_<FLAG>.
 """
 
 from __future__ import annotations
@@ -226,10 +227,14 @@ def _run_and_render(args, pool, app, hardware, resume_from=None, resume_content=
             vstore.create(volume_id, content, digest=digest)
     volume = DataVolume(id=volume_id, byte_size=len(content), content_digest=digest)
 
-    result = run_workflow(pool, app, volume, hardware,
-                          lambda system: make_backend(system, cfg), args.store,
-                          cfg=cfg, run_id=run_id, loop_pool=args.loop_pool,
-                          resume_from=resume_from, resume_content=resume_content)
+    try:
+        result = run_workflow(pool, app, volume, hardware,
+                              lambda system: make_backend(system, cfg), args.store,
+                              cfg=cfg, run_id=run_id, loop_pool=args.loop_pool,
+                              resume_from=resume_from, resume_content=resume_content)
+    except OSError as exc:  # the configs are loaded: a store I/O error fails the run
+        print(f"run {run_id} failed: store {args.store}: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
     ckpt_path = None
     if result.outcome is Outcome.STALLED_WITH_CHECKPOINT:

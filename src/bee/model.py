@@ -55,9 +55,6 @@ class Phase(str, Enum):
     FAILED = "failed"
 
 
-DETACHED = "detached"
-
-
 class ParseError(ValueError):
     """Raised when a JSON document does not match the expected schema."""
 
@@ -152,7 +149,6 @@ class DataVolume:
     id: str
     byte_size: int
     content_digest: str
-    location: str = DETACHED
 
 
 @dataclass(frozen=True)

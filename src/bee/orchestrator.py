@@ -32,7 +32,7 @@ from bee.model import (
     validate,
 )
 from bee.storage import (Chain, Checkpoint, CheckpointStore, MigrationError, RunningDigest,
-                         StatusWriter, StorageError, VolumeStore, run_id_problem)
+                         StatusWriter, StorageError, run_id_problem)
 from bee.workload import BLOCK_BYTES, first_output_block, max_output_bytes
 from bee.cluster import Cluster, ClusterStatus, DeploymentError, deploy_cluster
 from bee.backends.base import Backend, BackendOpError, NodeFailure, SimConfig
@@ -190,15 +190,14 @@ def checkpoint_now(state: RunState, cluster: Cluster, store: CheckpointStore,
 def transfer_and_restore(ckpt: Checkpoint, content: Chain | bytes,
                          from_system: ComputeSystem | None,
                          to_system: ComputeSystem, backend: Backend,
-                         vstore: VolumeStore, volume_id: str,
-                         running: RunningDigest | None = None) -> DataVolume:
+                         running: RunningDigest | None = None) -> None:
     """Move checkpoint bytes onto the target system and verify integrity.
 
     Transfer time is charged at the slower of the two systems' networks; a
     digest mismatch is retried once before giving up.  The delivered bytes
     are hashed through `running`, the run's digest, or in full without one.
-    The data volume moves to the target system; its stored bytes stay the
-    run's input until the run completes and appends its output to them.
+    The store is not touched: the checkpoint's bytes are already committed
+    to the volume, which the run extends only when it saves or completes.
     """
     running = running or RunningDigest()
     if from_system is not None:
@@ -219,9 +218,7 @@ def transfer_and_restore(ckpt: Checkpoint, content: Chain | bytes,
         raise MigrationError(
             f"checkpoint digest mismatch after retry while moving to {to_system.id}")
 
-    vol = vstore.move(volume_id, to_system.id)
     backend.charge(0.0, "restore_checkpoint", to_system.hosts[0].id)
-    return vol
 
 
 def _corrupt(content: bytes) -> bytes:
@@ -330,8 +327,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 vstore.create(data.id, ckpt_content, digest=resume_from.digest)
             if resume_from.progress >= work_total:
                 # a complete checkpoint holds the output
-                if vstore.volume(data.id).location != "detached":
-                    vstore.detach(data.id)
                 result = RunResult(Outcome.COMPLETED,
                                    store_output(ckpt_content, resume_from.digest), ())
                 status.state(replace(state, phase=Phase.COMPLETE, need_migration=False))
@@ -367,8 +362,7 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 try:
                     if state.need_migration and ckpt is not None and ckpt_content is not None:
                         origin = systems.get(ckpt.origin_system) if ckpt.origin_system else None
-                        transfer_and_restore(ckpt, ckpt_content, origin, system, backend,
-                                             vstore, data.id, running)
+                        transfer_and_restore(ckpt, ckpt_content, origin, system, backend, running)
                         # the transfer delivered these bytes once their digest matched
                         content = ckpt_content
                     else:
@@ -377,7 +371,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                         content = ckpt_content if ckpt_content is not None else initial
                         backend.charge(len(content) / (system.disk_bandwidth_native.write * MB),
                                        "load_initial_data", system.hosts[0].id)
-                        vstore.move(data.id, system.id)
                 except MigrationError:
                     state = replace(state, phase=Phase.FAILED, current_system=None)
                     return finish(Outcome.FAILED, None)
@@ -445,7 +438,6 @@ def run_workflow(pool: ResourcePool, app: AppSpec, data: DataVolume,
                 # system, one it ran in fails the run
                 if cluster is not None:
                     cluster.stop()
-                vstore.detach(data.id)
                 history.append(SlotRecord(system.id, outcome.elapsed if outcome else 0.0, 0.0,
                                           SlotEnd.FAILURE))
                 state = replace(state, slots_consumed=state.slots_consumed + 1)

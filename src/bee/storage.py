@@ -20,7 +20,6 @@ from pathlib import Path
 
 from bee.model import (
     MB,
-    DETACHED,
     DataVolume,
     ParseError,
     RunState,
@@ -315,11 +314,10 @@ class VolumeStore:
     last record, read from its last few hundred bytes, describes the volume.
 
     data.bin only grows: the volume is its first `byte_size` bytes, its
-    committed length, and the digest their SHA-256 hex.  attach/detach only
-    append records, so they can never change content.  Per volume, a store
-    holds the last chain it created, read or wrote: data.bin begins with its
-    bytes, which a write of a chain that extends it (see Chain.extends) need
-    not read again.
+    committed length, and the digest their SHA-256 hex.  A record is appended
+    only when data.bin grows.  Per volume, a store holds the last chain it
+    created, read or wrote: data.bin begins with its bytes, which a write of
+    a chain that extends it (see Chain.extends) need not read again.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -337,15 +335,14 @@ class VolumeStore:
     def exists(self, volume_id: str) -> bool:
         return self._record(volume_id) is not None
 
-    def create(self, volume_id: str, content: Chain | bytes, location: str = DETACHED,
+    def create(self, volume_id: str, content: Chain | bytes,
                digest: str | None = None) -> DataVolume:
         """A new volume holding `content`; `digest` is as for write().  An id
         that already has a record is refused."""
         if self.exists(volume_id):
             raise StorageError(f"volume {volume_id} already exists")
         vol = DataVolume(id=volume_id, byte_size=len(content),
-                         content_digest=digest or sha256_hex(bytes(content)),
-                         location=location)
+                         content_digest=digest or sha256_hex(bytes(content)))
         self._dir(volume_id).mkdir(parents=True, exist_ok=True)
         # a data.bin already there is what a create killed before its record left
         extend_file(self._dir(volume_id) / "data.bin", 0, content)
@@ -408,44 +405,6 @@ class VolumeStore:
             self._write_meta(vol)
         self._held[volume_id] = chain
         return vol
-
-    def attach(self, volume_id: str, system_id: str) -> DataVolume:
-        vol = self.volume(volume_id)
-        if vol.location != DETACHED:
-            raise StorageError(
-                f"volume {volume_id} already attached on {vol.location}; "
-                "the data image allows a single writer")
-        vol = replace(vol, location=system_id)
-        self._write_meta(vol)
-        return vol
-
-    def move(self, volume_id: str, system_id: str) -> DataVolume:
-        """Attach the volume on `system_id`, wherever it was attached before.
-
-        One record in place of a detach and an attach, and none when the
-        volume is already there.
-        """
-        vol = self.volume(volume_id)
-        moved = replace(vol, location=system_id)
-        if moved != vol:
-            self._write_meta(moved)
-        return moved
-
-    def detach(self, volume_id: str) -> DataVolume:
-        vol = self.volume(volume_id)
-        if vol.location == DETACHED:
-            raise StorageError(f"volume {volume_id} is not attached")
-        vol = replace(vol, location=DETACHED)
-        self._write_meta(vol)
-        return vol
-
-    def snapshot(self, volume_id: str) -> tuple[bytes, str]:
-        """Point-in-time copy of an attached volume; later writes leave it alone."""
-        vol = self.volume(volume_id)
-        if vol.location == DETACHED:
-            raise StorageError(f"cannot snapshot detached volume {volume_id}")
-        content = self.content(volume_id)
-        return content, sha256_hex(content)
 
 
 # ---------------------------------------------------------------------------

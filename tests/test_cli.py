@@ -191,6 +191,47 @@ class TestRunCommand:
         assert out.startswith(f"run {run_id}: phase failed,")
         assert "result:" not in out
 
+    def test_store_write_that_fails_in_a_run_exits_failed_with_one_line(
+            self, configs, capsys, monkeypatch):
+        import errno
+        import bee.storage
+
+        real, calls = bee.storage.extend_file, []
+
+        def full_disk(path, committed, content):
+            calls.append(path)
+            if len(calls) == 2:  # the input's create, then the first checkpoint
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(path, committed, content)
+
+        monkeypatch.setattr(bee.storage, "extend_file", full_disk)
+        store = configs.tmp_path / "store"
+        short = make_pool(*(make_system(f"s{i}", time_slot=10.0) for i in range(4)))
+        app = make_app(work_total=1000.0, process_count=2)
+        assert main(["run", *configs(pool=short, app=app), "--store", str(store),
+                     "--seed", "3"]) == EXIT_FAILED
+        assert len(calls) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(store) in err and "No space left" in err
+        assert "Traceback" not in err and "config error" not in err
+        run_id = next(p.name for p in store.iterdir() if p.name.startswith("run-"))
+        assert run_state(store, run_id).phase is Phase.FAILED
+
+    def test_store_with_a_volume_location_exits_config_with_one_line(self, configs,
+                                                                      capsys):
+        # volume records once carried the system that held the volume
+        store = configs.tmp_path / "store"
+        argv = ["run", *configs(), "--store", str(store)]
+        assert main(argv) == EXIT_OK
+        run_id = next(p.name for p in store.iterdir() if p.name.startswith("run-"))
+        log = store / "volumes" / f"{run_id}-data" / "log"
+        append_record(log, json.loads(log.read_text().splitlines()[-1]) | {"location": "alpha"})
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown fields ['location']" in err
+        assert "Traceback" not in err
+
     def test_negative_input_size_exits_config_with_one_line(self, configs, capsys):
         store = configs.tmp_path / "store"
         with pytest.raises(SystemExit) as done:
@@ -574,6 +615,19 @@ class TestStatusCommand:
         assert code == EXIT_OK
         assert status["state"]["phase"] == "complete"
         assert status["result"]["outcome"] == "completed"
+
+    def test_result_with_a_volume_location_exits_config_with_one_line(self, configs,
+                                                                      capsys):
+        # result records once carried the system that held the output volume
+        store = configs.tmp_path / "store"
+        code, doc = run_json(capsys, ["run", *configs(), "--store", str(store), "--json"])
+        assert code == EXIT_OK
+        result = {k: doc[k] for k in ("outcome", "output_volume", "history")}
+        result["output_volume"] |= {"location": "alpha"}
+        append_record(store / doc["run_id"] / "log", {"result": result})
+        assert main(["status", doc["run_id"], "--store", str(store)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "output_volume: unknown fields ['location']" in err
 
     def test_unknown_run_exits_config(self, tmp_path):
         assert main(["status", "nope", "--store", str(tmp_path)]) == EXIT_CONFIG

@@ -146,9 +146,17 @@ def test_no_agent_alive_after_teardown_of_wired_cluster(tmp_path, spawned):
         backend.close()
 
 
-def test_local_run_leaves_no_temp_dir_or_agent(tmp_path, spawned):
+def test_local_run_leaves_no_temp_dir_or_agent(tmp_path, spawned, monkeypatch):
+    # a temp dir of this test's own, so that no other run's workdirs show
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    made, mkdtemp = [], tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp",
+                        lambda *args, **kw: made.append(mkdtemp(*args, **kw)) or made[-1])
+
     def workdirs():
-        return set(Path(tempfile.gettempdir()).glob("bee-local-*"))
+        return set(temp.glob("bee-local-*"))
 
     before = workdirs()
     app, result = _run("local", SCENARIOS["local"]["work_two_slots"], tmp_path)
@@ -156,6 +164,7 @@ def test_local_run_leaves_no_temp_dir_or_agent(tmp_path, spawned):
     assert len(result.history) >= 2
     assert len(spawned) >= 4
     assert all(proc.poll() is not None for proc in spawned)
+    assert made and all(Path(path).parent == temp for path in made)
     assert workdirs() - before == set()
 
 

@@ -78,7 +78,7 @@ class TestSerialization:
         assert from_json(HardwareConfig, json.loads(json.dumps(to_json(hw))), "uconf") == hw
 
     def test_volume_round_trip(self):
-        vol = DataVolume(id="v1", byte_size=42, content_digest="ab" * 32, location="alpha")
+        vol = DataVolume(id="v1", byte_size=42, content_digest="ab" * 32)
         assert from_json(DataVolume, to_json(vol), "volume") == vol
 
     def test_comm_pattern_accepts_bare_string(self):

@@ -378,7 +378,7 @@ class TestRunWorkflow:
             assert result.outcome is Outcome.FAILED and len(result.history) == 1
             assert (state.phase.value, state.slots_consumed, state.current_system) == \
                 ("failed", 1, None)
-            assert vstore.volume("v").location == "detached"
+            assert vstore.volume("v") == volume  # the input, as created
         else:
             assert result.outcome is Outcome.COMPLETED
             assert [r.ended_by for r in result.history[1:]] == [SlotEnd.COMPLETION]
@@ -955,6 +955,24 @@ class TestStoreIo:
         # only the initial load reads the volume back from the store
         assert len(reads) <= 1
 
+    def test_volume_record_is_appended_only_when_its_bytes_grow(self, tmp_path,
+                                                                monkeypatch):
+        written = count_payload_writes(monkeypatch)
+        app = self._migrating_app()
+        pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
+        result = run(pool, app, tmp_path, run_id="r")
+        assert [r.ended_by for r in result.history] == \
+            [SlotEnd.TIMESLOT_CHECKPOINT] * 4 + [SlotEnd.COMPLETION]
+        # the create, each checkpoint's save and the completion grew data.bin
+        lengths = [4096, *(commit_record(tmp_path / "r", seq)["length"] for seq in range(1, 5)),
+                   result.output_volume.byte_size]
+        assert lengths == sorted(set(lengths))
+        assert [(name, n > 0) for name, n in written] == [("data.bin", True)] * 6
+        records = read_log(tmp_path / "volumes" / f"{app.name}-in" / "log")
+        assert [doc["byte_size"] for doc in records] == lengths
+        assert all(doc.keys() == {"id", "byte_size", "content_digest"} for doc in records)
+        assert records[-1]["content_digest"] == result.output_volume.content_digest
+
     def test_corrupted_delivery_leaves_later_digests_correct(self, tmp_path):
         app = self._migrating_app()
         pool = make_pool(*(make_system(f"s{i}", time_slot=100.0) for i in range(5)))
@@ -1500,47 +1518,40 @@ class TestCheckpointOps:
 
 
 class TestTransfer:
-    def _fixture(self, tmp_path, content=b"d" * (1 << 20), fault_times=0):
+    def _fixture(self, content=b"d" * (1 << 20), fault_times=0):
         src = make_system("src", net_bw=100.0)
         dst = make_system("dst", net_bw=200.0)
         backend = make_backend(dst, SimConfig(seed=7, **EXACT_CFG))
         if fault_times:
             backend.inject_fault("transfer", times=fault_times)
-        vstore = VolumeStore(tmp_path)
-        vstore.create("v", content)
         ckpt = Checkpoint(run_id="r", seq=1, progress=5.0,
                           digest=sha256_hex(content), origin_system="src",
                           created_at=0.0)
-        return ckpt, content, src, dst, backend, vstore
+        return ckpt, content, src, dst, backend
 
-    def test_transfer_time_uses_slower_network(self, tmp_path):
-        ckpt, content, src, dst, backend, vstore = self._fixture(tmp_path)
-        vol = transfer_and_restore(ckpt, content, src, dst, backend, vstore, "v")
-        assert vol.location == "dst"
+    def test_transfer_time_uses_slower_network(self):
+        ckpt, content, src, dst, backend = self._fixture()
+        transfer_and_restore(ckpt, content, src, dst, backend)
         charges = [e for e in backend.log.events if e.kind == "data_transfer"]
         assert charges[0].detail["seconds"] == pytest.approx(0.01, abs=1e-9)
 
-    def test_zero_byte_volume_transfers_instantly(self, tmp_path):
-        ckpt, content, src, dst, backend, vstore = self._fixture(tmp_path, content=b"")
-        vol = transfer_and_restore(ckpt, b"", src, dst, backend, vstore, "v")
-        assert vol.content_digest == sha256_hex(b"")
+    def test_zero_byte_volume_transfers_instantly(self):
+        ckpt, content, src, dst, backend = self._fixture(content=b"")
+        transfer_and_restore(ckpt, b"", src, dst, backend)
         charges = [e for e in backend.log.events if e.kind == "data_transfer"]
         assert charges[0].detail["seconds"] == 0.0
 
-    def test_corruption_retried_once_then_succeeds(self, tmp_path):
-        ckpt, content, src, dst, backend, vstore = self._fixture(
-            tmp_path, content=b"payload", fault_times=1)
-        vol = transfer_and_restore(ckpt, b"payload", src, dst, backend, vstore, "v")
-        assert vol.content_digest == ckpt.digest
+    def test_corruption_retried_once_then_succeeds(self):
+        ckpt, content, src, dst, backend = self._fixture(content=b"payload", fault_times=1)
+        transfer_and_restore(ckpt, b"payload", src, dst, backend)
         mismatches = [e for e in backend.log.events
                       if e.kind == "transfer_digest_mismatch"]
         assert len(mismatches) == 1
 
-    def test_persistent_corruption_fails_migration(self, tmp_path):
-        ckpt, content, src, dst, backend, vstore = self._fixture(
-            tmp_path, content=b"payload", fault_times=2)
+    def test_persistent_corruption_fails_migration(self):
+        ckpt, content, src, dst, backend = self._fixture(content=b"payload", fault_times=2)
         with pytest.raises(MigrationError):
-            transfer_and_restore(ckpt, b"payload", src, dst, backend, vstore, "v")
+            transfer_and_restore(ckpt, b"payload", src, dst, backend)
 
 
 class TestGuardRule:

@@ -1,7 +1,6 @@
 import hashlib
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bee.storage
-from bee.model import MB, DETACHED, StorageSolution, canonical_json, to_json
+from bee.model import MB, StorageSolution, canonical_json, to_json
 from bee.storage import (
     Chain,
     RunningDigest,
@@ -102,79 +101,12 @@ class TestVolumeStore:
         assert vol.content_digest == sha256_hex(b"hello world")
         assert store.volume("v1") == vol
 
-    def test_attach_detach_preserves_digest(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        vol = store.create("v1", b"payload")
-        attached = store.attach("v1", "alpha")
-        assert attached.location == "alpha"
-        moved = store.detach("v1")
-        again = store.attach("v1", "beta")
-        assert again.location == "beta"
-        assert again.content_digest == vol.content_digest == moved.content_digest
-
-    def test_double_attach_rejected(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"x")
-        store.attach("v1", "alpha")
-        with pytest.raises(StorageError):
-            store.attach("v1", "beta")
-
-    def test_detach_requires_attached(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"x")
-        with pytest.raises(StorageError):
-            store.detach("v1")
-
-    def test_move_writes_the_record_once(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        vol = store.create("v1", b"payload")
-        with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta:
-            assert store.move("v1", "alpha").location == "alpha"  # from detached
-            assert store.move("v1", "beta").location == "beta"  # from another system
-            assert meta.call_count == 2
-            assert store.move("v1", "beta").location == "beta"
-            assert meta.call_count == 2  # already there: nothing to write
-        assert store.volume("v1") == replace(vol, location="beta")
-        with pytest.raises(StorageError):
-            store.attach("v1", "alpha")  # the single-writer rule still holds
-
     def test_round_trip_reads_identical(self, tmp_path):
         store = VolumeStore(tmp_path)
         store.create("v1", b"same bytes")
-        store.attach("v1", "alpha")
-        store.detach("v1")
-        store.attach("v1", "alpha")
-        assert store.content("v1") == b"same bytes"
-
-    def test_snapshot_isolated_from_later_writes(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"before")
-        store.attach("v1", "alpha")
-        snap, digest = store.snapshot("v1")
-        store.write("v1", b"before, then after")
-        assert snap == b"before"
-        assert digest == sha256_hex(b"before")
-        assert store.volume("v1").content_digest == sha256_hex(b"before, then after")
-
-    def test_snapshot_of_empty_volume(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"")
-        store.attach("v1", "alpha")
-        snap, digest = store.snapshot("v1")
-        assert snap == b""
-        assert digest == sha256_hex(b"")
-
-    def test_two_snapshots_without_writes_match(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"stable")
-        store.attach("v1", "alpha")
-        assert store.snapshot("v1") == store.snapshot("v1")
-
-    def test_snapshot_requires_attached(self, tmp_path):
-        store = VolumeStore(tmp_path)
-        store.create("v1", b"x")
-        with pytest.raises(StorageError):
-            store.snapshot("v1")
+        store.write("v1", b"same bytes, grown")
+        assert store.content("v1") == VolumeStore(tmp_path).content("v1") == \
+            b"same bytes, grown"
 
     def test_write_changes_digest(self, tmp_path):
         store = VolumeStore(tmp_path)
@@ -251,9 +183,13 @@ class TestVolumeStore:
 
     def test_volume_reads_only_the_end_of_its_log(self, tmp_path, monkeypatch):
         store = VolumeStore(tmp_path)
-        store.create("v1", b"payload")
-        for i in range(600):
-            store.move("v1", f"system-{i}")
+        content = Chain(b"payload")
+        store.create("v1", content)
+        for i in range(200):
+            content += b"%d" % (i % 10)
+            store.write("v1", content)
+        vol = store.volume("v1")
+        assert (vol.byte_size, vol.content_digest) == (207, sha256_hex(bytes(content)))
         log = tmp_path / "volumes" / "v1" / "log"
         assert log.stat().st_size > 16 * bee.storage._TAIL
         real = bee.storage.read_log
@@ -263,10 +199,10 @@ class TestVolumeStore:
             return real(path, tail)
 
         monkeypatch.setattr(bee.storage, "read_log", tail_only)
-        assert store.volume("v1").location == "system-599"
+        assert store.volume("v1") == vol
         with open(log, "ab") as fh:
             fh.write(b'{"byte_size":7,"con')  # a torn last line
-        assert store.volume("v1").location == "system-599"
+        assert store.volume("v1") == vol
         assert store.exists("v1")
 
     def test_payload_written_as_new_file(self, tmp_path):
@@ -295,7 +231,6 @@ class TestVolumeStore:
     def test_unchanged_meta_is_not_rewritten(self, tmp_path):
         store = VolumeStore(tmp_path)
         store.create("v1", b"bytes")
-        store.attach("v1", "alpha")
         data = tmp_path / "volumes" / "v1" / "data.bin"
         with mock.patch.object(store, "_write_meta", wraps=store._write_meta) as meta, \
                 mock.patch.object(bee.storage, "extend_file",
@@ -303,7 +238,7 @@ class TestVolumeStore:
             vol = store.write("v1", Chain(b"by", b"tes"), sha256_hex(b"bytes"))
             # the committed content again: no byte and no record is appended
             assert (meta.call_count, extend.call_count) == (0, 0)
-            assert vol.location == "alpha" and store.volume("v1") == vol
+            assert store.volume("v1") == vol
             assert data.read_bytes() == b"bytes"
             store.write("v1", b"bytes and more")
             assert (meta.call_count, extend.call_count) == (1, 1)
@@ -395,16 +330,12 @@ STORE_OPS = st.one_of(
     st.tuples(st.just("create"), VOLUME_IDS, CONTENTS),
     # the model's content plus a tail (as a chain of the two), or any bytes
     st.tuples(st.just("write"), VOLUME_IDS, CONTENTS, st.booleans(), st.booleans()),
-    st.tuples(st.just("attach"), VOLUME_IDS, st.sampled_from(["alpha", "beta"])),
-    st.tuples(st.just("detach"), VOLUME_IDS),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), VOLUME_IDS, CONTENTS),
-    # a kill in the call's first or second store write (create and write
-    # extend data.bin, then append a record; attach and detach only append)
+    # a kill in the call's first or second store write (each extends
+    # data.bin, then appends a record)
     st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["create", "write"]), CONTENTS,
               st.sampled_from([0, 1])),
-    st.tuples(st.just("kill"), VOLUME_IDS, st.sampled_from(["attach", "detach"]),
-              st.just(b""), st.just(0)),
 )
 
 
@@ -442,7 +373,7 @@ class TestVolumeStoreConsistency:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             store = VolumeStore(root)
-            model: dict[str, tuple[bytes, str]] = {}  # id -> what the record describes
+            model: dict[str, bytes] = {}  # id -> the content its record describes
             for op in ops:
                 kind, vid = op[0], (op[1] if len(op) > 1 else None)
                 vol = None
@@ -451,7 +382,7 @@ class TestVolumeStoreConsistency:
                         store.create(vid, op[2])
                 elif kind == "create":
                     vol = store.create(vid, op[2])
-                    model[vid] = (op[2], DETACHED)
+                    model[vid] = op[2]
                 elif kind == "reopen":
                     store = VolumeStore(root)
                 elif kind == "crash":
@@ -464,56 +395,44 @@ class TestVolumeStoreConsistency:
                 elif kind == "kill":
                     method, content, at = op[2:]
                     if method == "write" and vid in model:
-                        content = model[vid][0] + content
-                    args = (content,) if method in ("create", "write") else \
-                        ("gamma",) if method == "attach" else ()
+                        content = model[vid] + content
                     with pytest.MonkeyPatch.context() as patch:
                         killed_at(patch, at)
                         try:
-                            finished = getattr(store, method)(vid, *args)
+                            finished = getattr(store, method)(vid, content)
                         except (Killed, StorageError):
                             finished = None
                     store = VolumeStore(root)
                     if finished is not None:
                         # a write of the bytes the record already names makes
                         # no store write, so no kill reaches it
-                        model[vid] = (content, model.get(vid, (b"", DETACHED))[1])
+                        model[vid] = content
                 elif vid not in model:
                     with pytest.raises(StorageError):
-                        getattr(store, kind)(vid, *op[2:3])
+                        store.write(vid, op[2])
                     continue
-                elif kind == "write":
-                    committed, location = model[vid]
+                else:
+                    committed = model[vid]
                     content = Chain(committed, op[2]) if op[4] else op[2]
                     whole = bytes(content)
                     digest = sha256_hex(whole) if op[3] else None
                     if whole.startswith(committed):
                         vol = store.write(vid, content, digest)
-                        model[vid] = (whole, location)
+                        model[vid] = whole
                     elif committed.startswith(whole):  # a prefix: nothing to write
                         vol = store.write(vid, content, digest)
                     else:
                         with pytest.raises(StorageError, match="does not agree"):
                             store.write(vid, content, digest)
-                elif kind == "attach" and model[vid][1] == DETACHED:
-                    vol = store.attach(vid, op[2])
-                    model[vid] = (model[vid][0], op[2])
-                elif kind == "detach" and model[vid][1] != DETACHED:
-                    vol = store.detach(vid)
-                    model[vid] = (model[vid][0], DETACHED)
-                else:
-                    with pytest.raises(StorageError):
-                        getattr(store, kind)(vid, *op[2:3])
-                    continue
                 if vol is not None:
                     assert vol == store.volume(vid)
                 for other in ("a", "b"):
                     assert store.exists(other) == (other in model)
-                for other, (content, location) in model.items():
+                for other, content in model.items():
                     meta = store.volume(other)
                     assert store.content(other) == content
-                    assert (meta.content_digest, meta.byte_size, meta.location) == \
-                        (sha256_hex(content), len(content), location)
+                    assert (meta.content_digest, meta.byte_size) == \
+                        (sha256_hex(content), len(content))
 
     def test_kill_between_data_and_meta_leaves_meta_describing_data(self, tmp_path,
                                                                     monkeypatch):
@@ -574,14 +493,15 @@ class TestLog:
             assert read_log(log) == [{"state": 1}, {"state": 3}]
             log.write_bytes(b'{"state":1}\n')
 
-    def test_garbage_lines_after_a_volume_record_are_cut_by_the_next_move(self, tmp_path):
+    def test_garbage_lines_after_a_volume_record_are_cut_by_the_next_write(self, tmp_path):
         # a power-loss tail that holds a newline would hide every later record
         store = VolumeStore(tmp_path)
-        store.create("v1", b"payload", location="alpha")
+        store.create("v1", b"payload")
         with open(tmp_path / "volumes" / "v1" / "log", "ab") as fh:
             fh.write(b"garbage\n")
-        assert store.move("v1", "beta").location == "beta"
-        assert store.volume("v1").location == "beta"
+        grown = store.write("v1", b"payload, grown")
+        assert grown.byte_size == 14
+        assert store.volume("v1") == grown
 
     @settings(max_examples=200, deadline=None)
     @given(records=st.lists(RECORD, min_size=1, max_size=4),
